@@ -13,6 +13,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable
 
+from .simplicial import bareiss
+
 MAX_VERTICES = 32
 
 
@@ -382,31 +384,8 @@ def spanning_tree_count(G: Multigraph) -> int:
         if e.tail in pos and e.head in pos:
             lap[pos[e.tail]][pos[e.head]] -= 1
             lap[pos[e.head]][pos[e.tail]] -= 1
-    return _bareiss_determinant(lap)
-
-
-def _bareiss_determinant(mat: list[list[int]]) -> int:
-    m = len(mat)
-    if m == 0:
-        return 1
-    a = [row[:] for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(m - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, m):
-                if a[r][k]:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, m):
-            for j in range(k + 1, m):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[m - 1][m - 1]
+    rank, pivot = bareiss(lap)
+    return pivot if rank == m else 0
 
 
 def parse_graph(text: str) -> Multigraph:

@@ -25,11 +25,7 @@ from .chips import mpf_count
 from .graphs import Multigraph, connected_partitions, contract
 from .ideals import Monomial, MonomialIdeal, lcm_lattice, permute_monomial
 from .posets import FiniteLattice
-from .simplicial import (
-    SimplicialComplex,
-    homology_from_faces_multi,
-    reduced_homology_dims,
-)
+from .simplicial import SimplicialComplex, homology_from_faces_multi
 
 DEFAULT_CHARS = (32003, 2)
 
@@ -60,13 +56,7 @@ def homology_over_chars(
 ) -> dict[int, int]:
     """Reduced homology dims computed over every characteristic in ``chars``,
     required to agree."""
-    if not chars:
-        raise ValueError("need at least one characteristic")
-    dims_by_char = {c: reduced_homology_dims(cpx, c) for c in chars}
-    first = dims_by_char[chars[0]]
-    if any(d != first for d in dims_by_char.values()):
-        raise CharacteristicDisagreement(dims_by_char, context)
-    return first
+    return _agreeing_dims(cpx.faces_by_dim(), chars, context)
 
 
 def crosscut_faces(

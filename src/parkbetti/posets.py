@@ -64,7 +64,7 @@ class FiniteLattice:
             raise LatticeError("order is not reflexive")
         if np.any(rel & rel.T & ~np.eye(count, dtype=bool)):
             raise LatticeError("order is not antisymmetric")
-        if np.any(((rel.astype(np.uint8) @ rel.astype(np.uint8)) > 0) & ~rel):
+        if np.any((rel @ rel) & ~rel):
             raise LatticeError("order is not transitive")
         bottoms = np.flatnonzero(rel.all(axis=1))
         tops = np.flatnonzero(rel.all(axis=0))
@@ -74,8 +74,7 @@ class FiniteLattice:
         self._bottom = int(bottoms[0])
         self._top = int(tops[0])
         self._strict = rel & ~np.eye(count, dtype=bool)
-        two_step = (self._strict.astype(np.uint8) @ self._strict.astype(np.uint8)) > 0
-        self._covers = self._strict & ~two_step
+        self._covers = self._strict & ~(self._strict @ self._strict)
         self._ranks = None
         self._mobius = None
         self._heights = None
@@ -189,15 +188,6 @@ class FiniteLattice:
             self._mobius = mu
         return {x: self._mobius[i] for i, x in enumerate(self._elements)}
 
-    def open_interval(self, y) -> list:
-        """Elements strictly between the bottom and y, in element order."""
-        iy = self.index_of(y)
-        return [
-            self._elements[k]
-            for k in range(len(self._elements))
-            if self._strict[self._bottom, k] and self._strict[k, iy]
-        ]
-
     def _interior_indices(self, iy: int) -> list[int]:
         return [
             k for k in range(len(self._elements))
@@ -304,8 +294,7 @@ class FiniteLattice:
         if not interior:
             return SimplicialComplex(((),))
         sub = self._strict[np.ix_(interior, interior)]
-        two_step = (sub.astype(np.uint8) @ sub.astype(np.uint8)) > 0
-        covers = sub & ~two_step
+        covers = sub & ~(sub @ sub)
         succ = [np.flatnonzero(covers[k]).tolist() for k in range(len(interior))]
         minimal = [k for k in range(len(interior)) if not sub[:, k].any()]
         facets: list[tuple[int, ...]] = []

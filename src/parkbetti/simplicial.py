@@ -8,13 +8,19 @@ field or, for characteristic 0, over the rationals.
 
 The homology core works on explicit per-dimension face lists, so large
 downward-closed face families (chain enumerations, truncated skeleta) can
-skip facet extraction entirely.
+skip facet extraction entirely. It has one reduction path: the boundary
+maps are assembled and reduced bottom-up, unit pivots first, and the faces
+that were pivot columns of one map are cleared from the rows of the next
+(clearing, as in Bauer-Kerber-Reininghaus and Ripser). What is left is a
+small dense core, ranked by one int64 elimination for every prime
+p < 2^31, or by fraction-free (Bareiss) elimination over the rationals.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -84,36 +90,15 @@ def boundary_matrices(cpx: SimplicialComplex) -> dict[int, np.ndarray]:
     return boundary_matrices_from_faces(cpx.faces_by_dim())
 
 
-def _assert_boundary_squares_zero(faces: dict[int, list[tuple[int, ...]]]) -> None:
-    """Face-level check that the composed boundary of every face cancels:
-    the signed double-deletion sum of each face must vanish identically.
-    Columns of the assembled matrices are exactly these signed sums, so this
-    asserts the matrix identity without forming any matrix product."""
-    for d, fs in faces.items():
-        if d < 1:
-            continue
-        for f in fs:
-            acc: dict[tuple[int, ...], int] = {}
-            for j in range(len(f)):
-                outer_sign = -1 if j % 2 else 1
-                sub = f[:j] + f[j + 1:]
-                for i in range(len(sub)):
-                    inner_sign = -1 if i % 2 else 1
-                    key = sub[:i] + sub[i + 1:]
-                    acc[key] = acc.get(key, 0) + outer_sign * inner_sign
-            if any(acc.values()):
-                raise AssertionError("boundary maps do not compose to zero")
-
-
 def _unit_pivot_reduce(rows, cols, signs, n_rows: int, n_cols: int):
     """Structural rank reduction on a sparse pattern with unit entries.
 
     A row or column holding exactly one surviving nonzero (always a unit
     here) can be pivoted away by deleting its row and column; no other entry
     changes, so the step is exact over every field. Cascading these pivots
-    returns their count plus the dense residual core."""
-    from collections import deque
-
+    returns their columns, in pivot order, plus the dense residual core.
+    Each pivot is alone in its row or its column among the rows and columns
+    still alive, so the pivot block has determinant +-1."""
     entry_alive = [True] * len(rows)
     row_entries: list[list[int]] = [[] for _ in range(n_rows)]
     col_entries: list[list[int]] = [[] for _ in range(n_cols)]
@@ -131,7 +116,7 @@ def _unit_pivot_reduce(rows, cols, signs, n_rows: int, n_cols: int):
     for c in range(n_cols):
         if col_count[c] == 1:
             queue.append((1, c))
-    unit_rank = 0
+    pivots: list[int] = []
 
     def kill(r: int, c: int):
         row_alive[r] = False
@@ -157,13 +142,13 @@ def _unit_pivot_reduce(rows, cols, signs, n_rows: int, n_cols: int):
             if not row_alive[idx] or row_count[idx] != 1:
                 continue
             e = next(e for e in row_entries[idx] if entry_alive[e])
-            unit_rank += 1
+            pivots.append(cols[e])
             kill(idx, cols[e])
         else:
             if not col_alive[idx] or col_count[idx] != 1:
                 continue
             e = next(e for e in col_entries[idx] if entry_alive[e])
-            unit_rank += 1
+            pivots.append(idx)
             kill(rows[e], idx)
 
     live_rows = [r for r in range(n_rows) if row_alive[r] and row_count[r] > 0]
@@ -174,55 +159,7 @@ def _unit_pivot_reduce(rows, cols, signs, n_rows: int, n_cols: int):
     for e, alive in enumerate(entry_alive):
         if alive:
             core[row_pos[rows[e]], col_pos[cols[e]]] = signs[e]
-    return unit_rank, core
-
-
-def collapse_faces(
-    faces: dict[int, list[tuple[int, ...]]]
-) -> dict[int, list[tuple[int, ...]]]:
-    """Elementary collapses: repeatedly remove a free pair (a face contained
-    in exactly one other face, together with that coface). Each step is a
-    deformation retraction, so all reduced homology is preserved over every
-    coefficient ring. The empty face is never removed."""
-    from collections import deque
-
-    alive: set[tuple[int, ...]] = {f for fs in faces.values() for f in fs}
-    vertices = sorted({v for f in alive for v in f})
-    cofaces: dict[tuple[int, ...], int] = {f: 0 for f in alive}
-    for f in alive:
-        for k in range(len(f)):
-            cofaces[f[:k] + f[k + 1:]] += 1
-    queue = deque(f for f, c in cofaces.items() if c == 1 and f != ())
-
-    def drop(f: tuple[int, ...]):
-        alive.remove(f)
-        for k in range(len(f)):
-            sub = f[:k] + f[k + 1:]
-            if sub in alive:
-                cofaces[sub] -= 1
-                if cofaces[sub] == 1 and sub != ():
-                    queue.append(sub)
-
-    while queue:
-        f = queue.popleft()
-        if f not in alive or cofaces[f] != 1:
-            continue
-        partner = None
-        fset = set(f)
-        for v in vertices:
-            if v not in fset:
-                candidate = tuple(sorted(f + (v,)))
-                if candidate in alive:
-                    partner = candidate
-                    break
-        if partner is None:
-            continue
-        drop(partner)
-        drop(f)
-    grouped: dict[int, list[tuple[int, ...]]] = {}
-    for f in alive:
-        grouped.setdefault(len(f) - 1, []).append(f)
-    return {d: sorted(fs) for d, fs in sorted(grouped.items())}
+    return pivots, core
 
 
 def homology_from_faces_multi(
@@ -231,47 +168,46 @@ def homology_from_faces_multi(
     """Reduced homology dimensions per characteristic for an explicit
     downward-closed face family.
 
-    The family is first collapsed (homotopy-preserving), boundary matrices
-    are then assembled once per dimension, structurally reduced, and ranked
-    over every characteristic. Degrees are reported for the ORIGINAL family's
-    dimension range."""
+    The boundary maps B_0, B_1, ... (B_d takes d-faces to (d-1)-faces; B_0
+    is the augmentation) are assembled and unit-pivot reduced from the
+    bottom up, once for all characteristics; only the dense cores are
+    ranked per characteristic. The d-faces that were pivot columns of B_d
+    are cleared from the rows of B_{d+1}: the pivot block of B_d is
+    invertible over the integers and B_d B_{d+1} = 0, so those rows are
+    combinations of the kept ones and the rank of B_{d+1} is the same over
+    every field."""
+    for c in chars:
+        _check_char(c)
     if not faces:
         return {c: {} for c in chars}
-    _assert_boundary_squares_zero(faces)
-    original_top = max(faces)
-    reduced = collapse_faces(faces)
-    index = {d: {f: i for i, f in enumerate(fs)} for d, fs in reduced.items()}
-    top = max(reduced)
+    top = max(faces)
     ranks: dict[int, dict[int, int]] = {c: {} for c in chars}
+    row_of = {f: i for i, f in enumerate(faces.get(-1, ()))}
     for d in range(0, top + 1):
+        cells = faces.get(d, [])
         rows_ix, cols_ix, signs = [], [], []
-        for j, f in enumerate(reduced.get(d, ())):
+        for j, f in enumerate(cells):
             for k in range(len(f)):
-                sub = f[:k] + f[k + 1:]
-                rows_ix.append(index[d - 1][sub])
-                cols_ix.append(j)
-                signs.append(-1 if k % 2 else 1)
-        unit_rank, core = _unit_pivot_reduce(
-            rows_ix, cols_ix, signs, len(reduced.get(d - 1, ())), len(reduced.get(d, ()))
-        )
+                r = row_of.get(f[:k] + f[k + 1:])
+                if r is not None:
+                    rows_ix.append(r)
+                    cols_ix.append(j)
+                    signs.append(-1 if k % 2 else 1)
+        pivots, core = _unit_pivot_reduce(rows_ix, cols_ix, signs, len(row_of), len(cells))
         for c in chars:
-            ranks[c][d] = unit_rank + (rank_over(core, c) if core.size else 0)
-    out = {}
-    for c in chars:
-        dims = {-1: 1 - ranks[c].get(0, 0)}
-        for d in range(0, original_top + 1):
-            count = len(reduced.get(d, ()))
-            dims[d] = count - ranks[c].get(d, 0) - ranks[c].get(d + 1, 0)
-        out[c] = dims
-    return out
+            ranks[c][d] = len(pivots) + (rank_over(core, c) if core.size else 0)
+        cleared = set(pivots)
+        row_of = {f: i for i, f in enumerate(f for j, f in enumerate(cells) if j not in cleared)}
+    return {
+        c: {d: len(faces.get(d, ())) - r.get(d, 0) - r.get(d + 1, 0) for d in range(-1, top + 1)}
+        for c, r in ranks.items()
+    }
 
 
 def homology_from_faces(faces: dict[int, list[tuple[int, ...]]], char: int) -> dict[int, int]:
     """Reduced homology dimensions of an explicit downward-closed face family,
-    keyed by degree from -1 upward.
-
-    The boundary maps are verified to compose to zero before any rank is
-    taken. An empty family (void complex) reports {}."""
+    keyed by degree from -1 upward. An empty family (void complex) reports
+    {}."""
     return homology_from_faces_multi(faces, (char,))[char]
 
 
@@ -282,140 +218,68 @@ def reduced_homology_dims(cpx: SimplicialComplex, char: int) -> dict[int, int]:
 
 
 def rank_over(matrix: np.ndarray, char: int) -> int:
-    """Matrix rank over GF(char) for prime char, or exactly over the
-    rationals for char = 0."""
+    """Matrix rank over GF(char) for a prime char < 2^31, or exactly over
+    the rationals for char = 0."""
+    _check_char(char)
+    matrix = np.asarray(matrix, dtype=np.int64)
     if matrix.size == 0:
         return 0
     if char == 0:
-        return _rank_rational(matrix)
-    if not _is_prime(char):
-        raise ValueError(f"characteristic must be 0 or a prime, got {char}")
-    if char == 2:
-        return _rank_gf2(matrix)
+        return bareiss(matrix.tolist())[0]
     return _rank_mod_p(matrix, char)
 
 
-def _rank_gf2(matrix: np.ndarray) -> int:
-    """GF(2) rank with rows packed into uint64 words (XOR elimination).
-    The uint64 view assumes a little-endian host."""
-    a = (np.asarray(matrix) % 2).astype(np.uint8)
-    rows, cols = a.shape
-    if cols > rows:
-        a = np.ascontiguousarray(a.T)
-        rows, cols = cols, rows
-    words = (cols + 63) // 64
-    packed = np.zeros((rows, words * 8), dtype=np.uint8)
-    packed[:, : (cols + 7) // 8] = np.packbits(a, axis=1, bitorder="little")
-    packed = packed.view(np.uint64)
-    rank = 0
-    for col in range(cols):
-        if rank == rows:
-            break
-        w, b = divmod(col, 64)
-        bit = np.uint64(1 << b)
-        live = np.flatnonzero(packed[rank:, w] & bit)
-        if live.size == 0:
-            continue
-        piv = rank + int(live[0])
-        if piv != rank:
-            packed[[rank, piv]] = packed[[piv, rank]]
-        hits = np.flatnonzero(packed[rank + 1:, w] & bit) + rank + 1
-        if hits.size:
-            packed[hits] ^= packed[rank]
-        rank += 1
-    return rank
-
-
 def _rank_mod_p(matrix: np.ndarray, p: int) -> int:
-    """Row-echelon rank over GF(p), blocked LAPACK-style in float64.
-
-    Exactness: inputs to every product are reduced below p, each dot
-    accumulates at most ``block`` terms bounded by p^2, and trailing-block
-    reductions are deferred only as long as the accumulated magnitude
-    provably stays under 2^53."""
-    if p >= 1 << 21:
-        raise ValueError(f"prime {p} too large for exact float64 elimination")
-    a = np.mod(np.asarray(matrix, dtype=np.int64), p).astype(np.float64)
-    rows, cols = a.shape
-    if cols > rows:
+    """Row-echelon rank over GF(p) in int64. Entries stay in [0, p), so no
+    product exceeds (p - 1)^2 < 2^62 for p < 2^31."""
+    a = np.mod(matrix, p)
+    if a.shape[1] > a.shape[0]:
         a = np.ascontiguousarray(a.T)
-        rows, cols = cols, rows
-    block = 64
-    max_defer = max(1, (1 << 53) // (block * p * p) - 1)
-    deferred = 0
     rank = 0
-    c0 = 0
-    while c0 < cols and rank < rows:
-        c1 = min(c0 + block, cols)
-        r0 = rank
-        width = c1 - c0
-        panel = np.ascontiguousarray(a[r0:, c0:c1]) % p
-        pivot_cols: list[int] = []
-        local = 0
-        for col in range(width):
-            if r0 + local == rows:
-                break
-            panel[local:, col] %= p
-            nz = np.flatnonzero(panel[local:, col])
-            if nz.size == 0:
-                continue
-            piv = local + int(nz[0])
-            if piv != local:
-                panel[[local, piv]] = panel[[piv, local]]
-                a[[r0 + local, r0 + piv], :] = a[[r0 + piv, r0 + local], :]
-            panel[local, col + 1:] %= p
-            inv = float(pow(int(panel[local, col]), p - 2, p))
-            factors = panel[local + 1:, col] * inv % p
-            panel[local + 1:, col] = factors  # multipliers stay in the L position
-            if col + 1 < width:
-                # accumulate unreduced: at most `block` additions of < p^2 each
-                panel[local + 1:, col + 1:] -= np.outer(factors, panel[local, col + 1:])
-            pivot_cols.append(col)
-            local += 1
-        panel %= p
-        a[r0:, c0:c1] = panel
-        k = len(pivot_cols)
-        rank = r0 + k
-        if c1 < cols and k:
-            trailing = a[r0:rank, c1:].copy()
-            trailing %= p
-            for i in range(1, k):
-                coefs = panel[i, pivot_cols[:i]]
-                live = np.flatnonzero(coefs)
-                if live.size:
-                    trailing[i] = (trailing[i] - coefs[live] @ trailing[live]) % p
-            a[r0:rank, c1:] = trailing
-            if rank < rows:
-                multipliers = panel[k:, pivot_cols]
-                a[rank:, c1:] -= multipliers @ trailing
-                deferred += 1
-                if deferred >= max_defer:
-                    a[rank:, c1:] %= p
-                    deferred = 0
-        c0 = c1
-    return rank
-
-
-def _rank_rational(matrix: np.ndarray) -> int:
-    rows = [[Fraction(int(x)) for x in row] for row in matrix]
-    n_rows = len(rows)
-    n_cols = len(rows[0])
-    rank = 0
-    for col in range(n_cols):
-        if rank == n_rows:
-            break
-        pivot = next((r for r in range(rank, n_rows) if rows[r][col]), None)
-        if pivot is None:
+    for col in range(a.shape[1]):
+        nz = np.flatnonzero(a[rank:, col])
+        if nz.size == 0:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        rows[rank] = [x / lead for x in rows[rank]]
-        for r in range(n_rows):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        piv = rank + int(nz[0])
+        if piv != rank:
+            a[[rank, piv]] = a[[piv, rank]]
+        a[rank, col:] = a[rank, col:] * pow(int(a[rank, col]), -1, p) % p
+        below = rank + 1 + np.flatnonzero(a[rank + 1:, col])
+        if below.size:
+            a[below, col:] = (a[below, col:] - np.outer(a[below, col], a[rank, col:])) % p
         rank += 1
     return rank
+
+
+def bareiss(rows: list[list[int]]) -> tuple[int, int]:
+    """Fraction-free Gaussian elimination over the integers (Bareiss).
+
+    Returns the rank and the last pivot, negated once per row swap. Every
+    division is exact, and for a square matrix of full rank the signed last
+    pivot is its determinant."""
+    a = [[int(x) for x in row] for row in rows]
+    rank, sign, prev = 0, 1, 1
+    for col in range(len(a[0]) if a else 0):
+        piv = next((r for r in range(rank, len(a)) if a[r][col]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            sign = -sign
+        top = a[rank]
+        lead = top[col]
+        for i in range(rank + 1, len(a)):
+            f = a[i][col]
+            a[i] = [(x * lead - f * y) // prev for x, y in zip(a[i], top)]
+        prev = lead
+        rank += 1
+    return rank, sign * prev
+
+
+@lru_cache(maxsize=None)
+def _check_char(char: int) -> None:
+    if char != 0 and not (char < 1 << 31 and _is_prime(char)):
+        raise ValueError(f"characteristic must be 0 or a prime below 2^31, got {char}")
 
 
 def _is_prime(p: int) -> bool:

@@ -3,8 +3,10 @@
 Everything here recomputes from first principles, reading only the plain
 fields of a Multigraph (n, edges, sink). No package algorithm is reused, so
 agreement between an oracle and the implementation is meaningful evidence.
+The matrix oracle likewise works on plain lists of integers.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 from parkbetti import Multigraph
@@ -146,3 +148,38 @@ def betti_wilmes_oracle(G: Multigraph) -> tuple[int, ...]:
         totals[k - 1] = totals.get(k - 1, 0) + mpf_oracle(contracted)
     top = max(totals)
     return tuple(totals.get(i, 0) for i in range(1, top + 1))
+
+
+def rank_oracle(rows: list[list[int]], char: int) -> int:
+    """Rank by textbook Gauss-Jordan elimination: over GF(char) for a prime
+    char, over the rationals (as Fractions) for char 0."""
+    if char:
+        a = [[x % char for x in row] for row in rows]
+
+        def inverse(x):
+            return pow(x, char - 2, char)
+
+        def reduce(x):
+            return x % char
+    else:
+        a = [[Fraction(x) for x in row] for row in rows]
+
+        def inverse(x):
+            return 1 / x
+
+        def reduce(x):
+            return x
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        pivot = next((r for r in range(rank, len(a)) if a[r][col]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        scale = inverse(a[rank][col])
+        a[rank] = [reduce(x * scale) for x in a[rank]]
+        for r in range(len(a)):
+            if r != rank and a[r][col]:
+                f = a[r][col]
+                a[r] = [reduce(x - f * y) for x, y in zip(a[r], a[rank])]
+        rank += 1
+    return rank

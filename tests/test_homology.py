@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 
 from parkbetti import (
@@ -27,7 +30,7 @@ from parkbetti import (
     variable_symmetries,
 )
 
-from _oracles import betti_wilmes_oracle
+from _oracles import betti_wilmes_oracle, rank_oracle
 
 RP2 = SimplicialComplex((
     (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
@@ -86,18 +89,56 @@ class TestReducedHomology:
             homology_over_chars(RP2)
 
     def test_boundary_matrices_compose_to_zero(self):
-        import numpy as np
-
         mats = boundary_matrices(RP2)
         for d in mats:
             if d + 1 in mats:
                 assert not np.any(mats[d] @ mats[d + 1])
 
     def test_bad_characteristic_rejected(self):
-        import numpy as np
-
         with pytest.raises(ValueError):
             rank_over(np.eye(2, dtype=int), 4)
+        with pytest.raises(ValueError):
+            rank_over(np.eye(2, dtype=int), 2**31 + 11)  # a prime, but too large
+        # rejected even where no dense core is left to rank
+        with pytest.raises(ValueError):
+            reduced_homology_dims(SimplicialComplex(((0,),)), 4)
+
+    def test_matches_full_boundary_ranks(self):
+        # the cleared reduction against plain ranks of the whole boundary maps
+        rng = random.Random(11)
+        complexes = [RP2] + [
+            SimplicialComplex(tuple(
+                tuple(rng.sample(range(7), rng.randint(1, 4))) for _ in range(rng.randint(1, 9))
+            ))
+            for _ in range(40)
+        ]
+        for cpx in complexes:
+            faces = cpx.faces_by_dim()
+            mats = boundary_matrices(cpx)
+            for char in (2, 3, 0):
+                ranks = {d: rank_oracle(m.tolist(), char) for d, m in mats.items()}
+                expected = {
+                    d: len(faces[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0) for d in faces
+                }
+                assert reduced_homology_dims(cpx, char) == expected, (cpx.facets, char)
+
+
+class TestRankOver:
+    @pytest.mark.parametrize("char", [2, 3, 32003, 2**31 - 1, 0])
+    def test_matches_oracle(self, char):
+        rng = np.random.default_rng(char % 1000 + 7)
+        for rows, cols, inner, bound in [
+            (9, 4, None, 4), (4, 9, None, 4), (13, 8, None, 2**40),
+            (8, 8, 3, 4), (12, 7, 2, 4), (6, 11, 4, 4), (10, 10, 5, 40000),
+        ]:
+            for _ in range(4):
+                if inner is None:
+                    m = rng.integers(-bound, bound, size=(rows, cols))
+                else:  # rank at most inner
+                    m = rng.integers(-bound, bound, size=(rows, inner)) @ rng.integers(
+                        -bound, bound, size=(inner, cols))
+                assert rank_over(m, char) == rank_oracle(m.tolist(), char), m
+        assert rank_over(np.zeros((3, 5), dtype=int), char) == 0
 
 
 class TestIntervalMachinery:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from parkbetti import (
@@ -50,6 +51,21 @@ class TestFiniteLattice:
         rel = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
         with pytest.raises(LatticeError):
             FiniteLattice(["a", "b", "c"], rel)
+
+    def test_long_chain_covers_and_rank(self):
+        # 258 elements: path counts pass 255, where 8-bit products wrap
+        n = 258
+        L = FiniteLattice(range(n), np.triu(np.ones((n, n), dtype=bool)))
+        assert L.upper_covers(0) == [1]
+        assert L.rank(n - 1) == n - 1
+
+    def test_long_chain_missing_relation_rejected(self):
+        # exactly 256 two-step paths lead from 0 to 257
+        n = 258
+        rel = np.triu(np.ones((n, n), dtype=bool))
+        rel[0, n - 1] = False
+        with pytest.raises(LatticeError, match="transitive"):
+            FiniteLattice(range(n), rel)
 
     def test_not_graded_detected(self):
         order = {
