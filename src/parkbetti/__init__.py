@@ -48,6 +48,7 @@ from .homology import (
 )
 from .ideals import (
     Monomial,
+    MonomialCode,
     MonomialIdeal,
     Substitution,
     apply_substitution,
@@ -73,13 +74,7 @@ from .posets import (
     lattice_to_dot,
     lattice_to_json,
 )
-from .simplicial import (
-    SimplicialComplex,
-    boundary_matrices,
-    homology_from_faces,
-    rank_over,
-    reduced_homology_dims,
-)
+from .simplicial import SimplicialComplex, rank_over
 from .verify import (
     CheckResult,
     VerificationReport,

@@ -13,6 +13,14 @@ projective dimension is at most the variable count, and degrees above
 Within those bounds each interval is computed either from its order-complex
 chains or from the homotopy-equivalent crosscut complex on the atoms below
 (faces: atom subsets whose join stays proper), whichever family is smaller.
+
+Inside an interval the lcm-lattice method works on integer-coded monomials
+(``MonomialCode``): each variable owns a unary bit field, so the lcm of two
+monomials is the OR of their codes and "a divides b" is ``a & ~b == 0``.
+Crosscut faces grow by OR-ing atom codes, and the atoms below an element
+come from one mask test each. The two model sizes come from vectorised
+scans of the lattice's order matrix (an interval interior is one row AND;
+chain counts are matrix-vector products).
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from math import comb
 
 from .chips import mpf_count
 from .graphs import Multigraph, connected_partitions, contract
-from .ideals import Monomial, MonomialIdeal, lcm_lattice, permute_monomial
+from .ideals import Monomial, MonomialCode, MonomialIdeal, lcm_lattice, permute_monomial
 from .posets import FiniteLattice
 from .simplicial import SimplicialComplex, homology_from_faces_multi
 
@@ -60,24 +68,26 @@ def homology_over_chars(
 
 
 def crosscut_faces(
-    atoms: list[Monomial], top: Monomial, cap: int | None = None
+    atoms: list[int], top: int, cap: int | None = None
 ) -> dict[int, list[tuple[int, ...]]]:
     """Faces of the crosscut complex of the interval [1, top]: subsets of the
-    atoms (given as monomials dividing top) whose lcm is a proper divisor of
-    top, keyed by dimension, truncated to subsets of at most ``cap`` elements.
+    atoms (given as ``MonomialCode`` codes of monomials dividing top) whose
+    lcm, the OR of their codes, is a proper divisor of top, keyed by
+    dimension, truncated to subsets of at most ``cap`` elements.
 
     Subsets of faces are faces because lcms only grow, so the family is
-    downward closed and prefix extension enumerates it exactly."""
+    downward closed and prefix extension enumerates it exactly, each
+    dimension in lexicographic order."""
     faces: dict[int, list[tuple[int, ...]]] = {-1: [()]}
     count = len(atoms)
     limit = count if cap is None else min(cap, count)
-    level: list[tuple[tuple[int, ...], Monomial]] = [((), Monomial.of({}))]
+    level: list[tuple[tuple[int, ...], int]] = [((), 0)]
     for size in range(1, limit + 1):
-        grown: list[tuple[tuple[int, ...], Monomial]] = []
+        grown: list[tuple[tuple[int, ...], int]] = []
         for face, joined in level:
             start = face[-1] + 1 if face else 0
             for j in range(start, count):
-                bigger = joined.lcm(atoms[j])
+                bigger = joined | atoms[j]
                 if bigger != top:
                     grown.append((face + (j,), bigger))
         if not grown:
@@ -90,13 +100,14 @@ def crosscut_faces(
 def interval_homology(
     lat: FiniteLattice,
     y: Monomial,
-    generators: tuple[Monomial, ...],
+    code: MonomialCode,
     variable_count: int,
     chars=DEFAULT_CHARS,
     context: str = "",
 ) -> dict[int, int]:
     """Reduced homology of the open interval (bottom, y) of an lcm-lattice,
-    reported for the degrees where it can be nonzero.
+    reported for the degrees where it can be nonzero. ``code`` is the
+    integer code of the lattice's ideal; its generators are the atoms.
 
     Picks the cheaper of the two homotopy-equivalent models, the truncated
     order complex or the truncated crosscut complex on the atoms below y."""
@@ -105,11 +116,12 @@ def interval_homology(
     if max_degree < -1:
         max_degree = -1
     cap = max_degree + 2
-    atoms_below = [g for g in generators if g.divides(y)]
+    top = code.encode(y)
+    atoms_below = [a for a in code.generators if not a & ~top]
     crosscut_bound = sum(comb(len(atoms_below), k) for k in range(min(cap, len(atoms_below)) + 1))
     chain_count = lat.count_interval_faces(y, cap)
     if crosscut_bound <= chain_count:
-        faces = crosscut_faces(atoms_below, y, cap)
+        faces = crosscut_faces(atoms_below, top, cap)
     else:
         faces = lat.interval_chain_faces(y, cap)
     dims = _agreeing_dims(faces, chars, context)
@@ -178,11 +190,12 @@ def betti_gpw(ideal: MonomialIdeal, chars=DEFAULT_CHARS, symmetries=()) -> tuple
     isomorphic and computed once."""
     lat = lcm_lattice(ideal)
     symmetries = _validated_symmetries(ideal, symmetries)
+    code = MonomialCode(ideal.variables, ideal.generators)
     betti: dict[int, int] = defaultdict(int)
     proper = [m for m in lat.elements if m != lat.bottom]
     for m, weight in _orbit_representatives(proper, symmetries):
         dims = interval_homology(
-            lat, m, ideal.generators, len(ideal.variables), chars,
+            lat, m, code, len(ideal.variables), chars,
             context=m.to_str(ideal.variables),
         )
         for degree, dim in dims.items():

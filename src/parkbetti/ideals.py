@@ -112,6 +112,36 @@ class MonomialIdeal:
         }
 
 
+class MonomialCode:
+    """Unary ("thermometer") integer code for the monomials of one ideal.
+
+    Variable v owns a bit field as wide as its largest exponent among the
+    generators, and exponent e sets the low e bits of that field. For every
+    monomial dividing the lcm of all generators (so every lcm-lattice
+    element), lcm is bitwise OR, ``a`` divides ``b`` exactly when
+    ``a & ~b == 0``, and equal codes mean equal monomials. For squarefree
+    generators the code is a plain bitmask. Codes are Python ints, which
+    never wrap, so the code stays exact however wide it grows."""
+
+    def __init__(self, variables: tuple[str, ...], generators):
+        self._fields: dict[str, list[int]] = {}
+        offset = 0
+        for v in variables:
+            width = max((g.exponent(v) for g in generators), default=0)
+            self._fields[v] = [((1 << e) - 1) << offset for e in range(width + 1)]
+            offset += width
+        self.generators = tuple(self.encode(g) for g in generators)
+
+    def encode(self, m: Monomial) -> int:
+        code = 0
+        for v, e in m.exps:
+            field = self._fields.get(v, ())
+            if e >= len(field):
+                raise ValueError(f"{m} does not divide the lcm of the generators")
+            code |= field[e]
+        return code
+
+
 def parking_ideal(G: Multigraph) -> MonomialIdeal:
     """One generator per connected cut: each vertex of the non-sink side
     contributes its boundary degree as the exponent of its x-variable.

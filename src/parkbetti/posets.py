@@ -19,7 +19,10 @@ from .graphs import (
     connected_components,
     connected_partitions,
 )
-from .simplicial import SimplicialComplex
+
+
+# cells of the order matrix converted to float64 at a time when counting chains
+_BLOCK_CELLS = 1 << 20
 
 
 class LatticeError(ValueError):
@@ -78,6 +81,7 @@ class FiniteLattice:
         self._ranks = None
         self._mobius = None
         self._heights = None
+        self._below = None
         self._chain_dp: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
@@ -142,10 +146,15 @@ class FiniteLattice:
             raise LatticeError(f"no unique meet for {x!r} and {y!r}")
         return self._elements[greatest[0]]
 
+    def _below_counts(self) -> np.ndarray:
+        if self._below is None:
+            self._below = self._strict.sum(axis=0)
+        return self._below
+
     def _topological_order(self) -> np.ndarray:
         # strictly-below counts grow along the order, so sorting by them is
         # a valid topological order
-        return np.argsort(self._strict.sum(axis=0), kind="stable")
+        return np.argsort(self._below_counts(), kind="stable")
 
     def _rank_vector(self) -> np.ndarray:
         if self._ranks is None:
@@ -188,11 +197,8 @@ class FiniteLattice:
             self._mobius = mu
         return {x: self._mobius[i] for i, x in enumerate(self._elements)}
 
-    def _interior_indices(self, iy: int) -> list[int]:
-        return [
-            k for k in range(len(self._elements))
-            if self._strict[self._bottom, k] and self._strict[k, iy]
-        ]
+    def _interior_indices(self, iy: int) -> np.ndarray:
+        return np.flatnonzero(self._strict[self._bottom] & self._strict[:, iy])
 
     def interior_heights(self) -> np.ndarray:
         """Per element: the longest chain of non-bottom elements ending at it
@@ -215,39 +221,43 @@ class FiniteLattice:
         (bottom, y)."""
         iy = self.index_of(y)
         interior = self._interior_indices(iy)
-        if not interior:
+        if not interior.size:
             return 0
         return int(self.interior_heights()[interior].max())
 
     def _chain_counts(self, cap: int) -> np.ndarray:
         """counts[k, t] = chains of exactly t non-bottom elements ending at
-        element k, for t up to cap. Held in float64: counts can explode
-        combinatorially and only feed size heuristics."""
+        element k, for t up to cap. Column t is the order matrix applied to
+        column t - 1 (the bottom's counts are zero, so it adds nothing),
+        taken in row blocks so that no full float64 copy of the order matrix
+        is made."""
         if cap not in self._chain_dp:
             count = len(self._elements)
             counts = np.zeros((count, cap + 1), dtype=np.float64)
-            for k in self._topological_order():
-                k = int(k)
-                if k == self._bottom:
-                    continue
-                counts[k, 1] = 1
-                below = np.flatnonzero(self._strict[:, k])
-                below = below[below != self._bottom]
-                for t in range(2, cap + 1):
-                    counts[k, t] = counts[below, t - 1].sum()
+            counts[:, 1] = 1.0
+            counts[self._bottom, 1] = 0.0
+            step = max(1, _BLOCK_CELLS // count)
+            for t in range(2, cap + 1):
+                for lo in range(0, count, step):
+                    hi = lo + step
+                    counts[:, t] += counts[lo:hi, t - 1] @ self._strict[lo:hi]
             self._chain_dp[cap] = counts
         return self._chain_dp[cap]
 
     def count_interval_faces(self, y, cap: int) -> float:
         """Number of chains with at most ``cap`` elements inside the open
-        interval (bottom, y), the empty chain included. Approximate beyond
-        float64 integer range; exact at the scales actually enumerated."""
+        interval (bottom, y), the empty chain included.
+
+        Counts are float64 sums of nonnegative integers, so they are exact
+        below 2^53. Past that bound they may round; they only choose between
+        two homotopy-equivalent face models, so rounding can change the
+        speed of a homology computation but never a Betti number."""
         iy = self.index_of(y)
         interior = self._interior_indices(iy)
-        if not interior:
-            return 1
+        if not interior.size:
+            return 1.0
         counts = self._chain_counts(cap)
-        return 1 + float(counts[interior, 1:].sum())
+        return 1.0 + float(counts[interior, 1:].sum())
 
     def interval_chain_faces(self, y, cap: int | None = None) -> dict[int, list[tuple[int, ...]]]:
         """Order-complex faces of the open interval (bottom, y): every chain
@@ -262,7 +272,7 @@ class FiniteLattice:
         m = len(interior)
         if m == 0:
             return faces
-        order = sorted(interior, key=lambda k: int(self._strict[:, k].sum()))
+        order = interior[np.argsort(self._below_counts()[interior], kind="stable")]
         sub = self._strict[np.ix_(order, order)]
         succ = [np.flatnonzero(sub[k]).tolist() for k in range(m)]
         limit = m if cap is None else min(cap, m)
@@ -279,39 +289,6 @@ class FiniteLattice:
         for k in range(m):
             walk(k)
         return {d: sorted(fs) for d, fs in sorted(faces.items())}
-
-    def order_complex(self, y) -> SimplicialComplex:
-        """Order complex of the open interval (bottom, y): vertices are the
-        strictly-between elements (numbered in element order), faces are the
-        chains. The facets produced are the maximal chains."""
-        iy = self.index_of(y)
-        if iy == self._bottom:
-            raise ValueError("the open interval below the bottom is undefined")
-        interior = [
-            k for k in range(len(self._elements))
-            if self._strict[self._bottom, k] and self._strict[k, iy]
-        ]
-        if not interior:
-            return SimplicialComplex(((),))
-        sub = self._strict[np.ix_(interior, interior)]
-        covers = sub & ~(sub @ sub)
-        succ = [np.flatnonzero(covers[k]).tolist() for k in range(len(interior))]
-        minimal = [k for k in range(len(interior)) if not sub[:, k].any()]
-        facets: list[tuple[int, ...]] = []
-        chain: list[int] = []
-
-        def walk(k: int):
-            chain.append(k)
-            if succ[k]:
-                for m in succ[k]:
-                    walk(m)
-            else:
-                facets.append(tuple(chain))
-            chain.pop()
-
-        for k in minimal:
-            walk(k)
-        return SimplicialComplex(tuple(facets))
 
     def dual(self) -> "FiniteLattice":
         """Same elements, reversed order."""

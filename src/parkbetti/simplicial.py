@@ -69,27 +69,6 @@ class SimplicialComplex:
         return {d: sorted(fs) for d, fs in sorted(grouped.items())}
 
 
-def boundary_matrices_from_faces(faces: dict[int, list[tuple[int, ...]]]) -> dict[int, np.ndarray]:
-    """Integer boundary matrices of the augmented chain complex, one per
-    dimension d >= 0 present; the d = 0 matrix is the augmentation row."""
-    if not faces:
-        return {}
-    index = {d: {f: i for i, f in enumerate(fs)} for d, fs in faces.items()}
-    mats = {}
-    for d in range(0, max(faces) + 1):
-        mat = np.zeros((len(faces[d - 1]), len(faces[d])), dtype=np.int64)
-        for j, f in enumerate(faces[d]):
-            for k in range(len(f)):
-                sub = f[:k] + f[k + 1:]
-                mat[index[d - 1][sub], j] = -1 if k % 2 else 1
-        mats[d] = mat
-    return mats
-
-
-def boundary_matrices(cpx: SimplicialComplex) -> dict[int, np.ndarray]:
-    return boundary_matrices_from_faces(cpx.faces_by_dim())
-
-
 def _unit_pivot_reduce(rows, cols, signs, n_rows: int, n_cols: int):
     """Structural rank reduction on a sparse pattern with unit entries.
 
@@ -202,19 +181,6 @@ def homology_from_faces_multi(
         c: {d: len(faces.get(d, ())) - r.get(d, 0) - r.get(d + 1, 0) for d in range(-1, top + 1)}
         for c, r in ranks.items()
     }
-
-
-def homology_from_faces(faces: dict[int, list[tuple[int, ...]]], char: int) -> dict[int, int]:
-    """Reduced homology dimensions of an explicit downward-closed face family,
-    keyed by degree from -1 upward. An empty family (void complex) reports
-    {}."""
-    return homology_from_faces_multi(faces, (char,))[char]
-
-
-def reduced_homology_dims(cpx: SimplicialComplex, char: int) -> dict[int, int]:
-    """Reduced homology dimensions by degree. The empty complex reports
-    {-1: 1}; the void complex reports {}."""
-    return homology_from_faces(cpx.faces_by_dim(), char)
 
 
 def rank_over(matrix: np.ndarray, char: int) -> int:

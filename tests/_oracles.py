@@ -3,11 +3,15 @@
 Everything here recomputes from first principles, reading only the plain
 fields of a Multigraph (n, edges, sink). No package algorithm is reused, so
 agreement between an oracle and the implementation is meaningful evidence.
-The matrix oracle likewise works on plain lists of integers.
+The matrix oracle likewise works on plain lists of integers, the boundary
+oracle on plain face lists, and the crosscut oracle on monomials given as
+plain {variable: exponent} dicts.
 """
 
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
 
 from parkbetti import Multigraph
 
@@ -183,3 +187,46 @@ def rank_oracle(rows: list[list[int]], char: int) -> int:
                 a[r] = [reduce(x - f * y) for x, y in zip(a[r], a[rank])]
         rank += 1
     return rank
+
+
+def boundary_matrices(faces: dict[int, list[tuple[int, ...]]]) -> dict[int, np.ndarray]:
+    """Integer boundary matrices of the augmented chain complex of a
+    downward-closed face family, one per dimension d >= 0 present; the d = 0
+    matrix is the augmentation row."""
+    if not faces:
+        return {}
+    index = {d: {f: i for i, f in enumerate(fs)} for d, fs in faces.items()}
+    mats = {}
+    for d in range(0, max(faces) + 1):
+        mat = np.zeros((len(faces[d - 1]), len(faces[d])), dtype=np.int64)
+        for j, f in enumerate(faces[d]):
+            for k in range(len(f)):
+                mat[index[d - 1][f[:k] + f[k + 1:]], j] = -1 if k % 2 else 1
+        mats[d] = mat
+    return mats
+
+
+def _dict_lcm(a: dict, b: dict) -> dict:
+    return {v: max(a.get(v, 0), b.get(v, 0)) for v in a.keys() | b.keys()}
+
+
+def crosscut_faces_oracle(atoms: list[dict], top: dict, cap=None) -> dict[int, list[tuple[int, ...]]]:
+    """Crosscut faces of [1, top] by prefix extension on exponent dicts:
+    atom index subsets, at most ``cap`` of them, whose lcm differs from top,
+    keyed by dimension, each dimension in lexicographic order. Exponent
+    dicts carry no zero entries, so equal dicts mean equal monomials."""
+    faces = {-1: [()]}
+    limit = len(atoms) if cap is None else min(cap, len(atoms))
+    level = [((), {})]
+    for size in range(1, limit + 1):
+        grown = []
+        for face, joined in level:
+            for j in range(face[-1] + 1 if face else 0, len(atoms)):
+                bigger = _dict_lcm(joined, atoms[j])
+                if bigger != top:
+                    grown.append((face + (j,), bigger))
+        if not grown:
+            break
+        faces[size - 1] = [f for f, _ in grown]
+        level = grown
+    return faces

@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from parkbetti import parse_graph
+
+# Property tests run a fixed, reproducible example set within tier-1's budget.
+settings.register_profile("parkbetti", derandomize=True, deadline=None, max_examples=100)
+settings.load_profile("parkbetti")
 
 KITE_TEXT = "v:4; a 1 2; b 1 3; c 1 4; d 2 3; e 3 4"
 

@@ -2,16 +2,20 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from parkbetti import (
     CharacteristicDisagreement,
+    Edge,
     Monomial,
+    MonomialCode,
+    Multigraph,
     SimplicialComplex,
     betti_gpw,
     betti_koszul,
     betti_mobius,
     betti_wilmes,
-    boundary_matrices,
     crosscut_faces,
     cutset_ideal,
     dual_connected_partition_lattice,
@@ -26,11 +30,11 @@ from parkbetti import (
     parking_ideal,
     parse_graph,
     rank_over,
-    reduced_homology_dims,
     variable_symmetries,
 )
+from parkbetti.simplicial import homology_from_faces_multi
 
-from _oracles import betti_wilmes_oracle, rank_oracle
+from _oracles import betti_wilmes_oracle, boundary_matrices, crosscut_faces_oracle, rank_oracle
 
 RP2 = SimplicialComplex((
     (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
@@ -40,6 +44,17 @@ RP2 = SimplicialComplex((
 
 def nonzero(dims):
     return {d: v for d, v in dims.items() if v}
+
+
+def reduced_homology_dims(cpx, char):
+    return homology_from_faces_multi(cpx.faces_by_dim(), (char,))[char]
+
+
+def chain_homology(lat, y):
+    """Reduced homology of the whole order complex of (bottom, y)."""
+    by_char = homology_from_faces_multi(lat.interval_chain_faces(y), (32003, 2))
+    assert by_char[32003] == by_char[2]
+    return by_char[2]
 
 
 class TestSimplicialComplex:
@@ -89,7 +104,7 @@ class TestReducedHomology:
             homology_over_chars(RP2)
 
     def test_boundary_matrices_compose_to_zero(self):
-        mats = boundary_matrices(RP2)
+        mats = boundary_matrices(RP2.faces_by_dim())
         for d in mats:
             if d + 1 in mats:
                 assert not np.any(mats[d] @ mats[d + 1])
@@ -114,7 +129,7 @@ class TestReducedHomology:
         ]
         for cpx in complexes:
             faces = cpx.faces_by_dim()
-            mats = boundary_matrices(cpx)
+            mats = boundary_matrices(faces)
             for char in (2, 3, 0):
                 ranks = {d: rank_oracle(m.tolist(), char) for d, m in mats.items()}
                 expected = {
@@ -147,37 +162,78 @@ class TestIntervalMachinery:
         for build in (parking_ideal, cutset_ideal, oriented_cutset_ideal):
             ideal = build(kite)
             lat = lcm_lattice(ideal)
+            code = MonomialCode(ideal.variables, ideal.generators)
             for y in lat.elements:
                 if y == lat.bottom:
                     continue
-                atoms = [g for g in ideal.generators if g.divides(y)]
+                top = code.encode(y)
+                atoms = [a for a in code.generators if not a & ~top]
                 via_crosscut = homology_over_chars(
                     SimplicialComplex.from_faces(
-                        f for fs in crosscut_faces(atoms, y).values() for f in fs
+                        f for fs in crosscut_faces(atoms, top).values() for f in fs
                     ),
                     (32003, 2),
                 )
-                via_chains = homology_over_chars(lat.order_complex(y), (32003, 2))
-                assert nonzero(via_crosscut) == nonzero(via_chains)
+                assert nonzero(via_crosscut) == nonzero(chain_homology(lat, y))
 
     def test_interval_homology_matches_full_computation(self, kite, k3):
         for G in (kite, k3):
             ideal = parking_ideal(G)
             lat = lcm_lattice(ideal)
+            code = MonomialCode(ideal.variables, ideal.generators)
             for y in lat.elements:
                 if y == lat.bottom:
                     continue
-                dims = interval_homology(lat, y, ideal.generators, len(ideal.variables))
-                full = homology_over_chars(lat.order_complex(y), (32003, 2))
-                assert nonzero(dims) == nonzero(full)
+                dims = interval_homology(lat, y, code, len(ideal.variables))
+                assert nonzero(dims) == nonzero(chain_homology(lat, y))
 
     def test_kite_top_interval_concentration(self, kite):
         # the dual lattice has height 3, so the top interval is a wedge of
         # |mu| = 4 circles: homology sits in degree rank - 2 = 1
         lat = lcm_lattice(cutset_ideal(kite))
-        top_dims = homology_over_chars(lat.order_complex(lat.top), (32003, 2))
+        top_dims = chain_homology(lat, lat.top)
         assert lat.rank(lat.top) == 3
         assert nonzero(top_dims) == {1: 4}
+
+
+@st.composite
+def multigraphs(draw):
+    """Connected loopless multigraphs on 2-5 vertices, at most 3 parallel
+    edges per vertex pair, with a random sink: a random spanning tree plus
+    up to four extra edges."""
+    n = draw(st.integers(2, 5))
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    extra = [
+        (tail, (tail + shift) % n)
+        for tail, shift in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)), max_size=4))
+    ]
+    edges = []
+    for tail, head in pairs + extra:
+        pair = (min(tail, head), max(tail, head))
+        if sum(1 for e in edges if (min(e.tail, e.head), max(e.tail, e.head)) == pair) < 3:
+            edges.append(Edge(f"e{len(edges) + 1}", tail, head))
+    return Multigraph(n, tuple(edges), draw(st.integers(0, n - 1)))
+
+
+class TestIntegerCodedCrosscut:
+    @given(multigraphs())
+    def test_matches_dict_oracle_and_koszul(self, G):
+        vectors = set()
+        for build in (parking_ideal, cutset_ideal, oriented_cutset_ideal):
+            ideal = build(G)
+            lat = lcm_lattice(ideal)
+            code = MonomialCode(ideal.variables, ideal.generators)
+            plain = [dict(g.exps) for g in ideal.generators]
+            for y in lat.elements:
+                if y == lat.bottom:
+                    continue
+                cap = max(min(len(ideal.variables) - 2, lat.interval_height(y) - 1), -1) + 2
+                top = code.encode(y)
+                atoms = [a for a in code.generators if not a & ~top]
+                below = [g for g in plain if all(y.exponent(v) >= e for v, e in g.items())]
+                assert crosscut_faces(atoms, top, cap) == crosscut_faces_oracle(below, dict(y.exps), cap)
+            vectors.add(betti_gpw(ideal))
+        assert vectors == {betti_koszul(parking_ideal(G))}, graph_to_text(G)
 
 
 class TestBettiPipelines:
@@ -268,6 +324,6 @@ class TestAuditAndEuler:
         for y in lat.elements:
             if y == lat.bottom:
                 continue
-            dims = homology_over_chars(lat.order_complex(y), (32003, 2))
+            dims = chain_homology(lat, y)
             euler = sum((-1) ** d * v for d, v in dims.items())
             assert euler == mu[y]

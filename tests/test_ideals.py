@@ -3,6 +3,7 @@ import pytest
 from parkbetti import (
     Edge,
     Monomial,
+    MonomialCode,
     MonomialIdeal,
     Multigraph,
     apply_substitution,
@@ -45,6 +46,38 @@ class TestMonomial:
     def test_squarefree(self):
         assert Monomial.of({"y_a": 1, "y_b": 1}).is_squarefree
         assert not Monomial.of({"x1": 2}).is_squarefree
+
+
+class TestMonomialCode:
+    def test_exact_past_64_bits(self):
+        # codes up to 160 bits wide: a fixed-width integer would wrap or overflow
+        variables = ("a", "b", "c", "d")
+        gens = [Monomial.of({"a": 70}), Monomial.of({"b": 30, "c": 30}), Monomial.of({"c": 10, "d": 30})]
+        code = MonomialCode(variables, gens)
+        box = [
+            Monomial.of({"a": a, "b": b, "c": c, "d": d})
+            for a in (0, 1, 63, 64, 65, 70) for b in (0, 29, 30) for c in (0, 30) for d in (0, 1, 30)
+        ]
+        codes = [code.encode(m) for m in box]
+        assert max(codes).bit_length() == 160
+        assert code.encode(Monomial.of({"a": 70})) == (1 << 70) - 1
+        assert len(set(codes)) == len(box)
+        for m, cm in zip(box, codes):
+            for n, cn in zip(box, codes):
+                assert cm | cn == code.encode(m.lcm(n))
+                assert (not cm & ~cn) == m.divides(n)
+
+    def test_squarefree_code_is_a_bitmask(self):
+        gens = [Monomial.of({"y_a": 1, "y_c": 1}), Monomial.of({"y_b": 1})]
+        code = MonomialCode(("y_a", "y_b", "y_c"), gens)
+        assert code.generators == (0b101, 0b010)
+
+    def test_monomial_outside_the_box_rejected(self):
+        code = MonomialCode(("x1", "x2"), [Monomial.of({"x1": 2})])
+        with pytest.raises(ValueError):
+            code.encode(Monomial.of({"x1": 3}))
+        with pytest.raises(ValueError):
+            code.encode(Monomial.of({"x2": 1}))
 
 
 class TestIdealConstruction:
