@@ -6,28 +6,31 @@ Homology is computed over every characteristic in ``chars`` and must agree;
 a disagreement means the answer is field-dependent and is raised, never
 averaged.
 
-Interval homology in an lcm-lattice is bounded twice before anything is
-assembled: degrees above (#variables - 2) vanish because the quotient's
-projective dimension is at most the variable count, and degrees above
-(interval height - 1) vanish because the order complex has no such faces.
-Within those bounds each interval is computed either from its order-complex
-chains or from the homotopy-equivalent crosscut complex on the atoms below
-(faces: atom subsets whose join stays proper), whichever family is smaller.
+Interval homology in an lcm-lattice uses one model: by the crosscut
+theorem the open interval (1, y) is homotopy equivalent to the crosscut
+complex on the atoms below y, whose faces are the atom subsets whose join
+stays a proper divisor of y. The atoms below y are the generators dividing
+y, so the model needs no lattice order. Degrees are bounded before anything
+is assembled, by max(min(#variables - 2, #atoms - 2), -1):
+- degrees above #variables - 2 vanish because the quotient's projective
+  dimension is at most the variable count;
+- the atoms below y join to y, so no crosscut face holds all of them and
+  the complex has dimension at most #atoms - 2.
+The second bound never cuts below the order complex's own: every element of
+an lcm-lattice is the join of the atoms below it, so each step up a chain in
+(1, y) adds at least one atom, which gives #atoms - 2 >= height - 1.
 
-Inside an interval the lcm-lattice method works on integer-coded monomials
+Inside an interval the method works on integer-coded monomials
 (``MonomialCode``): each variable owns a unary bit field, so the lcm of two
 monomials is the OR of their codes and "a divides b" is ``a & ~b == 0``.
 Crosscut faces grow by OR-ing atom codes, and the atoms below an element
-come from one mask test each. The two model sizes come from vectorised
-scans of the lattice's order matrix (an interval interior is one row AND;
-chain counts are matrix-vector products).
+come from one mask test each.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from itertools import combinations
-from math import comb
 
 from .chips import mpf_count
 from .graphs import Multigraph, connected_partitions, contract
@@ -98,32 +101,20 @@ def crosscut_faces(
 
 
 def interval_homology(
-    lat: FiniteLattice,
     y: Monomial,
     code: MonomialCode,
     variable_count: int,
     chars=DEFAULT_CHARS,
     context: str = "",
 ) -> dict[int, int]:
-    """Reduced homology of the open interval (bottom, y) of an lcm-lattice,
-    reported for the degrees where it can be nonzero. ``code`` is the
-    integer code of the lattice's ideal; its generators are the atoms.
-
-    Picks the cheaper of the two homotopy-equivalent models, the truncated
-    order complex or the truncated crosscut complex on the atoms below y."""
-    height = lat.interval_height(y)
-    max_degree = min(variable_count - 2, height - 1)
-    if max_degree < -1:
-        max_degree = -1
-    cap = max_degree + 2
+    """Reduced homology of the open interval (1, y) of an lcm-lattice,
+    reported for the degrees where it can be nonzero, from the crosscut
+    complex on the atoms below y. ``code`` is the integer code of the
+    lattice's ideal; its generators are the atoms."""
     top = code.encode(y)
-    atoms_below = [a for a in code.generators if not a & ~top]
-    crosscut_bound = sum(comb(len(atoms_below), k) for k in range(min(cap, len(atoms_below)) + 1))
-    chain_count = lat.count_interval_faces(y, cap)
-    if crosscut_bound <= chain_count:
-        faces = crosscut_faces(atoms_below, top, cap)
-    else:
-        faces = lat.interval_chain_faces(y, cap)
+    atoms = [a for a in code.generators if not a & ~top]
+    max_degree = max(min(variable_count - 2, len(atoms) - 2), -1)
+    faces = crosscut_faces(atoms, top, max_degree + 2)
     dims = _agreeing_dims(faces, chars, context)
     return {d: v for d, v in dims.items() if d <= max_degree}
 
@@ -195,8 +186,7 @@ def betti_gpw(ideal: MonomialIdeal, chars=DEFAULT_CHARS, symmetries=()) -> tuple
     proper = [m for m in lat.elements if m != lat.bottom]
     for m, weight in _orbit_representatives(proper, symmetries):
         dims = interval_homology(
-            lat, m, code, len(ideal.variables), chars,
-            context=m.to_str(ideal.variables),
+            m, code, len(ideal.variables), chars, context=m.to_str(ideal.variables)
         )
         for degree, dim in dims.items():
             if dim:

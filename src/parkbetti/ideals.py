@@ -198,27 +198,25 @@ def lcm_lattice(ideal: MonomialIdeal) -> FiniteLattice:
     constant monomial adjoined as the bottom. Atoms are the generators.
 
     The closure runs on exponent vectors (coordinatewise maxima) so the
-    whole lattice and its order matrix come from array arithmetic."""
+    whole lattice and its order matrix come from array arithmetic. Every
+    lcm of a generator subset is reached by adding one generator at a time,
+    so each new vector is joined with the generators only."""
     if not ideal.generators:
         raise ValueError("the zero ideal has no lcm-lattice")
     if not ideal.minimalized:
         raise ValueError("lcm-lattice requires a minimalized ideal")
     variables = ideal.variables
+    width = len(variables)
     gen_matrix = np.array([g.vector(variables) for g in ideal.generators], dtype=np.int64)
     rows = {row.tobytes(): row for row in gen_matrix}
-    frontier = list(rows.values())
-    while frontier:
-        elems_matrix = np.array(list(rows.values()), dtype=np.int64)
-        fresh: dict[bytes, np.ndarray] = {}
-        for vec in frontier:
-            candidates = np.maximum(elems_matrix, vec)
-            for row in candidates:
-                key = row.tobytes()
-                if key not in rows and key not in fresh:
-                    fresh[key] = row
-        rows.update(fresh)
-        frontier = list(fresh.values())
-    zero = np.zeros(len(variables), dtype=np.int64)
+    frontier = gen_matrix
+    while len(frontier):
+        joined = np.maximum(frontier[:, None, :], gen_matrix[None, :, :])
+        candidates = np.unique(joined.reshape(len(frontier) * len(gen_matrix), width), axis=0)
+        fresh = [row for row in candidates if row.tobytes() not in rows]
+        rows.update((row.tobytes(), row) for row in fresh)
+        frontier = np.array(fresh, dtype=np.int64).reshape(len(fresh), width)
+    zero = np.zeros(width, dtype=np.int64)
     rows.setdefault(zero.tobytes(), zero)
     matrix = np.array(sorted(rows.values(), key=lambda r: (int(r.sum()), tuple(r))), dtype=np.int64)
     leq = (matrix[:, None, :] <= matrix[None, :, :]).all(axis=2)

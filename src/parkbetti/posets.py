@@ -3,8 +3,11 @@
 One engine covers both lattice families used here: the connected-partition
 lattice of a multigraph (and its order dual) and the divisibility lattice of
 monomial lcms. It stores the full order matrix, derives covers, ranks, and
-Mobius values, extracts order complexes of open intervals, and tests
-candidate order isomorphisms.
+Mobius values, extracts the full order complexes of open intervals, and
+tests candidate order isomorphisms. The lcm-lattice Betti computation does
+not read the order: its crosscut model needs only the generators dividing
+each element (see ``homology``). The order serves the Mobius, rank and
+audit checks and the lattice isomorphism.
 """
 
 from __future__ import annotations
@@ -19,10 +22,6 @@ from .graphs import (
     connected_components,
     connected_partitions,
 )
-
-
-# cells of the order matrix converted to float64 at a time when counting chains
-_BLOCK_CELLS = 1 << 20
 
 
 class LatticeError(ValueError):
@@ -80,9 +79,7 @@ class FiniteLattice:
         self._covers = self._strict & ~(self._strict @ self._strict)
         self._ranks = None
         self._mobius = None
-        self._heights = None
         self._below = None
-        self._chain_dp: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self._elements)
@@ -197,77 +194,14 @@ class FiniteLattice:
             self._mobius = mu
         return {x: self._mobius[i] for i, x in enumerate(self._elements)}
 
-    def _interior_indices(self, iy: int) -> np.ndarray:
-        return np.flatnonzero(self._strict[self._bottom] & self._strict[:, iy])
-
-    def interior_heights(self) -> np.ndarray:
-        """Per element: the longest chain of non-bottom elements ending at it
-        (0 for the bottom). Interval heights read off as maxima below."""
-        if self._heights is None:
-            count = len(self._elements)
-            heights = np.zeros(count, dtype=np.int64)
-            for k in self._topological_order():
-                k = int(k)
-                if k == self._bottom:
-                    continue
-                below = np.flatnonzero(self._strict[:, k])
-                below = below[below != self._bottom]
-                heights[k] = 1 + (heights[below].max() if len(below) else 0)
-            self._heights = heights
-        return self._heights
-
-    def interval_height(self, y) -> int:
-        """Longest chain length (element count) inside the open interval
-        (bottom, y)."""
-        iy = self.index_of(y)
-        interior = self._interior_indices(iy)
-        if not interior.size:
-            return 0
-        return int(self.interior_heights()[interior].max())
-
-    def _chain_counts(self, cap: int) -> np.ndarray:
-        """counts[k, t] = chains of exactly t non-bottom elements ending at
-        element k, for t up to cap. Column t is the order matrix applied to
-        column t - 1 (the bottom's counts are zero, so it adds nothing),
-        taken in row blocks so that no full float64 copy of the order matrix
-        is made."""
-        if cap not in self._chain_dp:
-            count = len(self._elements)
-            counts = np.zeros((count, cap + 1), dtype=np.float64)
-            counts[:, 1] = 1.0
-            counts[self._bottom, 1] = 0.0
-            step = max(1, _BLOCK_CELLS // count)
-            for t in range(2, cap + 1):
-                for lo in range(0, count, step):
-                    hi = lo + step
-                    counts[:, t] += counts[lo:hi, t - 1] @ self._strict[lo:hi]
-            self._chain_dp[cap] = counts
-        return self._chain_dp[cap]
-
-    def count_interval_faces(self, y, cap: int) -> float:
-        """Number of chains with at most ``cap`` elements inside the open
-        interval (bottom, y), the empty chain included.
-
-        Counts are float64 sums of nonnegative integers, so they are exact
-        below 2^53. Past that bound they may round; they only choose between
-        two homotopy-equivalent face models, so rounding can change the
-        speed of a homology computation but never a Betti number."""
-        iy = self.index_of(y)
-        interior = self._interior_indices(iy)
-        if not interior.size:
-            return 1.0
-        counts = self._chain_counts(cap)
-        return 1.0 + float(counts[interior, 1:].sum())
-
-    def interval_chain_faces(self, y, cap: int | None = None) -> dict[int, list[tuple[int, ...]]]:
-        """Order-complex faces of the open interval (bottom, y): every chain
-        with at most ``cap`` elements (all chains when cap is None), keyed by
-        dimension. Chain entries are positions in a topologically sorted
-        interior, so the family is deterministic and downward closed."""
+    def interval_chain_faces(self, y) -> dict[int, list[tuple[int, ...]]]:
+        """Order-complex faces of the open interval (bottom, y): every chain,
+        keyed by dimension. Chain entries are positions in a topologically
+        sorted interior, so the family is deterministic and downward closed."""
         iy = self.index_of(y)
         if iy == self._bottom:
             raise ValueError("the open interval below the bottom is undefined")
-        interior = self._interior_indices(iy)
+        interior = np.flatnonzero(self._strict[self._bottom] & self._strict[:, iy])
         faces: dict[int, list[tuple[int, ...]]] = {-1: [()]}
         m = len(interior)
         if m == 0:
@@ -275,15 +209,13 @@ class FiniteLattice:
         order = interior[np.argsort(self._below_counts()[interior], kind="stable")]
         sub = self._strict[np.ix_(order, order)]
         succ = [np.flatnonzero(sub[k]).tolist() for k in range(m)]
-        limit = m if cap is None else min(cap, m)
         chain: list[int] = []
 
         def walk(k: int):
             chain.append(k)
             faces.setdefault(len(chain) - 1, []).append(tuple(chain))
-            if len(chain) < limit:
-                for nxt in succ[k]:
-                    walk(nxt)
+            for nxt in succ[k]:
+                walk(nxt)
             chain.pop()
 
         for k in range(m):

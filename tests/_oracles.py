@@ -4,8 +4,8 @@ Everything here recomputes from first principles, reading only the plain
 fields of a Multigraph (n, edges, sink). No package algorithm is reused, so
 agreement between an oracle and the implementation is meaningful evidence.
 The matrix oracle likewise works on plain lists of integers, the boundary
-oracle on plain face lists, and the crosscut oracle on monomials given as
-plain {variable: exponent} dicts.
+oracle on plain face lists, and the crosscut and lcm-closure oracles on
+monomials given as plain {variable: exponent} dicts.
 """
 
 from fractions import Fraction
@@ -208,6 +208,18 @@ def boundary_matrices(faces: dict[int, list[tuple[int, ...]]]) -> dict[int, np.n
 
 def _dict_lcm(a: dict, b: dict) -> dict:
     return {v: max(a.get(v, 0), b.get(v, 0)) for v in a.keys() | b.keys()}
+
+
+def lcm_closure_oracle(generators: list[dict]) -> set[frozenset]:
+    """Lcms of all generator subsets, the empty subset's 1 included, as
+    frozensets of (variable, exponent) pairs. Each subset of the first k
+    generators either leaves out generator k or takes it, so the lcms of
+    the subsets of the first k are those of the first k - 1, each taken
+    once as is and once joined with generator k."""
+    found = {frozenset()}
+    for g in generators:
+        found |= {frozenset(_dict_lcm(dict(m), g).items()) for m in found}
+    return found
 
 
 def crosscut_faces_oracle(atoms: list[dict], top: dict, cap=None) -> dict[int, list[tuple[int, ...]]]:

@@ -3,14 +3,11 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from parkbetti import (
     CharacteristicDisagreement,
-    Edge,
     Monomial,
     MonomialCode,
-    Multigraph,
     SimplicialComplex,
     betti_gpw,
     betti_koszul,
@@ -35,6 +32,7 @@ from parkbetti import (
 from parkbetti.simplicial import homology_from_faces_multi
 
 from _oracles import betti_wilmes_oracle, boundary_matrices, crosscut_faces_oracle, rank_oracle
+from conftest import multigraphs
 
 RP2 = SimplicialComplex((
     (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
@@ -176,16 +174,19 @@ class TestIntervalMachinery:
                 )
                 assert nonzero(via_crosscut) == nonzero(chain_homology(lat, y))
 
-    def test_interval_homology_matches_full_computation(self, kite, k3):
-        for G in (kite, k3):
-            ideal = parking_ideal(G)
+    @given(multigraphs())
+    def test_interval_homology_matches_full_computation(self, G):
+        # crosscut with the degree bound against the full order complex, at
+        # every proper element of lcm(I), lcm(J) and lcm(K)
+        for build in (parking_ideal, cutset_ideal, oriented_cutset_ideal):
+            ideal = build(G)
             lat = lcm_lattice(ideal)
             code = MonomialCode(ideal.variables, ideal.generators)
             for y in lat.elements:
                 if y == lat.bottom:
                     continue
-                dims = interval_homology(lat, y, code, len(ideal.variables))
-                assert nonzero(dims) == nonzero(chain_homology(lat, y))
+                dims = interval_homology(y, code, len(ideal.variables))
+                assert nonzero(dims) == nonzero(chain_homology(lat, y)), (graph_to_text(G), str(y))
 
     def test_kite_top_interval_concentration(self, kite):
         # the dual lattice has height 3, so the top interval is a wedge of
@@ -194,25 +195,6 @@ class TestIntervalMachinery:
         top_dims = chain_homology(lat, lat.top)
         assert lat.rank(lat.top) == 3
         assert nonzero(top_dims) == {1: 4}
-
-
-@st.composite
-def multigraphs(draw):
-    """Connected loopless multigraphs on 2-5 vertices, at most 3 parallel
-    edges per vertex pair, with a random sink: a random spanning tree plus
-    up to four extra edges."""
-    n = draw(st.integers(2, 5))
-    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
-    extra = [
-        (tail, (tail + shift) % n)
-        for tail, shift in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)), max_size=4))
-    ]
-    edges = []
-    for tail, head in pairs + extra:
-        pair = (min(tail, head), max(tail, head))
-        if sum(1 for e in edges if (min(e.tail, e.head), max(e.tail, e.head)) == pair) < 3:
-            edges.append(Edge(f"e{len(edges) + 1}", tail, head))
-    return Multigraph(n, tuple(edges), draw(st.integers(0, n - 1)))
 
 
 class TestIntegerCodedCrosscut:
@@ -227,9 +209,9 @@ class TestIntegerCodedCrosscut:
             for y in lat.elements:
                 if y == lat.bottom:
                     continue
-                cap = max(min(len(ideal.variables) - 2, lat.interval_height(y) - 1), -1) + 2
                 top = code.encode(y)
                 atoms = [a for a in code.generators if not a & ~top]
+                cap = max(min(len(ideal.variables) - 2, len(atoms) - 2), -1) + 2
                 below = [g for g in plain if all(y.exponent(v) >= e for v, e in g.items())]
                 assert crosscut_faces(atoms, top, cap) == crosscut_faces_oracle(below, dict(y.exps), cap)
             vectors.add(betti_gpw(ideal))

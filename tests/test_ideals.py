@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given
 
 from parkbetti import (
     Edge,
@@ -10,6 +11,7 @@ from parkbetti import (
     cutset_ideal,
     forget_orientation_substitution,
     generate_corpus,
+    graph_to_text,
     lcm_lattice,
     minimalize,
     oriented_cutset_ideal,
@@ -17,6 +19,9 @@ from parkbetti import (
     parse_graph,
     shared_vertex_substitution,
 )
+
+from _oracles import lcm_closure_oracle
+from conftest import multigraphs
 
 
 def gens(ideal):
@@ -167,6 +172,14 @@ class TestLcmLattice:
             for i, a in enumerate(elems):
                 for b in elems[i:]:
                     assert lat.join(a, b) == a.lcm(b)
+
+    @given(multigraphs())
+    def test_elements_are_all_subset_lcms(self, G):
+        for build in (parking_ideal, cutset_ideal, oriented_cutset_ideal):
+            ideal = build(G)
+            want = lcm_closure_oracle([dict(g.exps) for g in ideal.generators])
+            got = {frozenset(m.exps) for m in lcm_lattice(ideal).elements}
+            assert got == want, (graph_to_text(G), build.__name__)
 
     def test_requires_minimalized_nonempty(self):
         with pytest.raises(ValueError):

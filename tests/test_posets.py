@@ -22,12 +22,9 @@ from parkbetti import (
     lattice_to_json,
     lcm_lattice,
     mask_of,
-    oriented_cutset_ideal,
-    parking_ideal,
     parse_graph,
     separating_edges,
 )
-from parkbetti import posets
 
 
 def divisor_lattice(n):
@@ -200,12 +197,12 @@ class TestPartitionLattices:
                     assert separating_edges(G, j) == separating_edges(G, p) | separating_edges(G, q)
 
 
-def brute_force_chains(L, y, cap):
-    """Every chain of at most ``cap`` elements inside the open interval
-    (bottom, y), from pairwise comparisons of the elements."""
+def brute_force_chains(L, y):
+    """Every chain inside the open interval (bottom, y), from pairwise
+    comparisons of the elements."""
     interior = [x for x in L.elements if x not in (L.bottom, y) and L.leq(x, y)]
     return [
-        c for r in range(cap + 1) for c in combinations(interior, r)
+        c for r in range(len(interior) + 1) for c in combinations(interior, r)
         if all(L.leq(a, b) or L.leq(b, a) for a, b in combinations(c, 2))
     ]
 
@@ -231,41 +228,9 @@ class TestOrderComplex:
                 continue
             faces = Ld.interval_chain_faces(y)
             by_dim: dict[int, int] = {}
-            for c in brute_force_chains(Ld, y, len(Ld)):
+            for c in brute_force_chains(Ld, y):
                 by_dim[len(c) - 1] = by_dim.get(len(c) - 1, 0) + 1
             assert {d: len(v) for d, v in faces.items()} == by_dim
-
-
-class TestChainCounts:
-    @pytest.mark.parametrize("build", [parking_ideal, cutset_ideal, oriented_cutset_ideal])
-    @pytest.mark.parametrize("block_cells", [posets._BLOCK_CELLS, 40])
-    def test_blocked_counts_match_integer_chains(self, kite, build, block_cells, monkeypatch):
-        # 40 cells split every kite lattice into blocks of 1-3 rows
-        monkeypatch.setattr(posets, "_BLOCK_CELLS", block_cells)
-        L = lcm_lattice(build(kite))
-        elements = L.elements
-        bottom = elements.index(L.bottom)
-        above = {
-            i: [j for j, y in enumerate(elements) if j not in (i, bottom) and L.leq(x, y)]
-            for i, x in enumerate(elements)
-        }
-        chains = [(i,) for i in range(len(elements)) if i != bottom]
-        for cap in range(1, 5):
-            want = np.zeros((len(elements), cap + 1), dtype=np.int64)
-            level = chains
-            for t in range(1, cap + 1):
-                for c in level:
-                    want[c[-1], t] += 1
-                level = [c + (j,) for c in level for j in above[c[-1]]]
-            counts = L._chain_counts(cap)
-            assert counts.dtype == np.float64
-            assert np.array_equal(counts, want)
-            for y in elements:
-                if y == L.bottom:
-                    continue
-                got = L.count_interval_faces(y, cap)
-                assert type(got) is float
-                assert got == len(brute_force_chains(L, y, cap))
 
 
 class TestIsomorphism:

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from parkbetti import (
     CheckResult,
@@ -8,13 +9,14 @@ from parkbetti import (
     canonical_form,
     export_figure,
     generate_corpus,
+    graph_to_text,
     parse_graph,
     verify_corpus,
     verify_graph,
 )
 from parkbetti.cli import main
 
-from conftest import KITE_TEXT
+from conftest import KITE_TEXT, multigraphs
 
 
 class TestCorpusGeneration:
@@ -105,6 +107,11 @@ class TestVerifyGraph:
         report = verify_graph(k3, audit=True)
         assert report.audit
         assert {row["rank"] for row in report.audit} == {1, 2}
+
+    @settings(max_examples=30)
+    @given(multigraphs())
+    def test_random_multigraphs_pass(self, G):
+        assert verify_graph(G).passed, graph_to_text(G)
 
     def test_six_vertex_tree(self):
         G = parse_graph("v:6; a 1 2; b 2 3; c 3 4; d 4 5; e 5 6")
