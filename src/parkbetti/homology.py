@@ -8,7 +8,7 @@ averaged.
 
 Interval homology in an lcm-lattice uses one model: by the crosscut
 theorem the open interval (1, y) is homotopy equivalent to the crosscut
-complex on the atoms below y, whose faces are the atom subsets whose join
+complex D on the atoms below y, whose faces are the atom subsets whose join
 stays a proper divisor of y. The atoms below y are the generators dividing
 y, so the model needs no lattice order. Degrees are bounded before anything
 is assembled, by max(min(#variables - 2, #atoms - 2), -1):
@@ -20,6 +20,23 @@ The second bound never cuts below the order complex's own: every element of
 an lcm-lattice is the join of the atoms below it, so each step up a chain in
 (1, y) adds at least one atom, which gives #atoms - 2 >= height - 1.
 
+D itself is never assembled. Let a be the first atom. Every face of D
+that holds a lies in the star of a, the faces F with F + a in D, which is a
+cone on a. So the faces of D outside the star are the faces of the deletion
+del(a) (faces without a) outside the link lk(a) (faces F without a with
+F + a in D), and the augmented chains C~(D) / C~(star a) and
+C~(del a) / C~(lk a) are one and the same chain complex. A cone is acyclic
+over every coefficient ring, so H~_i(D) = H_i(del a, lk a) for every i,
+over the integers and every field. The basis of this relative complex is
+every subset F of the other atoms with join(F) != y and join(F) v a = y.
+The empty face is among them exactly when a = y, that is when y is a
+generator: then the star and the link are void and H~_{-1} = 1, as for the
+empty complex D. Truncation is exact too: the relative chains up to
+dimension d + 1 are those of the (d + 1)-skeleta (skeleta commute with
+deletion, link and star), and homology in degree d reads only degrees
+d - 1, d and d + 1, so faces up to dimension max_degree + 1 give every
+degree up to max_degree.
+
 Inside an interval the method works on integer-coded monomials
 (``MonomialCode``): each variable owns a unary bit field, so the lcm of two
 monomials is the OR of their codes and "a divides b" is ``a & ~b == 0``.
@@ -30,7 +47,9 @@ come from one mask test each.
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import partial
 from itertools import combinations
+from typing import Callable
 
 from .chips import mpf_count
 from .graphs import Multigraph, connected_partitions, contract
@@ -52,50 +71,63 @@ class CharacteristicDisagreement(ArithmeticError):
         super().__init__(f"homology depends on the field ({summary}){suffix}")
 
 
-def _agreeing_dims(faces, chars, context: str) -> dict[int, int]:
+def _agreeing_dims(faces, chars, context: Callable[[], str]) -> dict[int, int]:
+    """Homology dims of a face family over every characteristic in
+    ``chars``, required to agree. ``context`` builds the label of a
+    disagreement; it is called only when one is raised."""
     if not chars:
         raise ValueError("need at least one characteristic")
     dims_by_char = homology_from_faces_multi(faces, tuple(chars))
     first = dims_by_char[chars[0]]
     if any(d != first for d in dims_by_char.values()):
-        raise CharacteristicDisagreement(dims_by_char, context)
+        raise CharacteristicDisagreement(dims_by_char, context())
     return first
 
 
 def homology_over_chars(
-    cpx: SimplicialComplex, chars=DEFAULT_CHARS, context: str = ""
+    cpx: SimplicialComplex, chars=DEFAULT_CHARS, context: Callable[[], str] = str
 ) -> dict[int, int]:
     """Reduced homology dims computed over every characteristic in ``chars``,
-    required to agree."""
+    required to agree. ``context`` builds the label of a disagreement, only
+    when one is raised."""
     return _agreeing_dims(cpx.faces_by_dim(), chars, context)
 
 
 def crosscut_faces(
     atoms: list[int], top: int, cap: int | None = None
 ) -> dict[int, list[tuple[int, ...]]]:
-    """Faces of the crosscut complex of the interval [1, top]: subsets of the
-    atoms (given as ``MonomialCode`` codes of monomials dividing top) whose
-    lcm, the OR of their codes, is a proper divisor of top, keyed by
-    dimension, truncated to subsets of at most ``cap`` elements.
+    """Basis of the relative crosscut complex (del a, lk a) of the interval
+    [1, top], a = atoms[0], whose homology is the reduced homology of the
+    crosscut complex (see the module docstring). The atoms are
+    ``MonomialCode`` codes of monomials dividing top and joining to it.
 
-    Subsets of faces are faces because lcms only grow, so the family is
-    downward closed and prefix extension enumerates it exactly, each
-    dimension in lexicographic order."""
-    faces: dict[int, list[tuple[int, ...]]] = {-1: [()]}
+    Returns the subsets F of the atoms after the first, as index tuples into
+    ``atoms`` (all >= 1), of at most ``cap`` elements, whose lcm (the OR of
+    their codes) is a proper divisor of top and becomes top when a is added,
+    keyed by dimension, each dimension in lexicographic order; dimensions
+    without a face are left out. The deletion del(a) is downward closed,
+    because lcms only grow, so prefix extension over the atoms after the
+    first enumerates it exactly, and each grown face is kept when it lies
+    outside the link."""
+    first = atoms[0]
     count = len(atoms)
-    limit = count if cap is None else min(cap, count)
+    limit = count - 1 if cap is None else min(cap, count - 1)
+    # the empty face, whose lcm is 1, is kept by the same rule as the others
+    faces: dict[int, list[tuple[int, ...]]] = {-1: [()]} if first == top else {}
     level: list[tuple[tuple[int, ...], int]] = [((), 0)]
     for size in range(1, limit + 1):
         grown: list[tuple[tuple[int, ...], int]] = []
         for face, joined in level:
-            start = face[-1] + 1 if face else 0
+            start = face[-1] + 1 if face else 1
             for j in range(start, count):
                 bigger = joined | atoms[j]
                 if bigger != top:
                     grown.append((face + (j,), bigger))
         if not grown:
             break
-        faces[size - 1] = [f for f, _ in grown]
+        kept = [f for f, joined in grown if joined | first == top]
+        if kept:
+            faces[size - 1] = kept
         level = grown
     return faces
 
@@ -105,12 +137,14 @@ def interval_homology(
     code: MonomialCode,
     variable_count: int,
     chars=DEFAULT_CHARS,
-    context: str = "",
+    context: Callable[[], str] = str,
 ) -> dict[int, int]:
     """Reduced homology of the open interval (1, y) of an lcm-lattice,
     reported for the degrees where it can be nonzero, from the crosscut
-    complex on the atoms below y. ``code`` is the integer code of the
-    lattice's ideal; its generators are the atoms."""
+    complex on the atoms below y, relative to the star of the first one.
+    ``code`` is the integer code of the lattice's ideal; its generators are
+    the atoms. ``context`` builds the label of a characteristic
+    disagreement, only when one is raised."""
     top = code.encode(y)
     atoms = [a for a in code.generators if not a & ~top]
     max_degree = max(min(variable_count - 2, len(atoms) - 2), -1)
@@ -186,7 +220,7 @@ def betti_gpw(ideal: MonomialIdeal, chars=DEFAULT_CHARS, symmetries=()) -> tuple
     proper = [m for m in lat.elements if m != lat.bottom]
     for m, weight in _orbit_representatives(proper, symmetries):
         dims = interval_homology(
-            m, code, len(ideal.variables), chars, context=m.to_str(ideal.variables)
+            m, code, len(ideal.variables), chars, context=partial(m.to_str, ideal.variables)
         )
         for degree, dim in dims.items():
             if dim:
@@ -220,7 +254,7 @@ def betti_koszul(ideal: MonomialIdeal, chars=DEFAULT_CHARS, symmetries=()) -> tu
     proper = [m for m in lat.elements if m != lat.bottom]
     for m, weight in _orbit_representatives(proper, symmetries):
         dims = homology_over_chars(
-            koszul_complex(ideal, m), chars, context=f"degree {m.to_str(ideal.variables)}"
+            koszul_complex(ideal, m), chars, lambda: f"degree {m.to_str(ideal.variables)}"
         )
         # ideal beta at homological degree d+1 = quotient beta at d+2
         for degree, dim in dims.items():
@@ -253,7 +287,7 @@ def interval_homology_audit(
         if x == lattice.bottom:
             continue
         faces = lattice.interval_chain_faces(x)
-        dims = _agreeing_dims(faces, chars, label(x))
+        dims = _agreeing_dims(faces, chars, partial(label, x))
         rows.append({
             "element": label(x),
             "rank": lattice.rank(x),

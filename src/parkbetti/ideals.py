@@ -219,7 +219,11 @@ def lcm_lattice(ideal: MonomialIdeal) -> FiniteLattice:
     zero = np.zeros(width, dtype=np.int64)
     rows.setdefault(zero.tobytes(), zero)
     matrix = np.array(sorted(rows.values(), key=lambda r: (int(r.sum()), tuple(r))), dtype=np.int64)
-    leq = (matrix[:, None, :] <= matrix[None, :, :]).all(axis=2)
+    # one N x N compare per variable: an N x N x #variables array would not fit
+    # in memory for the larger 6-vertex lattices
+    leq = np.ones((len(matrix), len(matrix)), dtype=bool)
+    for column in matrix.T:
+        leq &= column[:, None] <= column[None, :]
     elements = [
         Monomial.of({v: int(e) for v, e in zip(variables, row) if e}) for row in matrix
     ]

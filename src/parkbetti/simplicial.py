@@ -7,13 +7,18 @@ of reduced homology in degree -1). Homology ranks are computed over a prime
 field or, for characteristic 0, over the rationals.
 
 The homology core works on explicit per-dimension face lists, so large
-downward-closed face families (chain enumerations, truncated skeleta) can
-skip facet extraction entirely. It has one reduction path: the boundary
-maps are assembled and reduced bottom-up, unit pivots first, and the faces
-that were pivot columns of one map are cleared from the rows of the next
-(clearing, as in Bauer-Kerber-Reininghaus and Ripser). What is left is a
-small dense core, ranked by one int64 elimination for every prime
-p < 2^31, or by fraction-free (Bareiss) elimination over the rationals.
+face families (chain enumerations, truncated skeleta) can skip facet
+extraction entirely. A family need not be downward closed: a complex minus
+a subcomplex (a relative family, such as the crosscut complex of an
+lcm-lattice interval taken relative to the star of one atom) spans its
+relative chain complex, because the boundary terms that fall outside the
+family are the ones that vanish in the quotient. The core has one
+reduction path: the boundary maps are assembled and reduced bottom-up,
+unit pivots first, and the faces that were pivot columns of one map are
+cleared from the rows of the next (clearing, as in Bauer-Kerber-Reininghaus
+and Ripser). What is left is a small dense core, ranked by one int64
+elimination for every prime p < 2^31, or by fraction-free (Bareiss)
+elimination over the rationals.
 """
 
 from __future__ import annotations
@@ -144,15 +149,22 @@ def _unit_pivot_reduce(rows, cols, signs, n_rows: int, n_cols: int):
 def homology_from_faces_multi(
     faces: dict[int, list[tuple[int, ...]]], chars
 ) -> dict[int, dict[int, int]]:
-    """Reduced homology dimensions per characteristic for an explicit
-    downward-closed face family.
+    """Homology dimensions per characteristic of the augmented chain complex
+    spanned by an explicit face family.
+
+    For a downward-closed family (a complex) these are its reduced homology
+    dimensions. The family may also be relative, a complex minus a
+    subcomplex: boundary terms that fall outside the family are dropped,
+    which is the boundary of the quotient complex, so the dimensions are
+    those of the relative homology.
 
     The boundary maps B_0, B_1, ... (B_d takes d-faces to (d-1)-faces; B_0
     is the augmentation) are assembled and unit-pivot reduced from the
     bottom up, once for all characteristics; only the dense cores are
     ranked per characteristic. The d-faces that were pivot columns of B_d
     are cleared from the rows of B_{d+1}: the pivot block of B_d is
-    invertible over the integers and B_d B_{d+1} = 0, so those rows are
+    invertible over the integers and B_d B_{d+1} = 0, which holds in the
+    quotient complex as in any chain complex, so those rows are
     combinations of the kept ones and the rank of B_{d+1} is the same over
     every field."""
     for c in chars:

@@ -4,8 +4,8 @@ Everything here recomputes from first principles, reading only the plain
 fields of a Multigraph (n, edges, sink). No package algorithm is reused, so
 agreement between an oracle and the implementation is meaningful evidence.
 The matrix oracle likewise works on plain lists of integers, the boundary
-oracle on plain face lists, and the crosscut and lcm-closure oracles on
-monomials given as plain {variable: exponent} dicts.
+and relative-to-star oracles on plain face lists, and the crosscut and
+lcm-closure oracles on monomials given as plain {variable: exponent} dicts.
 """
 
 from fractions import Fraction
@@ -242,3 +242,18 @@ def crosscut_faces_oracle(atoms: list[dict], top: dict, cap=None) -> dict[int, l
         faces[size - 1] = [f for f, _ in grown]
         level = grown
     return faces
+
+
+def relative_to_star(faces: dict[int, list[tuple[int, ...]]]) -> dict[int, list[tuple[int, ...]]]:
+    """The family relative to the star of its least vertex v, on plain sets:
+    faces holding v are dropped, and so are the faces F with F + v in the
+    family (the link of v). Keyed by dimension, each dimension in
+    lexicographic order, dimensions without a face left out. A family
+    without vertices is returned as it is."""
+    family = {f for fs in faces.values() for f in fs}
+    v = min((x for f in family for x in f), default=None)
+    kept: dict[int, list[tuple[int, ...]]] = {}
+    for f in sorted(family):
+        if v is None or (v not in f and tuple(sorted(f + (v,))) not in family):
+            kept.setdefault(len(f) - 1, []).append(f)
+    return kept

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from parkbetti import (
     CharacteristicDisagreement,
     Monomial,
     MonomialCode,
+    MonomialIdeal,
     SimplicialComplex,
     betti_gpw,
     betti_koszul,
@@ -31,13 +33,44 @@ from parkbetti import (
 )
 from parkbetti.simplicial import homology_from_faces_multi
 
-from _oracles import betti_wilmes_oracle, boundary_matrices, crosscut_faces_oracle, rank_oracle
+from _oracles import (
+    betti_wilmes_oracle,
+    boundary_matrices,
+    crosscut_faces_oracle,
+    rank_oracle,
+    relative_to_star,
+)
 from conftest import multigraphs
 
 RP2 = SimplicialComplex((
     (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
     (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
 ))
+
+
+def seeded_complexes():
+    """RP2 and 40 seeded random complexes on at most 7 vertices."""
+    rng = random.Random(11)
+    return [RP2] + [
+        SimplicialComplex(tuple(
+            tuple(rng.sample(range(7), rng.randint(1, 4))) for _ in range(rng.randint(1, 9))
+        ))
+        for _ in range(40)
+    ]
+
+
+def rp2_stanley_reisner_ideal():
+    """The 10 squarefree cubics of the triangles missing from RP2."""
+    variables = tuple(f"x{i + 1}" for i in range(6))
+    return MonomialIdeal(
+        variables,
+        tuple(
+            Monomial.of({variables[i]: 1 for i in t})
+            for t in combinations(range(6), 3)
+            if t not in RP2.facets
+        ),
+        minimalized=True,
+    )
 
 
 def nonzero(dims):
@@ -118,14 +151,7 @@ class TestReducedHomology:
 
     def test_matches_full_boundary_ranks(self):
         # the cleared reduction against plain ranks of the whole boundary maps
-        rng = random.Random(11)
-        complexes = [RP2] + [
-            SimplicialComplex(tuple(
-                tuple(rng.sample(range(7), rng.randint(1, 4))) for _ in range(rng.randint(1, 9))
-            ))
-            for _ in range(40)
-        ]
-        for cpx in complexes:
+        for cpx in seeded_complexes():
             faces = cpx.faces_by_dim()
             mats = boundary_matrices(faces)
             for char in (2, 3, 0):
@@ -134,6 +160,17 @@ class TestReducedHomology:
                     d: len(faces[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0) for d in faces
                 }
                 assert reduced_homology_dims(cpx, char) == expected, (cpx.facets, char)
+
+    def test_relative_to_star_keeps_homology(self):
+        # H~(D) = H(del v, lk v): RP2's 2-torsion checks the identity over
+        # fields of both kinds
+        for cpx in seeded_complexes():
+            faces = cpx.faces_by_dim()
+            relative = relative_to_star(faces)
+            for char in (2, 3, 0):
+                full = homology_from_faces_multi(faces, (char,))[char]
+                via_star = homology_from_faces_multi(relative, (char,))[char]
+                assert nonzero(via_star) == nonzero(full), (cpx.facets, char)
 
 
 class TestRankOver:
@@ -166,13 +203,9 @@ class TestIntervalMachinery:
                     continue
                 top = code.encode(y)
                 atoms = [a for a in code.generators if not a & ~top]
-                via_crosscut = homology_over_chars(
-                    SimplicialComplex.from_faces(
-                        f for fs in crosscut_faces(atoms, top).values() for f in fs
-                    ),
-                    (32003, 2),
-                )
-                assert nonzero(via_crosscut) == nonzero(chain_homology(lat, y))
+                by_char = homology_from_faces_multi(crosscut_faces(atoms, top), (32003, 2))
+                assert by_char[32003] == by_char[2]
+                assert nonzero(by_char[2]) == nonzero(chain_homology(lat, y))
 
     @given(multigraphs())
     def test_interval_homology_matches_full_computation(self, G):
@@ -213,7 +246,10 @@ class TestIntegerCodedCrosscut:
                 atoms = [a for a in code.generators if not a & ~top]
                 cap = max(min(len(ideal.variables) - 2, len(atoms) - 2), -1) + 2
                 below = [g for g in plain if all(y.exponent(v) >= e for v, e in g.items())]
-                assert crosscut_faces(atoms, top, cap) == crosscut_faces_oracle(below, dict(y.exps), cap)
+                # one size more, so the oracle sees F + a for every face F kept
+                want = relative_to_star(crosscut_faces_oracle(below, dict(y.exps), cap + 1))
+                want = {d: fs for d, fs in want.items() if d < cap}
+                assert crosscut_faces(atoms, top, cap) == want
             vectors.add(betti_gpw(ideal))
         assert vectors == {betti_koszul(parking_ideal(G))}, graph_to_text(G)
 
@@ -251,9 +287,27 @@ class TestBettiPipelines:
         for G in generate_corpus(4, max_edges=5, include_multi=True):
             assert betti_wilmes(G) == betti_wilmes_oracle(G), graph_to_text(G)
 
-    def test_principal_ideal(self):
-        from parkbetti import MonomialIdeal
+    def test_torsion_on_rp2_stanley_reisner_ideal(self):
+        ideal = rp2_stanley_reisner_ideal()
+        for chars in ((32003,), (3,), (0,)):
+            assert betti_gpw(ideal, chars) == (10, 15, 6)
+            assert betti_koszul(ideal, chars) == (10, 15, 6)
+        assert betti_gpw(ideal, (2,)) == (10, 15, 7, 1)
+        assert betti_koszul(ideal, (2,)) == (10, 15, 7, 1)
+        with pytest.raises(CharacteristicDisagreement) as gpw:
+            betti_gpw(ideal)
+        assert str(gpw.value) == (
+            "homology depends on the field (char 32003: {-1: 0, 0: 0, 1: 0, 2: 0, 3: 0, 4: 0}; "
+            "char 2: {-1: 0, 0: 0, 1: 1, 2: 1, 3: 0, 4: 0}) [x1*x2*x3*x4*x5*x6]"
+        )
+        with pytest.raises(CharacteristicDisagreement) as koszul:
+            betti_koszul(ideal)
+        assert str(koszul.value) == (
+            "homology depends on the field (char 32003: {-1: 0, 0: 0, 1: 0, 2: 0}; "
+            "char 2: {-1: 0, 0: 0, 1: 1, 2: 1}) [degree x1*x2*x3*x4*x5*x6]"
+        )
 
+    def test_principal_ideal(self):
         principal = MonomialIdeal(("x1",), (Monomial.of({"x1": 5}),), minimalized=True)
         assert betti_gpw(principal) == (1,)
         assert betti_koszul(principal) == (1,)
@@ -277,8 +331,6 @@ class TestBettiPipelines:
 
 class TestKoszulComplex:
     def test_principal_degree(self):
-        from parkbetti import MonomialIdeal
-
         ideal = MonomialIdeal(("x1",), (Monomial.of({"x1": 2}),), minimalized=True)
         cpx = koszul_complex(ideal, Monomial.of({"x1": 2}))
         assert cpx.facets == ((),)

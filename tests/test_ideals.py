@@ -181,6 +181,14 @@ class TestLcmLattice:
             got = {frozenset(m.exps) for m in lcm_lattice(ideal).elements}
             assert got == want, (graph_to_text(G), build.__name__)
 
+    @given(multigraphs())
+    def test_order_is_divisibility(self, G):
+        for build in (parking_ideal, cutset_ideal, oriented_cutset_ideal):
+            lat = lcm_lattice(build(G))
+            for a in lat.elements:
+                for b in lat.elements:
+                    assert lat.leq(a, b) == a.divides(b), (graph_to_text(G), str(a), str(b))
+
     def test_requires_minimalized_nonempty(self):
         with pytest.raises(ValueError):
             lcm_lattice(MonomialIdeal(("x1",), (), minimalized=True))
