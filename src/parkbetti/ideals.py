@@ -121,7 +121,8 @@ class MonomialCode:
     element), lcm is bitwise OR, ``a`` divides ``b`` exactly when
     ``a & ~b == 0``, and equal codes mean equal monomials. For squarefree
     generators the code is a plain bitmask. Codes are Python ints, which
-    never wrap, so the code stays exact however wide it grows."""
+    never wrap, so the code stays exact however wide it grows. Decoding
+    counts the set bits of each field."""
 
     def __init__(self, variables: tuple[str, ...], generators):
         self._fields: dict[str, list[int]] = {}
@@ -140,6 +141,14 @@ class MonomialCode:
                 raise ValueError(f"{m} does not divide the lcm of the generators")
             code |= field[e]
         return code
+
+    def exponents(self, codes) -> np.ndarray:
+        """Exponent vectors of the given codes: one int64 row per code, one
+        column per variable, each entry the popcount of that variable's
+        bit field."""
+        masks = [field[-1] for field in self._fields.values()]
+        rows = [[(c & mask).bit_count() for mask in masks] for c in codes]
+        return np.array(rows, dtype=np.int64).reshape(len(rows), len(masks))
 
 
 def parking_ideal(G: Multigraph) -> MonomialIdeal:
@@ -196,36 +205,36 @@ def minimalize(ideal: MonomialIdeal) -> MonomialIdeal:
 def lcm_lattice(ideal: MonomialIdeal) -> FiniteLattice:
     """Divisibility lattice on all lcms of generator subsets, with the
     constant monomial adjoined as the bottom. Atoms are the generators.
+    Elements come out sorted by (degree, exponent vector).
 
-    The closure runs on exponent vectors (coordinatewise maxima) so the
-    whole lattice and its order matrix come from array arithmetic. Every
+    The closure runs on ``MonomialCode`` ints, where lcm is bitwise OR. Every
     lcm of a generator subset is reached by adding one generator at a time,
-    so each new vector is joined with the generators only."""
+    so each new code is OR-ed with the generator codes only. The codes are
+    then decoded to exponent vectors, which give the element order and the
+    order matrix by array arithmetic."""
     if not ideal.generators:
         raise ValueError("the zero ideal has no lcm-lattice")
     if not ideal.minimalized:
         raise ValueError("lcm-lattice requires a minimalized ideal")
     variables = ideal.variables
-    width = len(variables)
-    gen_matrix = np.array([g.vector(variables) for g in ideal.generators], dtype=np.int64)
-    rows = {row.tobytes(): row for row in gen_matrix}
-    frontier = gen_matrix
-    while len(frontier):
-        joined = np.maximum(frontier[:, None, :], gen_matrix[None, :, :])
-        candidates = np.unique(joined.reshape(len(frontier) * len(gen_matrix), width), axis=0)
-        fresh = [row for row in candidates if row.tobytes() not in rows]
-        rows.update((row.tobytes(), row) for row in fresh)
-        frontier = np.array(fresh, dtype=np.int64).reshape(len(fresh), width)
-    zero = np.zeros(width, dtype=np.int64)
-    rows.setdefault(zero.tobytes(), zero)
-    matrix = np.array(sorted(rows.values(), key=lambda r: (int(r.sum()), tuple(r))), dtype=np.int64)
+    code = MonomialCode(variables, ideal.generators)
+    found = set(code.generators)
+    frontier = found
+    while frontier:
+        frontier = {f | g for f in frontier for g in code.generators} - found
+        found |= frontier
+    found.add(0)
+    matrix = code.exponents(list(found))
+    # np.lexsort sorts by its last key first: degree, then the exponents
+    # from the first variable on
+    matrix = matrix[np.lexsort(np.vstack([matrix[:, ::-1].T, matrix.sum(axis=1)]))]
     # one N x N compare per variable: an N x N x #variables array would not fit
     # in memory for the larger 6-vertex lattices
     leq = np.ones((len(matrix), len(matrix)), dtype=bool)
     for column in matrix.T:
         leq &= column[:, None] <= column[None, :]
     elements = [
-        Monomial.of({v: int(e) for v, e in zip(variables, row) if e}) for row in matrix
+        Monomial.of({v: e for v, e in zip(variables, row) if e}) for row in matrix.tolist()
     ]
     return FiniteLattice(elements, leq)
 

@@ -8,10 +8,17 @@ tests candidate order isomorphisms. The lcm-lattice Betti computation does
 not read the order: its crosscut model needs only the generators dividing
 each element (see ``homology``). The order serves the Mobius, rank and
 audit checks and the lattice isomorphism.
+
+The two order products (the transitivity check and the covers) run as
+float32 BLAS matrix products compared with 0, which is exact at every size
+(see ``_two_step``). The transitivity check runs on construction; the
+covers are derived on first use, so a lattice whose elements are all that
+is read never pays for them.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,15 +39,33 @@ class NotGradedError(LatticeError):
     """Maximal chains disagree in length where a graded lattice was required."""
 
 
+def _two_step(rel: np.ndarray) -> np.ndarray:
+    """Boolean square of a relation: cell (i, j) is True when rel[i, k] and
+    rel[k, j] hold for some k.
+
+    It runs as a float32 BLAS product followed by ``> 0``; numpy has no BLAS
+    path for bool operands. The result is exact at any size: the entries are
+    0 and 1, so each cell is a sum of nonnegative terms, and rounding can
+    make such a sum inexact but never turns a positive sum into 0. An
+    integer product would wrap instead (uint8 at 256 paths). The float32
+    operand and the product take 4 * N^2 bytes each for N elements."""
+    square = rel.astype(np.float32)
+    return (square @ square) > 0
+
+
 class FiniteLattice:
     """A finite lattice given by an explicit element list and order relation.
 
-    The order is validated on construction (reflexive, antisymmetric,
-    transitive, unique bottom and top). Joins and meets are computed on
-    demand with a uniqueness check, so a merely bounded poset is caught the
-    first time a pair has no least upper bound. Ranks are computed lazily
-    from maximal chain lengths and demand gradedness; Mobius values come from
-    the defining recursion in exact integer arithmetic.
+    The order is validated on construction (distinct elements; reflexive,
+    antisymmetric, transitive; unique bottom and top). Transitivity is
+    checked with one float32 product of the order matrix with itself (exact,
+    see ``_two_step``). The covers take a second such product and are
+    derived the first time covers, atoms or ranks are asked for. Joins and
+    meets are computed on demand with a uniqueness check, so a merely
+    bounded poset is caught the first time a pair has no least upper bound.
+    Ranks are computed lazily from maximal chain lengths and demand
+    gradedness; Mobius values come from the defining recursion in exact
+    integer arithmetic.
     """
 
     def __init__(self, elements: Sequence, leq):
@@ -66,7 +91,7 @@ class FiniteLattice:
             raise LatticeError("order is not reflexive")
         if np.any(rel & rel.T & ~np.eye(count, dtype=bool)):
             raise LatticeError("order is not antisymmetric")
-        if np.any((rel @ rel) & ~rel):
+        if np.any(_two_step(rel) & ~rel):
             raise LatticeError("order is not transitive")
         bottoms = np.flatnonzero(rel.all(axis=1))
         tops = np.flatnonzero(rel.all(axis=0))
@@ -76,10 +101,13 @@ class FiniteLattice:
         self._bottom = int(bottoms[0])
         self._top = int(tops[0])
         self._strict = rel & ~np.eye(count, dtype=bool)
-        self._covers = self._strict & ~(self._strict @ self._strict)
         self._ranks = None
         self._mobius = None
         self._below = None
+
+    @cached_property
+    def _covers(self) -> np.ndarray:
+        return self._strict & ~_two_step(self._strict)
 
     def __len__(self) -> int:
         return len(self._elements)

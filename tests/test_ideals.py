@@ -65,6 +65,7 @@ class TestMonomialCode:
         ]
         codes = [code.encode(m) for m in box]
         assert max(codes).bit_length() == 160
+        assert code.exponents(codes).tolist() == [list(m.vector(variables)) for m in box]
         assert code.encode(Monomial.of({"a": 70})) == (1 << 70) - 1
         assert len(set(codes)) == len(box)
         for m, cm in zip(box, codes):
@@ -76,6 +77,17 @@ class TestMonomialCode:
         gens = [Monomial.of({"y_a": 1, "y_c": 1}), Monomial.of({"y_b": 1})]
         code = MonomialCode(("y_a", "y_b", "y_c"), gens)
         assert code.generators == (0b101, 0b010)
+
+    @given(multigraphs())
+    def test_lattice_codes_decode_round_trip(self, G):
+        for build in (parking_ideal, cutset_ideal, oriented_cutset_ideal):
+            ideal = build(G)
+            code = MonomialCode(ideal.variables, ideal.generators)
+            elements = lcm_lattice(ideal).elements
+            codes = [code.encode(m) for m in elements]
+            for m, c, row in zip(elements, codes, code.exponents(codes).tolist()):
+                assert tuple(row) == m.vector(ideal.variables), (graph_to_text(G), str(m))
+                assert code.encode(Monomial.of(dict(zip(ideal.variables, row)))) == c
 
     def test_monomial_outside_the_box_rejected(self):
         code = MonomialCode(("x1", "x2"), [Monomial.of({"x1": 2})])
@@ -178,8 +190,12 @@ class TestLcmLattice:
         for build in (parking_ideal, cutset_ideal, oriented_cutset_ideal):
             ideal = build(G)
             want = lcm_closure_oracle([dict(g.exps) for g in ideal.generators])
-            got = {frozenset(m.exps) for m in lcm_lattice(ideal).elements}
+            elements = lcm_lattice(ideal).elements
+            got = {frozenset(m.exps) for m in elements}
             assert got == want, (graph_to_text(G), build.__name__)
+            # audit rows follow this order: by degree, then exponent vector
+            keys = [(m.degree, m.vector(ideal.variables)) for m in elements]
+            assert keys == sorted(keys), (graph_to_text(G), build.__name__)
 
     @given(multigraphs())
     def test_order_is_divisibility(self, G):

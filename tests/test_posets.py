@@ -2,6 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from parkbetti import (
     ConnectedPartition,
@@ -22,9 +23,14 @@ from parkbetti import (
     lattice_to_json,
     lcm_lattice,
     mask_of,
+    oriented_cutset_ideal,
+    parking_ideal,
     parse_graph,
     separating_edges,
 )
+from parkbetti.posets import _two_step
+
+from conftest import multigraphs
 
 
 def divisor_lattice(n):
@@ -90,6 +96,53 @@ class TestFiniteLattice:
         D = L.dual()
         assert D.bottom == 3 and D.top == 0
         assert D.rank_profile() == (1, 1, 1, 1)
+
+
+def brute_force_covers(L):
+    """Pairs (i, j) with element i strictly below element j and nothing
+    strictly between, from pairwise comparisons of the elements: the covers
+    of i are the minimal elements of its strict up-set."""
+    elems = L.elements
+    strict = np.array([[a != b and L.leq(a, b) for b in elems] for a in elems])
+    pairs = set()
+    for i in range(len(elems)):
+        up = np.flatnonzero(strict[i])
+        minimal = up[~strict[np.ix_(up, up)].any(axis=0)]
+        pairs |= {(i, int(j)) for j in minimal}
+    return pairs
+
+
+class TestOrderProducts:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_two_step_equals_integer_product(self, seed):
+        rng = np.random.default_rng(seed)
+        size = rng.integers(1, 160)
+        for density in (0.01, 0.1, 0.5, 0.9):
+            rel = rng.random((size, size)) < density
+            want = (rel.astype(np.int64) @ rel.astype(np.int64)) > 0
+            assert np.array_equal(_two_step(rel), want)
+
+    def test_two_step_all_ones(self):
+        # every cell is a sum of 300 ones
+        assert _two_step(np.ones((300, 300), dtype=bool)).all()
+
+    @pytest.mark.parametrize("paths", [256, 512])
+    def test_two_step_path_counts_that_wrap_in_uint8(self, paths):
+        # exactly `paths` two-step paths lead from 0 to paths + 1, none elsewhere
+        rel = np.zeros((paths + 2, paths + 2), dtype=bool)
+        rel[0, 1:-1] = True
+        rel[1:-1, -1] = True
+        want = np.zeros_like(rel)
+        want[0, -1] = True
+        assert np.array_equal(_two_step(rel), want)
+
+    @given(multigraphs())
+    def test_covers_match_brute_force(self, G):
+        lattices = [lcm_lattice(build(G)) for build in (parking_ideal, cutset_ideal, oriented_cutset_ideal)]
+        lattices.append(dual_connected_partition_lattice(G))
+        for L in lattices:
+            assert "_covers" not in vars(L)  # made on first use, not on construction
+            assert set(L.cover_pairs()) == brute_force_covers(L)
 
 
 class TestPartitionLattices:
