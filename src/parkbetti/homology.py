@@ -48,7 +48,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import partial
-from itertools import combinations
 from typing import Callable
 
 from .chips import mpf_count
@@ -206,6 +205,22 @@ def _orbit_representatives(elements, symmetries) -> list[tuple]:
     return out
 
 
+def _lattice_betti(ideal: MonomialIdeal, symmetries, dims_at) -> tuple[int, ...]:
+    """Shared loop of the lcm-lattice methods: beta_i sums, over the proper
+    elements m of lcm(I), the reduced homology dims ``dims_at(m)`` reports
+    in degree i-2, computed once per symmetry orbit and weighted by the
+    orbit size."""
+    lat = lcm_lattice(ideal)
+    symmetries = _validated_symmetries(ideal, symmetries)
+    betti: dict[int, int] = defaultdict(int)
+    proper = [m for m in lat.elements if m != lat.bottom]
+    for m, weight in _orbit_representatives(proper, symmetries):
+        for degree, dim in dims_at(m).items():
+            if dim:
+                betti[degree + 2] += weight * dim
+    return _as_vector(betti)
+
+
 def betti_gpw(ideal: MonomialIdeal, chars=DEFAULT_CHARS, symmetries=()) -> tuple[int, ...]:
     """Lcm-lattice method: beta_i sums the reduced homology of the open
     interval below each lattice element, in degree i-2.
@@ -213,54 +228,39 @@ def betti_gpw(ideal: MonomialIdeal, chars=DEFAULT_CHARS, symmetries=()) -> tuple
     ``symmetries`` may carry variable permutations that fix the generator
     set (for instance from graph automorphisms); intervals in one orbit are
     isomorphic and computed once."""
-    lat = lcm_lattice(ideal)
-    symmetries = _validated_symmetries(ideal, symmetries)
     code = MonomialCode(ideal.variables, ideal.generators)
-    betti: dict[int, int] = defaultdict(int)
-    proper = [m for m in lat.elements if m != lat.bottom]
-    for m, weight in _orbit_representatives(proper, symmetries):
-        dims = interval_homology(
-            m, code, len(ideal.variables), chars, context=partial(m.to_str, ideal.variables)
-        )
-        for degree, dim in dims.items():
-            if dim:
-                betti[degree + 2] += weight * dim
-    return _as_vector(betti)
+    variable_count = len(ideal.variables)
+    return _lattice_betti(ideal, symmetries, lambda m: interval_homology(
+        m, code, variable_count, chars, context=partial(m.to_str, ideal.variables)
+    ))
 
 
 def koszul_complex(ideal: MonomialIdeal, degree: Monomial) -> SimplicialComplex:
-    """Squarefree complex of the ideal at a multidegree: a subset of the
-    support is a face when dividing out one step in those variables stays
-    inside the ideal."""
+    """Upper Koszul complex K^m(I) at the multidegree m = ``degree``: the
+    subsets F of supp m with m / x^F in I (Miller-Sturmfels, Thm 1.34),
+    vertices numbered by their place in supp m in variable order.
+
+    It is built from its facets: m / x^F lies in I exactly when some
+    generator g divides m with g_v < m_v for every v in F, so the facets are
+    {v in supp m : g_v < m_v}, one for each generator g dividing m. When no
+    generator divides m the complex is void."""
     support = [v for v in ideal.variables if degree.exponent(v) > 0]
-    faces = []
-    for r in range(len(support) + 1):
-        for subset in combinations(range(len(support)), r):
-            exps = {v: e for v, e in degree.exps}
-            for k in subset:
-                exps[support[k]] -= 1
-            if ideal.contains(Monomial.of(exps)):
-                faces.append(subset)
-    return SimplicialComplex.from_faces(faces)
+    return SimplicialComplex.from_faces(
+        [k for k, v in enumerate(support) if g.exponent(v) < degree.exponent(v)]
+        for g in ideal.generators
+        if g.divides(degree)
+    )
 
 
 def betti_koszul(ideal: MonomialIdeal, chars=DEFAULT_CHARS, symmetries=()) -> tuple[int, ...]:
-    """Independent oracle: multigraded Betti numbers of the ideal from its
-    per-multidegree squarefree complexes, totaled coarsely and shifted to
-    quotient-ring indexing (quotient beta_i = ideal beta_{i-1})."""
-    lat = lcm_lattice(ideal)
-    symmetries = _validated_symmetries(ideal, symmetries)
-    betti: dict[int, int] = defaultdict(int)
-    proper = [m for m in lat.elements if m != lat.bottom]
-    for m, weight in _orbit_representatives(proper, symmetries):
-        dims = homology_over_chars(
-            koszul_complex(ideal, m), chars, lambda: f"degree {m.to_str(ideal.variables)}"
-        )
-        # ideal beta at homological degree d+1 = quotient beta at d+2
-        for degree, dim in dims.items():
-            if dim:
-                betti[degree + 2] += weight * dim
-    return _as_vector(betti)
+    """Independent oracle: multigraded Betti numbers of the ideal from the
+    upper Koszul complexes at the lcm-lattice elements, each built from its
+    generator facets, totaled coarsely and shifted to quotient-ring indexing
+    (quotient beta_i = ideal beta_{i-1}, so homology in degree d counts
+    toward beta_{d+2})."""
+    return _lattice_betti(ideal, symmetries, lambda m: homology_over_chars(
+        koszul_complex(ideal, m), chars, lambda: f"degree {m.to_str(ideal.variables)}"
+    ))
 
 
 def betti_mobius(lattice: FiniteLattice) -> tuple[int, ...]:

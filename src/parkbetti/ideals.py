@@ -92,10 +92,6 @@ class MonomialIdeal:
                 if v not in declared:
                     raise ValueError(f"generator uses undeclared variable {v!r}")
 
-    def contains(self, m: Monomial) -> bool:
-        """Monomial membership: divisibility by some generator."""
-        return any(g.divides(m) for g in self.generators)
-
     def generator_set(self) -> frozenset[Monomial]:
         return frozenset(self.generators)
 

@@ -199,10 +199,6 @@ class FiniteLattice:
         """Length of a maximal chain from the bottom to x (graded lattices)."""
         return int(self._rank_vector()[self.index_of(x)])
 
-    @property
-    def max_rank(self) -> int:
-        return int(self._rank_vector().max())
-
     def rank_profile(self) -> tuple[int, ...]:
         """Element counts per rank, bottom upward."""
         ranks = self._rank_vector()

@@ -250,10 +250,12 @@ def _verify_job(args):
 
 def verify_corpus(graphs, chars=DEFAULT_CHARS, jobs: int = 1) -> list[VerificationReport]:
     """Verify a list of graphs, optionally across processes; report order
-    always follows input order."""
-    if jobs <= 1:
+    always follows input order. No more workers than graphs are started,
+    since the pool may start all of them at once."""
+    workers = min(jobs, len(graphs))
+    if workers <= 1:
         return [verify_graph(G, chars) for G in graphs]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_verify_job, [(G, chars) for G in graphs]))
 
 

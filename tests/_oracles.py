@@ -5,7 +5,8 @@ fields of a Multigraph (n, edges, sink). No package algorithm is reused, so
 agreement between an oracle and the implementation is meaningful evidence.
 The matrix oracle likewise works on plain lists of integers, the boundary
 and relative-to-star oracles on plain face lists, and the crosscut and
-lcm-closure oracles on monomials given as plain {variable: exponent} dicts.
+lcm-closure and Koszul oracles on monomials given as plain
+{variable: exponent} dicts.
 """
 
 from fractions import Fraction
@@ -241,6 +242,24 @@ def crosscut_faces_oracle(atoms: list[dict], top: dict, cap=None) -> dict[int, l
             break
         faces[size - 1] = [f for f, _ in grown]
         level = grown
+    return faces
+
+
+def koszul_faces_oracle(generators: list[dict], degree: dict) -> dict[int, list[tuple[int, ...]]]:
+    """Faces of the upper Koszul complex at ``degree`` by its definition: the
+    subsets F of the support of degree whose quotient degree / x^F some
+    generator divides, as index tuples into the support in the key order of
+    ``degree``, keyed by dimension, each dimension in lexicographic order.
+    With no such subset (the void complex) it returns {}."""
+    support = [v for v, e in degree.items() if e > 0]
+    faces: dict[int, list[tuple[int, ...]]] = {}
+    for r in range(len(support) + 1):
+        for subset in combinations(range(len(support)), r):
+            quotient = dict(degree)
+            for k in subset:
+                quotient[support[k]] -= 1
+            if any(all(quotient.get(v, 0) >= e for v, e in g.items()) for g in generators):
+                faces.setdefault(r - 1, []).append(subset)
     return faces
 
 

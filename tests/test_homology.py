@@ -37,6 +37,7 @@ from _oracles import (
     betti_wilmes_oracle,
     boundary_matrices,
     crosscut_faces_oracle,
+    koszul_faces_oracle,
     rank_oracle,
     relative_to_star,
 )
@@ -318,11 +319,15 @@ class TestBettiPipelines:
                 ideal = build(G)
                 syms = variable_symmetries(G, kind)
                 assert betti_gpw(ideal, symmetries=syms) == betti_gpw(ideal)
+                assert betti_koszul(ideal, symmetries=syms) == betti_koszul(ideal)
 
     def test_bad_symmetry_rejected(self, k3):
         ideal = parking_ideal(k3)
+        bad = ({"x1": "x1", "x2": "x1"},)
         with pytest.raises(ValueError):
-            betti_gpw(ideal, symmetries=({"x1": "x1", "x2": "x1"},))
+            betti_gpw(ideal, symmetries=bad)
+        with pytest.raises(ValueError):
+            betti_koszul(ideal, symmetries=bad)
 
     def test_wilmes_needs_two_vertices(self):
         with pytest.raises(ValueError):
@@ -340,6 +345,24 @@ class TestKoszulComplex:
         cpx = koszul_complex(ideal, Monomial.of({"x1": 2, "x2": 2}))
         # both strips stay inside the ideal: a full segment, contractible
         assert nonzero(reduced_homology_dims(cpx, 2)) == {}
+
+    @given(multigraphs())
+    def test_facets_match_membership_oracle(self, G):
+        # the facet construction against the per-subset definition at every
+        # element of lcm(I), lcm(J) and lcm(K)
+        for build in (parking_ideal, cutset_ideal, oriented_cutset_ideal):
+            ideal = build(G)
+            plain = [dict(g.exps) for g in ideal.generators]
+            for m in lcm_lattice(ideal).elements:
+                degree = {v: m.exponent(v) for v in ideal.variables if m.exponent(v)}
+                want = koszul_faces_oracle(plain, degree)
+                assert koszul_complex(ideal, m).faces_by_dim() == want, (graph_to_text(G), str(m))
+            # a generator less one variable: no minimal generator divides it
+            g = ideal.generators[0]
+            v, e = g.exps[0]
+            below = Monomial.of({**dict(g.exps), v: e - 1})
+            assert koszul_complex(ideal, below).is_void
+            assert koszul_faces_oracle(plain, dict(below.exps)) == {}
 
 
 class TestAuditAndEuler:

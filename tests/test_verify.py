@@ -14,6 +14,7 @@ from parkbetti import (
     verify_corpus,
     verify_graph,
 )
+from parkbetti import verify as verify_module
 from parkbetti.cli import main
 
 from conftest import KITE_TEXT, multigraphs
@@ -98,6 +99,29 @@ class TestVerifyGraph:
             "v:3; a 1 2; b 2 3; sink:3",
         ]
         assert all(r.passed for r in reports)
+
+    def test_verify_corpus_caps_workers_at_graph_count(self, k3, p3, monkeypatch):
+        pools = []
+
+        class RecordingPool:
+            # runs the jobs in-process, so no worker is ever started
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(verify_module, "ProcessPoolExecutor", RecordingPool)
+        assert [r.passed for r in verify_corpus([k3, p3], jobs=3)] == [True, True]
+        assert pools == [2]
+        assert [r.passed for r in verify_corpus([k3], jobs=3)] == [True]
+        assert pools == [2]
 
     def test_single_vertex_rejected(self):
         with pytest.raises(ValueError):
