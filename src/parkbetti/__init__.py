@@ -4,7 +4,6 @@ cut-set ideals, cross-checked by four independent methods."""
 from .chips import (
     enumerate_parking_functions,
     is_parking_function,
-    is_parking_function_bruteforce,
     maximal_parking_functions,
     mpf_count,
 )
@@ -41,7 +40,6 @@ from .homology import (
     betti_mobius,
     betti_wilmes,
     crosscut_faces,
-    homology_over_chars,
     interval_homology,
     interval_homology_audit,
     koszul_complex,
@@ -74,7 +72,7 @@ from .posets import (
     lattice_to_dot,
     lattice_to_json,
 )
-from .simplicial import SimplicialComplex, rank_over
+from .simplicial import faces_by_dim, rank_over
 from .verify import (
     CheckResult,
     VerificationReport,

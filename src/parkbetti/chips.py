@@ -2,15 +2,15 @@
 
 A configuration assigns chips to the non-sink vertices (ascending vertex
 order, sink omitted). Recognition runs the standard sink-fire sweep; the
-subset-quantified definition is kept as ``is_parking_function_bruteforce``
-and serves as the slow oracle in the test suite.
+subset-quantified definition lives only in the test suite, as its slow
+oracle.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import product
 
-from .graphs import Multigraph, boundary_degree, mask_of
+from .graphs import Multigraph
 
 ChipConfig = tuple[int, ...]
 
@@ -48,20 +48,6 @@ def is_parking_function(G: Multigraph, config) -> bool:
                 burnt |= 1 << v
                 progressed = True
     return burnt == G.full_mask
-
-
-def is_parking_function_bruteforce(G: Multigraph, config) -> bool:
-    """Check the defining condition on every non-empty subset of non-sink
-    vertices. Exponential; retained as a cross-check for the burning test."""
-    config = _validated(G, config)
-    verts = G.nonsink_vertices
-    chips = dict(zip(verts, config))
-    for r in range(1, len(verts) + 1):
-        for subset in combinations(verts, r):
-            u_mask = mask_of(subset)
-            if not any(chips[v] < boundary_degree(G, u_mask, v) for v in subset):
-                return False
-    return True
 
 
 def enumerate_parking_functions(G: Multigraph) -> frozenset[ChipConfig]:

@@ -6,6 +6,15 @@ Homology is computed over every characteristic in ``chars`` and must agree;
 a disagreement means the answer is field-dependent and is raised, never
 averaged.
 
+Every homology computation takes one route: a plain face family
+{dimension: [index tuples]} handed to ``_agreeing_dims``. Two models build
+these families. ``betti_gpw`` and the concentration audit
+(``interval_homology_audit``) both use the crosscut model of an lcm-lattice
+interval below, so the audit reports the homology that gpw sums.
+``betti_koszul`` uses the upper Koszul complex at each lattice element,
+expanded from its generator facets by ``simplicial.faces_by_dim``. The
+order complex of an interval (every chain) is kept only as a test oracle.
+
 Interval homology in an lcm-lattice uses one model: by the crosscut
 theorem the open interval (1, y) is homotopy equivalent to the crosscut
 complex D on the atoms below y, whose faces are the atom subsets whose join
@@ -54,7 +63,7 @@ from .chips import mpf_count
 from .graphs import Multigraph, connected_partitions, contract
 from .ideals import Monomial, MonomialCode, MonomialIdeal, lcm_lattice, permute_monomial
 from .posets import FiniteLattice
-from .simplicial import SimplicialComplex, homology_from_faces_multi
+from .simplicial import faces_by_dim, homology_from_faces_multi
 
 DEFAULT_CHARS = (32003, 2)
 
@@ -81,15 +90,6 @@ def _agreeing_dims(faces, chars, context: Callable[[], str]) -> dict[int, int]:
     if any(d != first for d in dims_by_char.values()):
         raise CharacteristicDisagreement(dims_by_char, context())
     return first
-
-
-def homology_over_chars(
-    cpx: SimplicialComplex, chars=DEFAULT_CHARS, context: Callable[[], str] = str
-) -> dict[int, int]:
-    """Reduced homology dims computed over every characteristic in ``chars``,
-    required to agree. ``context`` builds the label of a disagreement, only
-    when one is raised."""
-    return _agreeing_dims(cpx.faces_by_dim(), chars, context)
 
 
 def crosscut_faces(
@@ -221,6 +221,16 @@ def _lattice_betti(ideal: MonomialIdeal, symmetries, dims_at) -> tuple[int, ...]
     return _as_vector(betti)
 
 
+def _interval_dims(ideal: MonomialIdeal, chars) -> Callable[[Monomial], dict[int, int]]:
+    """``interval_homology`` at the elements of lcm(ideal): the one interval
+    model, shared by ``betti_gpw`` and the audit."""
+    code = MonomialCode(ideal.variables, ideal.generators)
+    variable_count = len(ideal.variables)
+    return lambda m: interval_homology(
+        m, code, variable_count, chars, context=partial(m.to_str, ideal.variables)
+    )
+
+
 def betti_gpw(ideal: MonomialIdeal, chars=DEFAULT_CHARS, symmetries=()) -> tuple[int, ...]:
     """Lcm-lattice method: beta_i sums the reduced homology of the open
     interval below each lattice element, in degree i-2.
@@ -228,24 +238,21 @@ def betti_gpw(ideal: MonomialIdeal, chars=DEFAULT_CHARS, symmetries=()) -> tuple
     ``symmetries`` may carry variable permutations that fix the generator
     set (for instance from graph automorphisms); intervals in one orbit are
     isomorphic and computed once."""
-    code = MonomialCode(ideal.variables, ideal.generators)
-    variable_count = len(ideal.variables)
-    return _lattice_betti(ideal, symmetries, lambda m: interval_homology(
-        m, code, variable_count, chars, context=partial(m.to_str, ideal.variables)
-    ))
+    return _lattice_betti(ideal, symmetries, _interval_dims(ideal, chars))
 
 
-def koszul_complex(ideal: MonomialIdeal, degree: Monomial) -> SimplicialComplex:
-    """Upper Koszul complex K^m(I) at the multidegree m = ``degree``: the
-    subsets F of supp m with m / x^F in I (Miller-Sturmfels, Thm 1.34),
-    vertices numbered by their place in supp m in variable order.
+def koszul_complex(ideal: MonomialIdeal, degree: Monomial) -> dict[int, list[tuple[int, ...]]]:
+    """Face family of the upper Koszul complex K^m(I) at the multidegree
+    m = ``degree``: the subsets F of supp m with m / x^F in I
+    (Miller-Sturmfels, Thm 1.34), vertices numbered by their place in supp m
+    in variable order.
 
-    It is built from its facets: m / x^F lies in I exactly when some
+    It is generated by its facets: m / x^F lies in I exactly when some
     generator g divides m with g_v < m_v for every v in F, so the facets are
     {v in supp m : g_v < m_v}, one for each generator g dividing m. When no
-    generator divides m the complex is void."""
+    generator divides m the complex is void, {}."""
     support = [v for v in ideal.variables if degree.exponent(v) > 0]
-    return SimplicialComplex.from_faces(
+    return faces_by_dim(
         [k for k, v in enumerate(support) if g.exponent(v) < degree.exponent(v)]
         for g in ideal.generators
         if g.divides(degree)
@@ -258,7 +265,7 @@ def betti_koszul(ideal: MonomialIdeal, chars=DEFAULT_CHARS, symmetries=()) -> tu
     generator facets, totaled coarsely and shifted to quotient-ring indexing
     (quotient beta_i = ideal beta_{i-1}, so homology in degree d counts
     toward beta_{d+2})."""
-    return _lattice_betti(ideal, symmetries, lambda m: homology_over_chars(
+    return _lattice_betti(ideal, symmetries, lambda m: _agreeing_dims(
         koszul_complex(ideal, m), chars, lambda: f"degree {m.to_str(ideal.variables)}"
     ))
 
@@ -276,22 +283,22 @@ def betti_mobius(lattice: FiniteLattice) -> tuple[int, ...]:
 
 
 def interval_homology_audit(
-    lattice: FiniteLattice, chars=DEFAULT_CHARS, label=str
+    ideal: MonomialIdeal, lattice: FiniteLattice, chars=DEFAULT_CHARS
 ) -> list[dict]:
-    """Per-element audit rows for a graded lattice: rank, Mobius value, and
-    the nonzero reduced homology of the full interval order complex. Feeds
-    the concentration check and the report output."""
+    """Per-element audit rows for the graded lcm-lattice ``lattice`` of
+    ``ideal``: label, rank, Mobius value, and the nonzero reduced homology of
+    the open interval below the element, from the same crosscut model as
+    ``betti_gpw``. Feeds the concentration check and the report output."""
+    dims_at = _interval_dims(ideal, chars)
     mu = lattice.mobius()
     rows = []
     for x in lattice.elements:
         if x == lattice.bottom:
             continue
-        faces = lattice.interval_chain_faces(x)
-        dims = _agreeing_dims(faces, chars, partial(label, x))
         rows.append({
-            "element": label(x),
+            "element": x.to_str(ideal.variables),
             "rank": lattice.rank(x),
             "mobius": mu[x],
-            "homology": {d: v for d, v in dims.items() if v},
+            "homology": {d: v for d, v in dims_at(x).items() if v},
         })
     return rows

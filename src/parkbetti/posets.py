@@ -3,11 +3,11 @@
 One engine covers both lattice families used here: the connected-partition
 lattice of a multigraph (and its order dual) and the divisibility lattice of
 monomial lcms. It stores the full order matrix, derives covers, ranks, and
-Mobius values, extracts the full order complexes of open intervals, and
-tests candidate order isomorphisms. The lcm-lattice Betti computation does
-not read the order: its crosscut model needs only the generators dividing
-each element (see ``homology``). The order serves the Mobius, rank and
-audit checks and the lattice isomorphism.
+Mobius values, and tests candidate order isomorphisms. It builds no order
+complexes: interval homology, in the Betti computation and in the audit
+alike, uses the crosscut model, which needs only the generators dividing
+each element (see ``homology``). The order serves the Mobius values, the
+ranks and the lattice isomorphism.
 
 The two order products (the transitivity check and the covers) run as
 float32 BLAS matrix products compared with 0, which is exact at every size
@@ -103,7 +103,6 @@ class FiniteLattice:
         self._strict = rel & ~np.eye(count, dtype=bool)
         self._ranks = None
         self._mobius = None
-        self._below = None
 
     @cached_property
     def _covers(self) -> np.ndarray:
@@ -171,15 +170,10 @@ class FiniteLattice:
             raise LatticeError(f"no unique meet for {x!r} and {y!r}")
         return self._elements[greatest[0]]
 
-    def _below_counts(self) -> np.ndarray:
-        if self._below is None:
-            self._below = self._strict.sum(axis=0)
-        return self._below
-
     def _topological_order(self) -> np.ndarray:
         # strictly-below counts grow along the order, so sorting by them is
         # a valid topological order
-        return np.argsort(self._below_counts(), kind="stable")
+        return np.argsort(self._strict.sum(axis=0), kind="stable")
 
     def _rank_vector(self) -> np.ndarray:
         if self._ranks is None:
@@ -217,34 +211,6 @@ class FiniteLattice:
                 mu[k] = -sum(mu[int(b)] for b in below)
             self._mobius = mu
         return {x: self._mobius[i] for i, x in enumerate(self._elements)}
-
-    def interval_chain_faces(self, y) -> dict[int, list[tuple[int, ...]]]:
-        """Order-complex faces of the open interval (bottom, y): every chain,
-        keyed by dimension. Chain entries are positions in a topologically
-        sorted interior, so the family is deterministic and downward closed."""
-        iy = self.index_of(y)
-        if iy == self._bottom:
-            raise ValueError("the open interval below the bottom is undefined")
-        interior = np.flatnonzero(self._strict[self._bottom] & self._strict[:, iy])
-        faces: dict[int, list[tuple[int, ...]]] = {-1: [()]}
-        m = len(interior)
-        if m == 0:
-            return faces
-        order = interior[np.argsort(self._below_counts()[interior], kind="stable")]
-        sub = self._strict[np.ix_(order, order)]
-        succ = [np.flatnonzero(sub[k]).tolist() for k in range(m)]
-        chain: list[int] = []
-
-        def walk(k: int):
-            chain.append(k)
-            faces.setdefault(len(chain) - 1, []).append(tuple(chain))
-            for nxt in succ[k]:
-                walk(nxt)
-            chain.pop()
-
-        for k in range(m):
-            walk(k)
-        return {d: sorted(fs) for d, fs in sorted(faces.items())}
 
     def dual(self) -> "FiniteLattice":
         """Same elements, reversed order."""

@@ -1,77 +1,46 @@
-"""Finite simplicial complexes and exact reduced homology.
+"""Face families of finite simplicial complexes and exact reduced homology.
 
-Complexes are stored by their facets. Two degenerate cases are
-distinguished: the void complex (no faces at all, zero homology everywhere)
-and the empty complex (whose only face is the empty one, carrying one unit
-of reduced homology in degree -1). Homology ranks are computed over a prime
-field or, for characteristic 0, over the rationals.
+A complex is passed around as its face family, a plain dict
+{dimension: [sorted index tuples]}; no complex type is stored. A complex
+given by generating facets becomes such a dict through ``faces_by_dim``.
+Two degenerate cases are distinguished: the void complex, {} (no faces at
+all, zero homology everywhere), and the empty complex, {-1: [()]} (whose
+only face is the empty one, carrying one unit of reduced homology in
+degree -1). Homology ranks are computed over a prime field or, for
+characteristic 0, over the rationals.
 
-The homology core works on explicit per-dimension face lists, so large
-face families (chain enumerations, truncated skeleta) can skip facet
-extraction entirely. A family need not be downward closed: a complex minus
-a subcomplex (a relative family, such as the crosscut complex of an
-lcm-lattice interval taken relative to the star of one atom) spans its
-relative chain complex, because the boundary terms that fall outside the
-family are the ones that vanish in the quotient. The core has one
-reduction path: the boundary maps are assembled and reduced bottom-up,
-unit pivots first, and the faces that were pivot columns of one map are
-cleared from the rows of the next (clearing, as in Bauer-Kerber-Reininghaus
-and Ripser). What is left is a small dense core, ranked by one int64
-elimination for every prime p < 2^31, or by fraction-free (Bareiss)
-elimination over the rationals.
+A family need not be downward closed: a complex minus a subcomplex (a
+relative family, such as the crosscut complex of an lcm-lattice interval
+taken relative to the star of one atom) spans its relative chain complex,
+because the boundary terms that fall outside the family are the ones that
+vanish in the quotient. The core has one reduction path: the boundary maps
+are assembled and reduced bottom-up, unit pivots first, and the faces that
+were pivot columns of one map are cleared from the rows of the next
+(clearing, as in Bauer-Kerber-Reininghaus and Ripser). What is left is a
+small dense core, ranked by one int64 elimination for every prime
+p < 2^31, or by fraction-free (Bareiss) elimination over the rationals.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """Downward-closed face set, represented by its maximal faces.
-
-    ``facets == ()`` is the void complex; ``facets == ((),)`` is the empty
-    complex. Construction sorts faces, dedupes, and drops non-maximal ones.
-    """
-
-    facets: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        faces = {tuple(sorted(set(f))) for f in self.facets}
-        maximal = tuple(sorted(
-            f for f in faces
-            if not any(f != g and set(f) <= set(g) for g in faces)
-        ))
-        object.__setattr__(self, "facets", maximal)
-
-    @classmethod
-    def from_faces(cls, faces) -> "SimplicialComplex":
-        return cls(tuple(tuple(f) for f in faces))
-
-    @property
-    def is_void(self) -> bool:
-        return not self.facets
-
-    @property
-    def dim(self) -> int:
-        """Highest face dimension; -1 for the empty complex, -2 if void."""
-        return max((len(f) for f in self.facets), default=-1) - 1
-
-    def faces_by_dim(self) -> dict[int, list[tuple[int, ...]]]:
-        """All faces grouped by dimension; the empty face sits at -1.
-        The void complex returns an empty dict."""
-        if self.is_void:
-            return {}
-        grouped: dict[int, set] = {-1: {()}}
-        for f in self.facets:
-            for r in range(1, len(f) + 1):
-                grouped.setdefault(r - 1, set()).update(combinations(f, r))
-        return {d: sorted(fs) for d, fs in sorted(grouped.items())}
+def faces_by_dim(facets) -> dict[int, list[tuple[int, ...]]]:
+    """Every face of the complex generated by ``facets`` (vertex
+    collections), as sorted index tuples grouped by dimension, each
+    dimension in lexicographic order; the empty face sits at -1. No facets
+    give the void complex, {}; the facet () alone gives the empty complex,
+    {-1: [()]}. Facets need not be maximal."""
+    grouped: dict[int, set] = {}
+    for f in {tuple(sorted(set(f))) for f in facets}:
+        for r in range(len(f) + 1):
+            grouped.setdefault(r - 1, set()).update(combinations(f, r))
+    return {d: sorted(fs) for d, fs in sorted(grouped.items())}
 
 
 def _unit_pivot_reduce(rows, cols, signs, n_rows: int, n_cols: int):

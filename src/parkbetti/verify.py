@@ -210,9 +210,7 @@ def verify_graph(G: Multigraph, chars=DEFAULT_CHARS, audit: bool = False) -> Ver
         return None
 
     def check_concentration():
-        rows = interval_homology_audit(
-            lat_j, chars, label=lambda m: m.to_str(ideal_j.variables)
-        )
+        rows = interval_homology_audit(ideal_j, lat_j, chars)
         audit_rows.extend(rows)
         for row in rows:
             expected = {row["rank"] - 2: abs(row["mobius"])} if row["mobius"] else {}

@@ -4,7 +4,8 @@ Everything here recomputes from first principles, reading only the plain
 fields of a Multigraph (n, edges, sink). No package algorithm is reused, so
 agreement between an oracle and the implementation is meaningful evidence.
 The matrix oracle likewise works on plain lists of integers, the boundary
-and relative-to-star oracles on plain face lists, and the crosscut and
+and relative-to-star oracles on plain face lists, the order-complex oracle
+on a lattice's elements and pairwise order test only, and the crosscut and
 lcm-closure and Koszul oracles on monomials given as plain
 {variable: exponent} dicts.
 """
@@ -205,6 +206,28 @@ def boundary_matrices(faces: dict[int, list[tuple[int, ...]]]) -> dict[int, np.n
                 mat[index[d - 1][f[:k] + f[k + 1:]], j] = -1 if k % 2 else 1
         mats[d] = mat
     return mats
+
+
+def interval_chain_faces(lattice, y) -> dict[int, list[tuple[int, ...]]]:
+    """Order complex of the open interval (bottom, y): every chain, keyed by
+    dimension, each dimension in lexicographic order. Chain entries are
+    positions in the interior sorted by the number of interior elements
+    below, a topological order, so the family is deterministic and downward
+    closed. Reads only ``elements``, ``bottom`` and ``leq``."""
+    if y == lattice.bottom:
+        raise ValueError("the open interval below the bottom is undefined")
+    interior = [x for x in lattice.elements if x not in (lattice.bottom, y) and lattice.leq(x, y)]
+    interior.sort(key=lambda b: sum(lattice.leq(a, b) for a in interior))
+    succ = [
+        [k for k in range(i + 1, len(interior)) if lattice.leq(interior[i], interior[k])]
+        for i in range(len(interior))
+    ]
+    faces = {-1: [()]}
+    level = [(i,) for i in range(len(interior))]
+    while level:
+        faces[len(level[0]) - 1] = level
+        level = [c + (k,) for c in level for k in succ[c[-1]]]
+    return faces
 
 
 def _dict_lcm(a: dict, b: dict) -> dict:

@@ -23,7 +23,6 @@ from parkbetti import (
     enumerate_connected_cuts,
     generate_corpus,
     is_parking_function,
-    is_parking_function_bruteforce,
     lcm_lattice,
     minimalize,
     oriented_cutset_ideal,
@@ -32,7 +31,7 @@ from parkbetti import (
     verify_graph,
 )
 
-from _oracles import boundary_matrices
+from _oracles import boundary_matrices, interval_chain_faces, is_pf_oracle
 from conftest import KITE_TEXT
 
 CORPUS_TIME_BUDGET = 600.0  # seconds, single-threaded
@@ -158,7 +157,7 @@ def test_criterion_7_sanity_invariants(corpus_reports):
             Gs = G.with_sink(s)
             box = [range(Gs.degrees[v]) for v in Gs.nonsink_vertices]
             for config in product(*box):
-                if is_parking_function(Gs, config) != is_parking_function_bruteforce(Gs, config):
+                if is_parking_function(Gs, config) != is_pf_oracle(Gs, config):
                     recognizers_agree = False
                     witness = f"{Gs} sink v{s+1} config {config}"
                     break
@@ -181,7 +180,7 @@ def test_criterion_8_property_suite():
     for y in lat_j.elements:
         if y == lat_j.bottom:
             continue
-        mats = boundary_matrices(lat_j.interval_chain_faces(y))
+        mats = boundary_matrices(interval_chain_faces(lat_j, y))
         for d in mats:
             if d + 1 in mats and mats[d].size and mats[d + 1].size:
                 if np.any(mats[d] @ mats[d + 1]):

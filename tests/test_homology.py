@@ -10,7 +10,6 @@ from parkbetti import (
     Monomial,
     MonomialCode,
     MonomialIdeal,
-    SimplicialComplex,
     betti_gpw,
     betti_koszul,
     betti_mobius,
@@ -18,9 +17,9 @@ from parkbetti import (
     crosscut_faces,
     cutset_ideal,
     dual_connected_partition_lattice,
+    faces_by_dim,
     generate_corpus,
     graph_to_text,
-    homology_over_chars,
     interval_homology,
     interval_homology_audit,
     koszul_complex,
@@ -31,31 +30,35 @@ from parkbetti import (
     rank_over,
     variable_symmetries,
 )
+from parkbetti.homology import DEFAULT_CHARS, _agreeing_dims
 from parkbetti.simplicial import homology_from_faces_multi
 
 from _oracles import (
     betti_wilmes_oracle,
     boundary_matrices,
     crosscut_faces_oracle,
+    interval_chain_faces,
     koszul_faces_oracle,
     rank_oracle,
     relative_to_star,
 )
 from conftest import multigraphs
 
-RP2 = SimplicialComplex((
+RP2_FACETS = (
     (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
     (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
-))
+)
+RP2 = faces_by_dim(RP2_FACETS)
 
 
 def seeded_complexes():
-    """RP2 and 40 seeded random complexes on at most 7 vertices."""
+    """Face families of RP2 and 40 seeded random complexes on at most 7
+    vertices."""
     rng = random.Random(11)
     return [RP2] + [
-        SimplicialComplex(tuple(
-            tuple(rng.sample(range(7), rng.randint(1, 4))) for _ in range(rng.randint(1, 9))
-        ))
+        faces_by_dim(
+            rng.sample(range(7), rng.randint(1, 4)) for _ in range(rng.randint(1, 9))
+        )
         for _ in range(40)
     ]
 
@@ -68,7 +71,7 @@ def rp2_stanley_reisner_ideal():
         tuple(
             Monomial.of({variables[i]: 1 for i in t})
             for t in combinations(range(6), 3)
-            if t not in RP2.facets
+            if t not in RP2_FACETS
         ),
         minimalized=True,
     )
@@ -78,53 +81,56 @@ def nonzero(dims):
     return {d: v for d, v in dims.items() if v}
 
 
-def reduced_homology_dims(cpx, char):
-    return homology_from_faces_multi(cpx.faces_by_dim(), (char,))[char]
+def reduced_homology_dims(faces, char):
+    return homology_from_faces_multi(faces, (char,))[char]
 
 
 def chain_homology(lat, y):
     """Reduced homology of the whole order complex of (bottom, y)."""
-    by_char = homology_from_faces_multi(lat.interval_chain_faces(y), (32003, 2))
+    by_char = homology_from_faces_multi(interval_chain_faces(lat, y), (32003, 2))
     assert by_char[32003] == by_char[2]
     return by_char[2]
 
 
 class TestSimplicialComplex:
     def test_facet_canonicalization(self):
-        cpx = SimplicialComplex.from_faces([(0, 1), (1,), (0,), (), (1, 0)])
-        assert cpx.facets == ((0, 1),)
+        # faces of a facet, repeated or reordered facets add nothing
+        edge = {-1: [()], 0: [(0,), (1,)], 1: [(0, 1)]}
+        assert faces_by_dim([(0, 1), (1,), (0,), (), (1, 0)]) == edge
+        assert faces_by_dim([(1, 0, 1)]) == edge
 
     def test_void_vs_empty(self):
-        assert SimplicialComplex(()).is_void
-        empty = SimplicialComplex(((),))
-        assert not empty.is_void and empty.dim == -1
+        assert faces_by_dim([]) == {}
+        assert faces_by_dim([()]) == {-1: [()]}
 
     def test_faces_by_dim(self):
-        cpx = SimplicialComplex(((0, 1, 2),))
-        faces = cpx.faces_by_dim()
+        faces = faces_by_dim([(0, 1, 2)])
         assert faces[-1] == [()]
         assert faces[1] == [(0, 1), (0, 2), (1, 2)]
+        assert faces_by_dim([(0, 1), (1, 2), (3,)]) == {
+            -1: [()], 0: [(0,), (1,), (2,), (3,)], 1: [(0, 1), (1, 2)],
+        }
 
 
 class TestReducedHomology:
     def test_empty_and_void(self):
-        assert reduced_homology_dims(SimplicialComplex(((),)), 2) == {-1: 1}
-        assert reduced_homology_dims(SimplicialComplex(()), 2) == {}
+        assert reduced_homology_dims(faces_by_dim([()]), 2) == {-1: 1}
+        assert reduced_homology_dims(faces_by_dim([]), 2) == {}
 
     def test_isolated_points(self):
-        cpx = SimplicialComplex(((0,), (1,), (2,), (3,)))
-        assert nonzero(reduced_homology_dims(cpx, 32003)) == {0: 3}
+        points = faces_by_dim([(0,), (1,), (2,), (3,)])
+        assert nonzero(reduced_homology_dims(points, 32003)) == {0: 3}
 
     def test_circle_sphere_disc(self):
-        circle = SimplicialComplex(((0, 1), (1, 2), (0, 2)))
+        circle = faces_by_dim([(0, 1), (1, 2), (0, 2)])
         assert nonzero(reduced_homology_dims(circle, 32003)) == {1: 1}
-        sphere = SimplicialComplex(((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
+        sphere = faces_by_dim([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
         assert nonzero(reduced_homology_dims(sphere, 32003)) == {2: 1}
-        disc = SimplicialComplex(((0, 1, 2),))
+        disc = faces_by_dim([(0, 1, 2)])
         assert nonzero(reduced_homology_dims(disc, 32003)) == {}
 
     def test_all_characteristics_agree_on_spheres(self):
-        sphere = SimplicialComplex(((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
+        sphere = faces_by_dim([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
         for char in (0, 2, 3, 32003):
             assert nonzero(reduced_homology_dims(sphere, char)) == {2: 1}
 
@@ -133,10 +139,10 @@ class TestReducedHomology:
         assert nonzero(reduced_homology_dims(RP2, 32003)) == {}
         assert nonzero(reduced_homology_dims(RP2, 0)) == {}
         with pytest.raises(CharacteristicDisagreement):
-            homology_over_chars(RP2)
+            _agreeing_dims(RP2, DEFAULT_CHARS, str)
 
     def test_boundary_matrices_compose_to_zero(self):
-        mats = boundary_matrices(RP2.faces_by_dim())
+        mats = boundary_matrices(RP2)
         for d in mats:
             if d + 1 in mats:
                 assert not np.any(mats[d] @ mats[d + 1])
@@ -148,30 +154,28 @@ class TestReducedHomology:
             rank_over(np.eye(2, dtype=int), 2**31 + 11)  # a prime, but too large
         # rejected even where no dense core is left to rank
         with pytest.raises(ValueError):
-            reduced_homology_dims(SimplicialComplex(((0,),)), 4)
+            reduced_homology_dims(faces_by_dim([(0,)]), 4)
 
     def test_matches_full_boundary_ranks(self):
         # the cleared reduction against plain ranks of the whole boundary maps
-        for cpx in seeded_complexes():
-            faces = cpx.faces_by_dim()
+        for faces in seeded_complexes():
             mats = boundary_matrices(faces)
             for char in (2, 3, 0):
                 ranks = {d: rank_oracle(m.tolist(), char) for d, m in mats.items()}
                 expected = {
                     d: len(faces[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0) for d in faces
                 }
-                assert reduced_homology_dims(cpx, char) == expected, (cpx.facets, char)
+                assert reduced_homology_dims(faces, char) == expected, (faces, char)
 
     def test_relative_to_star_keeps_homology(self):
         # H~(D) = H(del v, lk v): RP2's 2-torsion checks the identity over
         # fields of both kinds
-        for cpx in seeded_complexes():
-            faces = cpx.faces_by_dim()
+        for faces in seeded_complexes():
             relative = relative_to_star(faces)
             for char in (2, 3, 0):
                 full = homology_from_faces_multi(faces, (char,))[char]
                 via_star = homology_from_faces_multi(relative, (char,))[char]
-                assert nonzero(via_star) == nonzero(full), (cpx.facets, char)
+                assert nonzero(via_star) == nonzero(full), (faces, char)
 
 
 class TestRankOver:
@@ -337,14 +341,13 @@ class TestBettiPipelines:
 class TestKoszulComplex:
     def test_principal_degree(self):
         ideal = MonomialIdeal(("x1",), (Monomial.of({"x1": 2}),), minimalized=True)
-        cpx = koszul_complex(ideal, Monomial.of({"x1": 2}))
-        assert cpx.facets == ((),)
+        assert koszul_complex(ideal, Monomial.of({"x1": 2})) == {-1: [()]}
 
     def test_k3_top_degree(self, k3):
         ideal = parking_ideal(k3)
-        cpx = koszul_complex(ideal, Monomial.of({"x1": 2, "x2": 2}))
+        faces = koszul_complex(ideal, Monomial.of({"x1": 2, "x2": 2}))
         # both strips stay inside the ideal: a full segment, contractible
-        assert nonzero(reduced_homology_dims(cpx, 2)) == {}
+        assert nonzero(reduced_homology_dims(faces, 2)) == {}
 
     @given(multigraphs())
     def test_facets_match_membership_oracle(self, G):
@@ -356,12 +359,12 @@ class TestKoszulComplex:
             for m in lcm_lattice(ideal).elements:
                 degree = {v: m.exponent(v) for v in ideal.variables if m.exponent(v)}
                 want = koszul_faces_oracle(plain, degree)
-                assert koszul_complex(ideal, m).faces_by_dim() == want, (graph_to_text(G), str(m))
+                assert koszul_complex(ideal, m) == want, (graph_to_text(G), str(m))
             # a generator less one variable: no minimal generator divides it
             g = ideal.generators[0]
             v, e = g.exps[0]
             below = Monomial.of({**dict(g.exps), v: e - 1})
-            assert koszul_complex(ideal, below).is_void
+            assert koszul_complex(ideal, below) == {}
             assert koszul_faces_oracle(plain, dict(below.exps)) == {}
 
 
@@ -370,10 +373,29 @@ class TestAuditAndEuler:
         for G in generate_corpus(4, max_edges=5, include_multi=True):
             ideal = cutset_ideal(G)
             lat = lcm_lattice(ideal)
-            rows = interval_homology_audit(lat)
+            rows = interval_homology_audit(ideal, lat)
             for row in rows:
                 expected = {row["rank"] - 2: abs(row["mobius"])} if row["mobius"] else {}
                 assert row["homology"] == expected, (graph_to_text(G), row)
+
+    @given(multigraphs())
+    def test_audit_matches_order_complex_oracle(self, G):
+        # crosscut audit rows against rows rebuilt from every chain of each
+        # interval of lcm(J)
+        ideal = cutset_ideal(G)
+        lat = lcm_lattice(ideal)
+        mu = lat.mobius()
+        want = [
+            {
+                "element": y.to_str(ideal.variables),
+                "rank": lat.rank(y),
+                "mobius": mu[y],
+                "homology": nonzero(chain_homology(lat, y)),
+            }
+            for y in lat.elements
+            if y != lat.bottom
+        ]
+        assert interval_homology_audit(ideal, lat) == want, graph_to_text(G)
 
     def test_euler_characteristic_equals_mobius(self, kite):
         lat = lcm_lattice(cutset_ideal(kite))
