@@ -86,11 +86,7 @@ class Multigraph:
             if e.label in seen:
                 raise GraphValidationError(f"duplicate edge label {e.label!r}")
             seen.add(e.label)
-        adj = [0] * self.n
-        for e in self.edges:
-            adj[e.tail] |= 1 << e.head
-            adj[e.head] |= 1 << e.tail
-        if _reachable(adj, 0) != (1 << self.n) - 1:
+        if _reach_within(self.adjacency_masks, 1, self.full_mask) != self.full_mask:
             raise GraphValidationError("graph is not connected")
 
     @cached_property
@@ -117,22 +113,21 @@ class Multigraph:
     def nonsink_vertices(self) -> tuple[int, ...]:
         return tuple(v for v in range(self.n) if v != self.sink)
 
-    def vertex_name(self, v: int) -> str:
-        return f"v{v + 1}"
-
     def with_sink(self, sink: int) -> "Multigraph":
         """Same graph, same orientation, different sink (0-based index)."""
         return replace(self, sink=sink)
 
 
-def _reachable(adjacency_masks, start: int) -> int:
-    seen = 1 << start
-    frontier = seen
+def _reach_within(adjacency_masks, start: int, within: int) -> int:
+    """Mask of the vertices reachable from the vertex mask ``start`` along
+    paths that stay inside the vertex mask ``within``."""
+    seen = start
+    frontier = start
     while frontier:
         nxt = 0
         for v in bits(frontier):
             nxt |= adjacency_masks[v]
-        frontier = nxt & ~seen
+        frontier = nxt & within & ~seen
         seen |= frontier
     return seen
 
@@ -143,36 +138,17 @@ def is_connected_induced(G: Multigraph, subset: int) -> bool:
         raise ValueError("subset must be non-empty")
     if subset & ~G.full_mask:
         raise ValueError("subset contains vertices outside the graph")
-    adj = G.adjacency_masks
-    start = subset & -subset
-    seen = start
-    frontier = start
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= adj[v]
-        frontier = nxt & subset & ~seen
-        seen |= frontier
-    return seen == subset
+    return _reach_within(G.adjacency_masks, subset & -subset, subset) == subset
 
 
 def connected_components(G: Multigraph, mask: int) -> list[int]:
     """Vertex masks of the connected components of the induced subgraph."""
-    adj = G.adjacency_masks
     components = []
     remaining = mask
     while remaining:
-        start = remaining & -remaining
-        seen = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= adj[v]
-            frontier = nxt & mask & ~seen
-            seen |= frontier
-        components.append(seen)
-        remaining &= ~seen
+        component = _reach_within(G.adjacency_masks, remaining & -remaining, mask)
+        components.append(component)
+        remaining &= ~component
     return components
 
 
@@ -415,16 +391,22 @@ def parse_graph(text: str) -> Multigraph:
             raw_edges.append((parts[0], _parse_int(parts[1], stmt), _parse_int(parts[2], stmt)))
     if n is None:
         raise GraphParseError("missing v:<n> header")
+    return _graph_from_rows(n, raw_edges, sink)
+
+
+def _graph_from_rows(n: int, rows, sink) -> Multigraph:
+    """Validated graph from 1-based ``(label, i, j)`` edge rows and an
+    optional 1-based sink, shared by both input formats."""
     if n < 1:
         raise GraphValidationError("graph needs at least one vertex")
     edges = []
-    for label, i, j in raw_edges:
+    for label, i, j in rows:
         if not (1 <= i <= n and 1 <= j <= n):
             raise GraphValidationError(f"edge {label!r} references a vertex outside 1..{n}")
         edges.append(Edge(label, min(i, j) - 1, max(i, j) - 1))
-    if sink is not None and not 1 <= sink <= n:
+    if sink is not None and not 1 <= int(sink) <= n:
         raise GraphValidationError(f"sink {sink} outside 1..{n}")
-    return Multigraph(n, tuple(edges), n - 1 if sink is None else sink - 1)
+    return Multigraph(n, tuple(edges), n - 1 if sink is None else int(sink) - 1)
 
 
 def _statements(text: str):
@@ -474,14 +456,4 @@ def graph_from_json(doc) -> Multigraph:
         rows = [(str(label), int(i), int(j)) for label, i, j in doc.get("edges", [])]
     except (TypeError, ValueError) as exc:
         raise GraphParseError(f"malformed JSON graph document: {exc}") from None
-    if n < 1:
-        raise GraphValidationError("graph needs at least one vertex")
-    edges = []
-    for label, i, j in rows:
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise GraphValidationError(f"edge {label!r} references a vertex outside 1..{n}")
-        edges.append(Edge(label, min(i, j) - 1, max(i, j) - 1))
-    sink = doc.get("sink")
-    if sink is not None and not 1 <= int(sink) <= n:
-        raise GraphValidationError(f"sink {sink} outside 1..{n}")
-    return Multigraph(n, tuple(edges), n - 1 if sink is None else int(sink) - 1)
+    return _graph_from_rows(n, rows, doc.get("sink"))

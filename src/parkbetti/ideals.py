@@ -77,11 +77,13 @@ class Monomial:
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """A list of monomial generators over a declared, ordered variable set."""
+    """A list of monomial generators over a declared, ordered variable set.
+
+    The list need not be minimal; ``minimalize`` makes it so, and
+    ``lcm_lattice`` checks it."""
 
     variables: tuple[str, ...]
     generators: tuple[Monomial, ...]
-    minimalized: bool = False
 
     def __post_init__(self):
         declared = set(self.variables)
@@ -156,7 +158,7 @@ def parking_ideal(G: Multigraph) -> MonomialIdeal:
         Monomial.of({f"x{v + 1}": boundary_degree(G, c.u_side, v) for v in bits(c.u_side)})
         for c in enumerate_connected_cuts(G)
     )
-    return MonomialIdeal(variables, gens, minimalized=True)
+    return MonomialIdeal(variables, gens)
 
 
 def cutset_ideal(G: Multigraph) -> MonomialIdeal:
@@ -166,7 +168,7 @@ def cutset_ideal(G: Multigraph) -> MonomialIdeal:
         Monomial.of({f"y_{label}": 1 for label in cut_set(G, c)})
         for c in enumerate_connected_cuts(G)
     )
-    return MonomialIdeal(variables, gens, minimalized=True)
+    return MonomialIdeal(variables, gens)
 
 
 def oriented_cutset_ideal(G: Multigraph) -> MonomialIdeal:
@@ -184,7 +186,7 @@ def oriented_cutset_ideal(G: Multigraph) -> MonomialIdeal:
             elif head_in and not tail_in:
                 exps[f"z2_{e.label}"] = 1
         gens.append(Monomial.of(exps))
-    return MonomialIdeal(variables, tuple(gens), minimalized=True)
+    return MonomialIdeal(variables, tuple(gens))
 
 
 def minimalize(ideal: MonomialIdeal) -> MonomialIdeal:
@@ -195,13 +197,15 @@ def minimalize(ideal: MonomialIdeal) -> MonomialIdeal:
     for g in gens:
         if not any(h.divides(g) for h in kept):
             kept.append(g)
-    return MonomialIdeal(ideal.variables, tuple(kept), minimalized=True)
+    return MonomialIdeal(ideal.variables, tuple(kept))
 
 
 def lcm_lattice(ideal: MonomialIdeal) -> FiniteLattice:
     """Divisibility lattice on all lcms of generator subsets, with the
-    constant monomial adjoined as the bottom. Atoms are the generators.
-    Elements come out sorted by (degree, exponent vector).
+    constant monomial adjoined as the bottom. Atoms are the generators, so
+    they must be minimal: a ``ValueError`` is raised when one generator
+    divides another, duplicates included. Elements come out sorted by
+    (degree, exponent vector).
 
     The closure runs on ``MonomialCode`` ints, where lcm is bitwise OR. Every
     lcm of a generator subset is reached by adding one generator at a time,
@@ -210,14 +214,15 @@ def lcm_lattice(ideal: MonomialIdeal) -> FiniteLattice:
     order matrix by array arithmetic."""
     if not ideal.generators:
         raise ValueError("the zero ideal has no lcm-lattice")
-    if not ideal.minimalized:
-        raise ValueError("lcm-lattice requires a minimalized ideal")
     variables = ideal.variables
     code = MonomialCode(variables, ideal.generators)
-    found = set(code.generators)
+    gens = code.generators
+    if any(i != j and g & ~h == 0 for i, g in enumerate(gens) for j, h in enumerate(gens)):
+        raise ValueError("lcm-lattice requires a minimal generating set")
+    found = set(gens)
     frontier = found
     while frontier:
-        frontier = {f | g for f in frontier for g in code.generators} - found
+        frontier = {f | g for f in frontier for g in gens} - found
         found |= frontier
     found.add(0)
     matrix = code.exponents(list(found))

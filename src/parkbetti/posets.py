@@ -246,15 +246,12 @@ def connected_common_refinement(
 
 def lattice_isomorphism_failure(L1: FiniteLattice, L2: FiniteLattice, mapping) -> str | None:
     """None when the mapping is an order isomorphism L1 -> L2; otherwise the
-    reason: 'not-bijective' or 'order-violation'. The mapping (a dict or a
-    callable) must be total on L1 and land inside L2."""
-    if callable(mapping):
-        images = [mapping(x) for x in L1.elements]
-    else:
-        try:
-            images = [mapping[x] for x in L1.elements]
-        except KeyError as exc:
-            raise ValueError(f"mapping is not total: missing {exc.args[0]!r}") from None
+    reason: 'not-bijective' or 'order-violation'. The mapping dict must be
+    total on L1 and land inside L2."""
+    try:
+        images = [mapping[x] for x in L1.elements]
+    except KeyError as exc:
+        raise ValueError(f"mapping is not total: missing {exc.args[0]!r}") from None
     for y in images:
         if y not in L2:
             raise ValueError(f"image {y!r} is not an element of the codomain lattice")
@@ -271,11 +268,11 @@ def lattice_isomorphism(L1: FiniteLattice, L2: FiniteLattice, mapping) -> bool:
     return lattice_isomorphism_failure(L1, L2, mapping) is None
 
 
-def lattice_to_json(L: FiniteLattice, label: Callable = str) -> dict:
+def lattice_to_json(L: FiniteLattice) -> dict:
     """Elements, covers, Mobius values, and ranks (when graded) as one dict."""
     mu = L.mobius()
     doc = {
-        "elements": [label(x) for x in L.elements],
+        "elements": [str(x) for x in L.elements],
         "covers": sorted([i, j] for i, j in L.cover_pairs()),
         "mobius": [mu[x] for x in L.elements],
     }
@@ -286,17 +283,13 @@ def lattice_to_json(L: FiniteLattice, label: Callable = str) -> dict:
     return doc
 
 
-def lattice_to_dot(
-    L: FiniteLattice,
-    label: Callable = str,
-    annotate: Callable | None = None,
-) -> str:
+def lattice_to_dot(L: FiniteLattice, annotate: Callable | None = None) -> str:
     """Hasse diagram in DOT form, bottom at the bottom, Mobius values on
     every node, extra per-node lines via ``annotate``."""
     mu = L.mobius()
     lines = ["digraph lattice {", "  rankdir=BT;", '  node [shape=box];']
     for i, x in enumerate(L.elements):
-        text = f"{label(x)}\\nmu={mu[x]}"
+        text = f"{x}\\nmu={mu[x]}"
         if annotate is not None:
             extra = annotate(x)
             if extra:

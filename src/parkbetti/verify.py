@@ -2,9 +2,11 @@
 
 ``verify_graph`` runs every structural identity the engine promises on one
 graph, sweeping sink-dependent constructions over all sink choices, and
-returns a report whose JSON form is byte-stable (timings are kept out of it
-unless explicitly requested). ``generate_corpus`` produces the deterministic
-universes of small connected graphs the acceptance suite sweeps.
+returns a report whose JSON form is byte-stable. The report always keeps the
+check timings and the per-interval homology-concentration audit;
+``to_json_dict`` includes either only on request. ``generate_corpus``
+produces the deterministic universes of small connected graphs the
+acceptance suite sweeps.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ class VerificationReport:
         return doc
 
 
-def verify_graph(G: Multigraph, chars=DEFAULT_CHARS, audit: bool = False) -> VerificationReport:
+def verify_graph(G: Multigraph, chars=DEFAULT_CHARS) -> VerificationReport:
     """Run every check on one graph. Failures become report entries carrying
     a minimal witness, never exceptions."""
     if G.n < 2:
@@ -125,6 +127,8 @@ def verify_graph(G: Multigraph, chars=DEFAULT_CHARS, audit: bool = False) -> Ver
     ideal_j = cutset_ideal(G)
     lat_j = lcm_lattice(ideal_j)
     per_sink = {s: G.with_sink(s) for s in range(G.n)}
+    parking = {s: parking_ideal(Gs) for s, Gs in per_sink.items()}
+    oriented = {s: oriented_cutset_ideal(Gs) for s, Gs in per_sink.items()}
 
     def check_cuts_vs_atoms():
         atom_blocks = {p.blocks for p in lattice_dual.atoms()}
@@ -159,30 +163,31 @@ def verify_graph(G: Multigraph, chars=DEFAULT_CHARS, audit: bool = False) -> Ver
         return None
 
     def check_cutset_duality():
+        separated = {p: separating_edges(G, p) for p in lattice_dual.elements}
         phi = {
-            p: Monomial.of({f"y_{label}": 1 for label in separating_edges(G, p)})
-            for p in lattice_dual.elements
+            p: Monomial.of({f"y_{label}": 1 for label in edges})
+            for p, edges in separated.items()
         }
         reason = lattice_isomorphism_failure(lattice_dual, lat_j, phi)
         if reason is not None:
             return f"edge-separation map is not an isomorphism: {reason}"
-        for p, q in itertools.combinations(lattice_dual.elements, 2):
+        for (p, p_edges), (q, q_edges) in itertools.combinations(separated.items(), 2):
             joined = connected_common_refinement(G, p, q)
-            if separating_edges(G, joined) != separating_edges(G, p) | separating_edges(G, q):
+            if separating_edges(G, joined) != p_edges | q_edges:
                 return f"separating edges of the join of {p} and {q} are not the union"
         return None
 
     def check_parking_specialization():
         for s, Gs in per_sink.items():
-            ideal_i = parking_ideal(Gs)
-            got = apply_substitution(oriented_cutset_ideal(Gs), shared_vertex_substitution(Gs))
+            ideal_i = parking[s]
+            got = apply_substitution(oriented[s], shared_vertex_substitution(Gs))
             if got.variables != ideal_i.variables or got.generator_set() != ideal_i.generator_set():
                 return f"sink v{s + 1}: specialized generators {sorted(got.generator_strings())}"
         return None
 
     def check_cutset_specialization():
         for s, Gs in per_sink.items():
-            got = apply_substitution(oriented_cutset_ideal(Gs), forget_orientation_substitution(Gs))
+            got = apply_substitution(oriented[s], forget_orientation_substitution(Gs))
             if got.variables != ideal_j.variables or got.generator_set() != ideal_j.generator_set():
                 return f"sink v{s + 1}: specialized generators {sorted(got.generator_strings())}"
         return None
@@ -194,14 +199,11 @@ def verify_graph(G: Multigraph, chars=DEFAULT_CHARS, audit: bool = False) -> Ver
             "gpw-J": betti_gpw(ideal_j, chars, symmetries=variable_symmetries(G, "y")),
         }
         for s, Gs in per_sink.items():
-            ideal_i = parking_ideal(Gs)
             sym_x = variable_symmetries(Gs, "x")
             sym_z = variable_symmetries(Gs, "z")
-            results[f"gpw-I/sink-v{s + 1}"] = betti_gpw(ideal_i, chars, symmetries=sym_x)
-            results[f"gpw-K/sink-v{s + 1}"] = betti_gpw(
-                oriented_cutset_ideal(Gs), chars, symmetries=sym_z
-            )
-            results[f"koszul-I/sink-v{s + 1}"] = betti_koszul(ideal_i, chars, symmetries=sym_x)
+            results[f"gpw-I/sink-v{s + 1}"] = betti_gpw(parking[s], chars, symmetries=sym_x)
+            results[f"gpw-K/sink-v{s + 1}"] = betti_gpw(oriented[s], chars, symmetries=sym_z)
+            results[f"koszul-I/sink-v{s + 1}"] = betti_koszul(parking[s], chars, symmetries=sym_x)
         betti_doc.update({name: list(vec) for name, vec in results.items()})
         if len(set(results.values())) != 1:
             return "methods disagree: " + ", ".join(
@@ -221,22 +223,24 @@ def verify_graph(G: Multigraph, chars=DEFAULT_CHARS, audit: bool = False) -> Ver
                 )
         return None
 
-    run("cuts-vs-atoms", check_cuts_vs_atoms)
-    run("pf-count-vs-trees", check_pf_counts)
-    run("mpf-sink-invariance", check_mpf_invariance)
-    run("mobius-vs-mpf", check_mobius_vs_mpf)
-    run("cutset-lattice-duality", check_cutset_duality)
-    run("parking-specialization", check_parking_specialization)
-    run("cutset-specialization", check_cutset_specialization)
-    run("betti-methods-agree", check_betti_agreement)
-    run("homology-concentration", check_concentration)
-    assert tuple(c.name for c in checks) == CHECK_NAMES
+    for name, fn in zip(CHECK_NAMES, (
+        check_cuts_vs_atoms,
+        check_pf_counts,
+        check_mpf_invariance,
+        check_mobius_vs_mpf,
+        check_cutset_duality,
+        check_parking_specialization,
+        check_cutset_specialization,
+        check_betti_agreement,
+        check_concentration,
+    ), strict=True):
+        run(name, fn)
 
     return VerificationReport(
         graph=graph_to_text(G),
         checks=checks,
         betti=betti_doc,
-        audit=audit_rows if audit else [],
+        audit=audit_rows,
         timings=timings,
     )
 
@@ -372,11 +376,11 @@ def export_figure(G: Multigraph, format: str = "dot") -> str:
         return [f"I: {triple[0]}", f"J: {triple[1]}", f"K: {triple[2]}"]
 
     if format == "dot":
-        return lattice_to_dot(lat, label=str, annotate=annotate)
+        return lattice_to_dot(lat, annotate=annotate)
     if format == "json":
         import json as _json
 
-        doc = lattice_to_json(lat, label=str)
+        doc = lattice_to_json(lat)
         by_rank: dict[int, list[int]] = defaultdict(list)
         for x in lat.elements:
             by_rank[lat.rank(x)].append(mu[x])

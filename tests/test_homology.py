@@ -73,7 +73,6 @@ def rp2_stanley_reisner_ideal():
             for t in combinations(range(6), 3)
             if t not in RP2_FACETS
         ),
-        minimalized=True,
     )
 
 
@@ -313,7 +312,7 @@ class TestBettiPipelines:
         )
 
     def test_principal_ideal(self):
-        principal = MonomialIdeal(("x1",), (Monomial.of({"x1": 5}),), minimalized=True)
+        principal = MonomialIdeal(("x1",), (Monomial.of({"x1": 5}),))
         assert betti_gpw(principal) == (1,)
         assert betti_koszul(principal) == (1,)
 
@@ -340,7 +339,7 @@ class TestBettiPipelines:
 
 class TestKoszulComplex:
     def test_principal_degree(self):
-        ideal = MonomialIdeal(("x1",), (Monomial.of({"x1": 2}),), minimalized=True)
+        ideal = MonomialIdeal(("x1",), (Monomial.of({"x1": 2}),))
         assert koszul_complex(ideal, Monomial.of({"x1": 2})) == {-1: [()]}
 
     def test_k3_top_degree(self, k3):

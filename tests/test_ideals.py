@@ -207,9 +207,9 @@ class TestLcmLattice:
 
     def test_requires_minimalized_nonempty(self):
         with pytest.raises(ValueError):
-            lcm_lattice(MonomialIdeal(("x1",), (), minimalized=True))
+            lcm_lattice(MonomialIdeal(("x1",), ()))
         with pytest.raises(ValueError):
-            lcm_lattice(MonomialIdeal(("x1",), (Monomial.of({"x1": 1}),), minimalized=False))
+            lcm_lattice(MonomialIdeal(("x1",), (Monomial.of({"x1": 1}), Monomial.of({"x1": 2}))))
 
 
 class TestSubstitutions:

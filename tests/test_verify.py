@@ -15,6 +15,7 @@ from parkbetti import (
     verify_graph,
 )
 from parkbetti import verify as verify_module
+from parkbetti.verify import CHECK_NAMES
 from parkbetti.cli import main
 
 from conftest import KITE_TEXT, multigraphs
@@ -128,9 +129,11 @@ class TestVerifyGraph:
             verify_graph(parse_graph("v:1"))
 
     def test_audit_rows_included_on_request(self, k3):
-        report = verify_graph(k3, audit=True)
+        report = verify_graph(k3)
         assert report.audit
         assert {row["rank"] for row in report.audit} == {1, 2}
+        assert "audit" not in report.to_json_dict()
+        assert report.to_json_dict(include_audit=True)["audit"] == report.audit
 
     @settings(max_examples=30)
     @given(multigraphs())
@@ -235,6 +238,12 @@ class TestCli:
         assert main(["verify", self.write(tmp_path)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["all_passed"] is True
+
+    def test_verify_audit_and_timings(self, tmp_path, capsys):
+        assert main(["verify", self.write(tmp_path), "--audit", "--timings"]) == 0
+        (report,) = json.loads(capsys.readouterr().out)["reports"]
+        assert len(report["audit"]) == 12
+        assert set(report["timings"]) == set(CHECK_NAMES)
 
     def test_verify_pretty(self, tmp_path, capsys):
         assert main(["verify", self.write(tmp_path), "--pretty"]) == 0
