@@ -79,6 +79,7 @@ from .verify import (
     canonical_form,
     export_figure,
     generate_corpus,
+    verification_corpus,
     verify_corpus,
     verify_graph,
 )

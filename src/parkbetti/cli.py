@@ -31,7 +31,7 @@ from .posets import (
     lattice_to_dot,
     lattice_to_json,
 )
-from .verify import canonical_form, export_figure, generate_corpus, verify_corpus
+from .verify import export_figure, verification_corpus, verify_corpus
 
 IDEAL_BUILDERS = {"I": parking_ideal, "J": cutset_ideal, "K": oriented_cutset_ideal}
 
@@ -115,13 +115,7 @@ def cmd_betti(args) -> int:
 def cmd_verify(args) -> int:
     chars = _chars(args.char)
     if args.corpus is not None:
-        # every simple graph up to the vertex bound; the edge budget applies
-        # to the parallel-edge variants (generated for n <= 5)
-        cap = args.corpus * (args.corpus - 1) // 2
-        graphs = generate_corpus(args.corpus, max_edges=cap, include_multi=False)
-        if not args.no_multi:
-            extra = generate_corpus(min(args.corpus, 5), args.max_edges, include_multi=True)
-            graphs = _dedup(graphs + extra)
+        graphs = verification_corpus(args.corpus, args.max_edges, include_multi=not args.no_multi)
     else:
         graphs = [_load_graph(args.file, args.sink)]
     reports = verify_corpus(graphs, chars=chars, jobs=args.jobs)
@@ -145,17 +139,6 @@ def cmd_verify(args) -> int:
         }
         print(json.dumps(doc, sort_keys=True))
     return 0 if ok else 1
-
-
-def _dedup(graphs):
-    seen = set()
-    out = []
-    for G in graphs:
-        key = canonical_form(G)
-        if key not in seen:
-            seen.add(key)
-            out.append(G)
-    return out
 
 
 def cmd_figure(args) -> int:

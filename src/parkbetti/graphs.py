@@ -404,9 +404,9 @@ def _graph_from_rows(n: int, rows, sink) -> Multigraph:
         if not (1 <= i <= n and 1 <= j <= n):
             raise GraphValidationError(f"edge {label!r} references a vertex outside 1..{n}")
         edges.append(Edge(label, min(i, j) - 1, max(i, j) - 1))
-    if sink is not None and not 1 <= int(sink) <= n:
+    if sink is not None and not 1 <= sink <= n:
         raise GraphValidationError(f"sink {sink} outside 1..{n}")
-    return Multigraph(n, tuple(edges), n - 1 if sink is None else int(sink) - 1)
+    return Multigraph(n, tuple(edges), n - 1 if sink is None else sink - 1)
 
 
 def _statements(text: str):
@@ -452,8 +452,17 @@ def graph_from_json(doc) -> Multigraph:
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise GraphParseError("JSON graph document needs a 'vertices' field")
     try:
-        n = int(doc["vertices"])
-        rows = [(str(label), int(i), int(j)) for label, i, j in doc.get("edges", [])]
-    except (TypeError, ValueError) as exc:
+        n = _json_int(doc["vertices"])
+        rows = [(str(label), _json_int(i), _json_int(j)) for label, i, j in doc.get("edges", [])]
+        sink = None if doc.get("sink") is None else _json_int(doc["sink"])
+    except (TypeError, ValueError, OverflowError) as exc:
         raise GraphParseError(f"malformed JSON graph document: {exc}") from None
-    return _graph_from_rows(n, rows, doc.get("sink"))
+    return _graph_from_rows(n, rows, sink)
+
+
+def _json_int(value) -> int:
+    """``int()`` of a JSON field, rejecting a dropped fraction (1.5 is not 1)."""
+    number = int(value)
+    if not isinstance(value, str) and number != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return number

@@ -210,8 +210,9 @@ def lcm_lattice(ideal: MonomialIdeal) -> FiniteLattice:
     The closure runs on ``MonomialCode`` ints, where lcm is bitwise OR. Every
     lcm of a generator subset is reached by adding one generator at a time,
     so each new code is OR-ed with the generator codes only. The codes are
-    then decoded to exponent vectors, which give the element order and the
-    order matrix by array arithmetic."""
+    then decoded to exponent vectors, which give the element order and,
+    divisibility being the componentwise order on them, the lattice's
+    vectors: no order matrix is built here."""
     if not ideal.generators:
         raise ValueError("the zero ideal has no lcm-lattice")
     variables = ideal.variables
@@ -229,15 +230,10 @@ def lcm_lattice(ideal: MonomialIdeal) -> FiniteLattice:
     # np.lexsort sorts by its last key first: degree, then the exponents
     # from the first variable on
     matrix = matrix[np.lexsort(np.vstack([matrix[:, ::-1].T, matrix.sum(axis=1)]))]
-    # one N x N compare per variable: an N x N x #variables array would not fit
-    # in memory for the larger 6-vertex lattices
-    leq = np.ones((len(matrix), len(matrix)), dtype=bool)
-    for column in matrix.T:
-        leq &= column[:, None] <= column[None, :]
     elements = [
         Monomial.of({v: e for v, e in zip(variables, row) if e}) for row in matrix.tolist()
     ]
-    return FiniteLattice(elements, leq)
+    return FiniteLattice(elements, matrix)
 
 
 @dataclass(frozen=True, eq=False)

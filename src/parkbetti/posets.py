@@ -1,19 +1,13 @@
-"""Explicit finite lattices.
+"""Explicit finite lattices: integer vectors under the componentwise order.
 
-One engine covers both lattice families used here: the connected-partition
-lattice of a multigraph (and its order dual) and the divisibility lattice of
-monomial lcms. It stores the full order matrix, derives covers, ranks, and
-Mobius values, and tests candidate order isomorphisms. It builds no order
-complexes: interval homology, in the Betti computation and in the audit
-alike, uses the crosscut model, which needs only the generators dividing
-each element (see ``homology``). The order serves the Mobius values, the
-ranks and the lattice isomorphism.
-
-The two order products (the transitivity check and the covers) run as
-float32 BLAS matrix products compared with 0, which is exact at every size
-(see ``_two_step``). The transitivity check runs on construction; the
-covers are derived on first use, so a lattice whose elements are all that
-is read never pays for them.
+Both lattice families used here are such orders: the divisibility lattice of
+monomial lcms (exponent vectors) and the connected-partition lattice of a
+multigraph (0/1 vectors over vertex pairs), whose order dual negates them.
+The N x N order matrix is built on first use; it serves covers, ranks,
+Mobius values, joins, meets and the lattice isomorphism. Interval homology
+uses the crosscut model, which needs only the generators dividing each
+element (see ``homology``), so ``betti_gpw`` and ``betti_koszul`` read the
+elements of their lcm-lattices and never build the order matrix.
 """
 
 from __future__ import annotations
@@ -26,6 +20,7 @@ import numpy as np
 from .graphs import (
     ConnectedPartition,
     Multigraph,
+    bits,
     connected_components,
     connected_partitions,
 )
@@ -54,55 +49,53 @@ def _two_step(rel: np.ndarray) -> np.ndarray:
 
 
 class FiniteLattice:
-    """A finite lattice given by an explicit element list and order relation.
+    """Elements with one integer vector each, under the componentwise order:
+    x <= y when x's vector is <= y's in every coordinate.
 
-    The order is validated on construction (distinct elements; reflexive,
-    antisymmetric, transitive; unique bottom and top). Transitivity is
-    checked with one float32 product of the order matrix with itself (exact,
-    see ``_two_step``). The covers take a second such product and are
-    derived the first time covers, atoms or ranks are asked for. Joins and
-    meets are computed on demand with a uniqueness check, so a merely
-    bounded poset is caught the first time a pair has no least upper bound.
-    Ranks are computed lazily from maximal chain lengths and demand
-    gradedness; Mobius values come from the defining recursion in exact
-    integer arithmetic.
+    The order is reflexive and transitive by construction, so construction
+    checks only, in O(N * k), distinct elements, distinct vectors
+    (antisymmetry), and that the componentwise minimum and maximum are
+    vectors (unique bottom and top). The order matrix is built when the
+    order is first read, the covers (one exact float32 product, see
+    ``_two_step``) when covers, atoms or ranks are first asked for. Joins and
+    meets check uniqueness, so a merely bounded poset is caught the first
+    time a pair has no least upper bound. Ranks demand gradedness; Mobius
+    values come from the defining recursion in exact integer arithmetic.
     """
 
-    def __init__(self, elements: Sequence, leq):
+    def __init__(self, elements: Sequence, vectors):
         self._elements = list(elements)
         count = len(self._elements)
         if count == 0:
             raise LatticeError("a lattice needs at least one element")
-        self._index = {}
-        for i, x in enumerate(self._elements):
-            if x in self._index:
-                raise LatticeError(f"duplicate element {x!r}")
-            self._index[x] = i
-        if callable(leq):
-            rel = np.zeros((count, count), dtype=bool)
-            for i, x in enumerate(self._elements):
-                for j, y in enumerate(self._elements):
-                    rel[i, j] = bool(leq(x, y))
-        else:
-            rel = np.array(leq, dtype=bool)
-            if rel.shape != (count, count):
-                raise LatticeError("order matrix shape mismatch")
-        if not rel.diagonal().all():
-            raise LatticeError("order is not reflexive")
-        if np.any(rel & rel.T & ~np.eye(count, dtype=bool)):
-            raise LatticeError("order is not antisymmetric")
-        if np.any(_two_step(rel) & ~rel):
-            raise LatticeError("order is not transitive")
-        bottoms = np.flatnonzero(rel.all(axis=1))
-        tops = np.flatnonzero(rel.all(axis=0))
-        if len(bottoms) != 1 or len(tops) != 1:
+        self._index = {x: i for i, x in enumerate(self._elements)}
+        if len(self._index) != count:
+            raise LatticeError("duplicate element")
+        vectors = np.asarray(vectors, dtype=np.int64)
+        if vectors.ndim != 2 or len(vectors) != count:
+            raise LatticeError("need one vector per element")
+        if len(set(map(tuple, vectors.tolist()))) != count:
+            raise LatticeError("two elements share a vector")
+        # the vectors are distinct, so at most one equals each extreme
+        bottom, top = ((vectors == end).all(axis=1) for end in (vectors.min(axis=0), vectors.max(axis=0)))
+        if not (bottom.any() and top.any()):
             raise LatticeError("lattice must have a unique bottom and top")
-        self._leq = rel
-        self._bottom = int(bottoms[0])
-        self._top = int(tops[0])
-        self._strict = rel & ~np.eye(count, dtype=bool)
-        self._ranks = None
-        self._mobius = None
+        self._vectors = vectors
+        self._bottom, self._top = int(bottom.argmax()), int(top.argmax())
+
+    @cached_property
+    def _leq(self) -> np.ndarray:
+        # one N x N compare per coordinate: an N x N x k array would not fit
+        # in memory for the larger 6-vertex lattices
+        count = len(self._elements)
+        leq = np.ones((count, count), dtype=bool)
+        for column in self._vectors.T:
+            leq &= column[:, None] <= column[None, :]
+        return leq
+
+    @cached_property
+    def _strict(self) -> np.ndarray:
+        return self._leq & ~np.eye(len(self._elements), dtype=bool)
 
     @cached_property
     def _covers(self) -> np.ndarray:
@@ -171,57 +164,59 @@ class FiniteLattice:
         return self._elements[greatest[0]]
 
     def _topological_order(self) -> np.ndarray:
-        # strictly-below counts grow along the order, so sorting by them is
-        # a valid topological order
-        return np.argsort(self._strict.sum(axis=0), kind="stable")
+        # a strictly larger vector has a strictly larger coordinate sum
+        return np.argsort(self._vectors.sum(axis=1), kind="stable")
 
-    def _rank_vector(self) -> np.ndarray:
-        if self._ranks is None:
-            count = len(self._elements)
-            rank = np.zeros(count, dtype=np.int64)
-            into = [np.flatnonzero(self._covers[:, k]) for k in range(count)]
-            for k in self._topological_order():
-                if len(into[k]):
-                    rank[k] = rank[into[k]].max() + 1
-            ii, jj = np.nonzero(self._covers)
-            if np.any(rank[jj] != rank[ii] + 1):
-                raise NotGradedError("lattice is not graded")
-            self._ranks = rank
-        return self._ranks
+    @cached_property
+    def _ranks(self) -> np.ndarray:
+        rank = np.zeros(len(self._elements), dtype=np.int64)
+        for k in self._topological_order():
+            rank[k] = rank[self._covers[:, k]].max(initial=-1) + 1
+        ii, jj = np.nonzero(self._covers)
+        if np.any(rank[jj] != rank[ii] + 1):
+            raise NotGradedError("lattice is not graded")
+        return rank
 
     def rank(self, x) -> int:
         """Length of a maximal chain from the bottom to x (graded lattices)."""
-        return int(self._rank_vector()[self.index_of(x)])
+        return int(self._ranks[self.index_of(x)])
 
     def rank_profile(self) -> tuple[int, ...]:
         """Element counts per rank, bottom upward."""
-        ranks = self._rank_vector()
-        return tuple(int((ranks == r).sum()) for r in range(int(ranks.max()) + 1))
+        return tuple(np.bincount(self._ranks).tolist())
+
+    @cached_property
+    def _mobius(self) -> list[int]:
+        mu = [0] * len(self._elements)
+        mu[self._bottom] = 1
+        for k in self._topological_order():
+            k = int(k)
+            if k != self._bottom:
+                mu[k] = -sum(mu[int(b)] for b in np.flatnonzero(self._strict[:, k]))
+        return mu
 
     def mobius(self) -> dict:
         """mu(bottom, x) for every element x, via the defining recursion."""
-        if self._mobius is None:
-            mu = [0] * len(self._elements)
-            mu[self._bottom] = 1
-            for k in self._topological_order():
-                k = int(k)
-                if k == self._bottom:
-                    continue
-                below = np.flatnonzero(self._strict[:, k])
-                mu[k] = -sum(mu[int(b)] for b in below)
-            self._mobius = mu
-        return {x: self._mobius[i] for i, x in enumerate(self._elements)}
+        return dict(zip(self._elements, self._mobius))
 
     def dual(self) -> "FiniteLattice":
-        """Same elements, reversed order."""
-        return FiniteLattice(self._elements, self._leq.T)
+        """Same elements, reversed order: the vectors negated."""
+        return FiniteLattice(self._elements, -self._vectors)
 
 
 def connected_partition_lattice(G: Multigraph) -> FiniteLattice:
     """Lattice of connected partitions under refinement: finer partitions lie
     lower, the all-singletons partition is the bottom, the one-block
-    partition the top."""
-    return FiniteLattice(connected_partitions(G), lambda p, q: p.refines(q))
+    partition the top. A partition's vector reads 1 at each vertex pair
+    u < v sharing a block: p refines q exactly when every pair together in p
+    is together in q."""
+    partitions = connected_partitions(G)
+    labels = np.zeros((len(partitions), G.n), dtype=np.int64)
+    for i, p in enumerate(partitions):
+        for b, block in enumerate(p.blocks):
+            labels[i, list(bits(block))] = b
+    u, v = np.triu_indices(G.n, k=1)
+    return FiniteLattice(partitions, labels[:, u] == labels[:, v])
 
 
 def dual_connected_partition_lattice(G: Multigraph) -> FiniteLattice:

@@ -349,6 +349,19 @@ def generate_corpus(max_vertices: int, max_edges: int, include_multi: bool = Fal
     return [_graph_from_pairs(n, list(pairs)) for _, (n, pairs) in ordered]
 
 
+def verification_corpus(max_vertices: int, max_edges: int = 8, include_multi: bool = True) -> list[Multigraph]:
+    """Every connected simple graph on up to ``max_vertices`` vertices, then
+    (``include_multi``) the parallel-edge variants on up to 5 vertices within
+    ``max_edges`` edges not isomorphic to one already listed.
+    ``verification_corpus(5)`` is the 401-graph acceptance corpus."""
+    cap = max_vertices * (max_vertices - 1) // 2
+    graphs = {canonical_form(G): G for G in generate_corpus(max_vertices, max_edges=cap)}
+    if include_multi:
+        for G in generate_corpus(min(max_vertices, 5), max_edges, include_multi=True):
+            graphs.setdefault(canonical_form(G), G)
+    return list(graphs.values())
+
+
 def export_figure(G: Multigraph, format: str = "dot") -> str:
     """Dual connected-partition lattice with Mobius annotations and, on each
     atom, its three ideal generators (parking, cut-set, oriented)."""

@@ -17,7 +17,6 @@ from parkbetti import (
     betti_koszul,
     betti_mobius,
     betti_wilmes,
-    canonical_form,
     cutset_ideal,
     dual_connected_partition_lattice,
     enumerate_connected_cuts,
@@ -28,6 +27,7 @@ from parkbetti import (
     oriented_cutset_ideal,
     parking_ideal,
     parse_graph,
+    verification_corpus,
     verify_graph,
 )
 
@@ -43,20 +43,9 @@ def report_line(criterion: str, passed: bool, detail: str = ""):
     assert passed, f"acceptance {criterion} failed: {detail}"
 
 
-def acceptance_corpus():
-    graphs = generate_corpus(5, max_edges=10, include_multi=False)
-    seen = {canonical_form(G) for G in graphs}
-    for G in generate_corpus(5, max_edges=8, include_multi=True):
-        key = canonical_form(G)
-        if key not in seen:
-            seen.add(key)
-            graphs.append(G)
-    return graphs
-
-
 @pytest.fixture(scope="module")
 def corpus_reports():
-    graphs = acceptance_corpus()
+    graphs = verification_corpus(5)
     start = time.perf_counter()
     reports = [verify_graph(G) for G in graphs]
     elapsed = time.perf_counter() - start

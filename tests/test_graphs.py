@@ -103,6 +103,24 @@ class TestParsing:
         G2 = graph_from_json({"vertices": 3, "edges": [["a", 1, 2], ["b", 2, 3]], "sink": 1})
         assert G1 == G2
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"vertices": 2, "edges": [["a", 1, 2]], "sink": "abc"},
+            {"vertices": 2, "edges": [["a", 1, 2]], "sink": 1.5},
+            {"vertices": 2, "edges": [["a", 1, 1.7]]},
+            {"vertices": 2.9, "edges": [["a", 1, 2]]},
+        ],
+    )
+    def test_json_non_integer_rejected(self, doc):
+        # each of these was once read as a number: an error, or truncated
+        with pytest.raises(GraphParseError):
+            graph_from_json(doc)
+
+    def test_json_integral_values_accepted(self):
+        doc = {"vertices": 2.0, "edges": [["a", "1", 2.0]], "sink": "1"}
+        assert graph_from_json(doc) == parse_graph("v:2; a 1 2; sink:1")
+
 
 class TestConnectivity:
     def test_kite_subsets(self, kite):

@@ -10,6 +10,7 @@ from parkbetti import (
     LatticeError,
     Monomial,
     NotGradedError,
+    betti_gpw,
     bits,
     connected_common_refinement,
     connected_partition_lattice,
@@ -28,20 +29,21 @@ from parkbetti import (
     parse_graph,
     separating_edges,
 )
+from parkbetti import homology
 from parkbetti.posets import _two_step
 
 from _oracles import interval_chain_faces
 from conftest import multigraphs
 
 
-def divisor_lattice(n):
-    divs = [d for d in range(1, n + 1) if n % d == 0]
-    return FiniteLattice(divs, lambda a, b: b % a == 0)
+def chain(n):
+    return FiniteLattice(range(n), [[i] for i in range(n)])
 
 
 class TestFiniteLattice:
     def test_divisors_of_six(self):
-        L = divisor_lattice(6)
+        # divisors of 6 by their exponent vectors over the primes 2 and 3
+        L = FiniteLattice([1, 2, 3, 6], [[0, 0], [1, 0], [0, 1], [1, 1]])
         assert L.bottom == 1 and L.top == 6
         assert L.join(2, 3) == 6 and L.meet(2, 3) == 1
         assert L.rank_profile() == (1, 2, 1)
@@ -49,42 +51,34 @@ class TestFiniteLattice:
         assert mu == {1: 1, 2: -1, 3: -1, 6: 1}
 
     def test_chain_mobius(self):
-        L = FiniteLattice([0, 1, 2], lambda a, b: a <= b)
+        L = chain(3)
         assert L.mobius() == {0: 1, 1: -1, 2: 0}
 
     def test_poset_without_top_rejected(self):
         with pytest.raises(LatticeError):
-            FiniteLattice(["bot", "x", "y"], lambda a, b: a == b or a == "bot")
+            FiniteLattice(["bot", "x", "y"], [[0, 0], [1, 0], [0, 1]])
 
-    def test_non_transitive_rejected(self):
-        rel = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
+    def test_shared_vector_rejected(self):
+        # equal vectors would make two elements below each other
+        with pytest.raises(LatticeError, match="share a vector"):
+            FiniteLattice(["a", "b", "c"], [[0], [1], [1]])
+
+    def test_duplicate_element_and_empty_rejected(self):
+        with pytest.raises(LatticeError, match="duplicate"):
+            FiniteLattice(["a", "a"], [[0], [1]])
         with pytest.raises(LatticeError):
-            FiniteLattice(["a", "b", "c"], rel)
+            FiniteLattice([], [])
 
     def test_long_chain_covers_and_rank(self):
         # 258 elements: path counts pass 255, where 8-bit products wrap
         n = 258
-        L = FiniteLattice(range(n), np.triu(np.ones((n, n), dtype=bool)))
+        L = chain(n)
         assert L.upper_covers(0) == [1]
         assert L.rank(n - 1) == n - 1
 
-    def test_long_chain_missing_relation_rejected(self):
-        # exactly 256 two-step paths lead from 0 to 257
-        n = 258
-        rel = np.triu(np.ones((n, n), dtype=bool))
-        rel[0, n - 1] = False
-        with pytest.raises(LatticeError, match="transitive"):
-            FiniteLattice(range(n), rel)
-
     def test_not_graded_detected(self):
-        order = {
-            ("0", "0"), ("0", "a"), ("0", "b"), ("0", "c"), ("0", "1"),
-            ("a", "a"), ("a", "1"),
-            ("b", "b"), ("b", "c"), ("b", "1"),
-            ("c", "c"), ("c", "1"),
-            ("1", "1"),
-        }
-        L = FiniteLattice(["0", "a", "b", "c", "1"], lambda x, y: (x, y) in order)
+        # the pentagon: 0 < a < 1 and 0 < b < c < 1, a beside b and c
+        L = FiniteLattice(["0", "a", "b", "c", "1"], [[0, 0], [1, 0], [0, 1], [0, 2], [1, 2]])
         with pytest.raises(NotGradedError):
             L.rank("1")
 
@@ -93,8 +87,7 @@ class TestFiniteLattice:
         assert L.dual().dual() == L
 
     def test_chain_self_dual(self):
-        L = FiniteLattice([0, 1, 2, 3], lambda a, b: a <= b)
-        D = L.dual()
+        D = chain(4).dual()
         assert D.bottom == 3 and D.top == 0
         assert D.rank_profile() == (1, 1, 1, 1)
 
@@ -144,6 +137,33 @@ class TestOrderProducts:
         for L in lattices:
             assert "_covers" not in vars(L)  # made on first use, not on construction
             assert set(L.cover_pairs()) == brute_force_covers(L)
+
+
+class TestLazyOrder:
+    @given(multigraphs())
+    def test_partition_order_is_refinement(self, G):
+        L = connected_partition_lattice(G)
+        D = L.dual()
+        for p in L.elements:
+            for q in L.elements:
+                assert L.leq(p, q) == p.refines(q)
+                assert D.leq(q, p) == p.refines(q)
+
+    def test_lcm_lattice_elements_build_no_order(self, kite, monkeypatch):
+        ideal = parking_ideal(kite)
+        L = lcm_lattice(ideal)
+        assert L.elements[0] == L.bottom and len(L) == 33
+        built = []
+
+        def recording(ideal):
+            built.append(lcm_lattice(ideal))
+            return built[-1]
+
+        monkeypatch.setattr(homology, "lcm_lattice", recording)
+        betti_gpw(ideal)
+        assert built
+        for lat in [L, *built]:
+            assert "_leq" not in vars(lat)
 
 
 class TestPartitionLattices:
@@ -303,17 +323,17 @@ class TestIsomorphism:
         assert lattice_isomorphism(Ld, LJ, phi)
 
     def test_non_bijective_reported(self):
-        L = FiniteLattice([0, 1, 2], lambda a, b: a <= b)
+        L = chain(3)
         collapse = {0: 0, 1: 0, 2: 2}
         assert lattice_isomorphism_failure(L, L, collapse) == "not-bijective"
 
     def test_order_violation_reported(self):
-        L = FiniteLattice([0, 1, 2], lambda a, b: a <= b)
+        L = chain(3)
         swap = {0: 0, 1: 2, 2: 1}
         assert lattice_isomorphism_failure(L, L, swap) == "order-violation"
 
     def test_partial_map_rejected(self):
-        L = FiniteLattice([0, 1], lambda a, b: a <= b)
+        L = chain(2)
         with pytest.raises(ValueError):
             lattice_isomorphism(L, L, {0: 0})
 

@@ -11,6 +11,7 @@ from parkbetti import (
     generate_corpus,
     graph_to_text,
     parse_graph,
+    verification_corpus,
     verify_corpus,
     verify_graph,
 )
@@ -55,6 +56,14 @@ class TestCorpusGeneration:
             generate_corpus(1, max_edges=3)
         with pytest.raises(ValueError):
             generate_corpus(8, max_edges=3)
+
+    def test_verification_corpus(self):
+        corpus = verification_corpus(5)
+        keys = [canonical_form(G) for G in corpus]
+        assert len(corpus) == 401 and len(set(keys)) == 401
+        simple = generate_corpus(5, max_edges=10)
+        assert corpus[: len(simple)] == simple
+        assert verification_corpus(5, include_multi=False) == simple
 
     def test_canonical_form_invariance(self):
         G1 = parse_graph("v:3; a 1 2; b 2 3")
