@@ -28,25 +28,25 @@ def _validated(G: Multigraph, config) -> ChipConfig:
 def is_parking_function(G: Multigraph, config) -> bool:
     """Burning test: start a fire at the sink; a vertex burns when its edges
     into the fire outnumber its chips. Parking functions are exactly the
-    configurations that burn completely."""
+    configurations that burn completely.
+
+    The fire spreads edge by edge (Dhar's burning algorithm): when a vertex
+    burns, each unburnt neighbour loses one chip per edge joining them, and
+    a vertex whose count falls below zero burns. Burning only grows, so the
+    order in which burning vertices are taken does not change the result,
+    and each edge is crossed at most twice."""
     config = _validated(G, config)
     chips = dict(zip(G.nonsink_vertices, config))
+    ends = G.incident_endpoints
     burnt = 1 << G.sink
-    progressed = True
-    while progressed:
-        progressed = False
-        for v, c in chips.items():
-            if (burnt >> v) & 1:
-                continue
-            heat = 0
-            for e in G.edges:
-                if e.tail == v and (burnt >> e.head) & 1:
-                    heat += 1
-                elif e.head == v and (burnt >> e.tail) & 1:
-                    heat += 1
-            if c < heat:
-                burnt |= 1 << v
-                progressed = True
+    fire = [G.sink]
+    while fire:
+        for v in ends[fire.pop()]:
+            if not (burnt >> v) & 1:
+                chips[v] -= 1
+                if chips[v] < 0:
+                    burnt |= 1 << v
+                    fire.append(v)
     return burnt == G.full_mask
 
 

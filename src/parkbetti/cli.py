@@ -201,7 +201,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="edge budget for corpus generation (default 8)")
     p.add_argument("--no-multi", action="store_true",
                    help="skip parallel-edge variants in the corpus")
-    p.add_argument("--jobs", type=int, default=1, metavar="K")
+    p.add_argument("--jobs", type=int, default=1, metavar="K",
+                   help="worker processes for a corpus (at least 1, default 1)")
     p.add_argument("--char", default=None, metavar="P")
     p.add_argument("--pretty", action="store_true", help="table output instead of JSON")
     p.add_argument("--verbose", action="store_true", help="list passing checks too")
@@ -225,6 +226,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "verify" and args.file is None and args.corpus is None:
         parser.error("verify needs a file or --corpus N")
+    if args.command == "verify" and args.jobs < 1:
+        parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
     try:
         return args.fn(args)
     except (GraphParseError, GraphValidationError) as exc:

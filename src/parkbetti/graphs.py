@@ -102,6 +102,16 @@ class Multigraph:
         return tuple(adj)
 
     @cached_property
+    def incident_endpoints(self) -> tuple[tuple[int, ...], ...]:
+        """For each vertex, the far endpoint of each incident edge, in edge
+        order: a neighbour appears once per parallel edge."""
+        ends: list[list[int]] = [[] for _ in range(self.n)]
+        for e in self.edges:
+            ends[e.tail].append(e.head)
+            ends[e.head].append(e.tail)
+        return tuple(map(tuple, ends))
+
+    @cached_property
     def degrees(self) -> tuple[int, ...]:
         deg = [0] * self.n
         for e in self.edges:

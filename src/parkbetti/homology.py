@@ -51,6 +51,18 @@ Inside an interval the method works on integer-coded monomials
 monomials is the OR of their codes and "a divides b" is ``a & ~b == 0``.
 Crosscut faces grow by OR-ing atom codes, and the atoms below an element
 come from one mask test each.
+
+Most complexes repeat inside one lattice, so each call of ``betti_gpw``,
+``betti_koszul`` and ``interval_homology_audit`` reduces every distinct
+complex once, through a plain dict that lives in the closure the call
+builds. Its keys are exact: an interval is keyed by its relative crosscut
+face family itself, which is all the reduction reads (each interval's own
+degree cap is applied after the lookup), and a Koszul complex by its set
+of generator facets, which determines every face. The memo lives for one
+call and no longer: nothing is shared between calls, so every call does
+the same work whatever ran before it. A characteristic disagreement
+propagates and is never stored, so it is raised at the same element, with
+the same message, as if there were no memo.
 """
 
 from __future__ import annotations
@@ -144,12 +156,18 @@ def interval_homology(
     ``code`` is the integer code of the lattice's ideal; its generators are
     the atoms. ``context`` builds the label of a characteristic
     disagreement, only when one is raised."""
+    faces, max_degree = _interval_faces(y, code, variable_count)
+    dims = _agreeing_dims(faces, chars, context)
+    return {d: v for d, v in dims.items() if d <= max_degree}
+
+
+def _interval_faces(y: Monomial, code: MonomialCode, variable_count: int):
+    """The relative crosscut faces of (1, y) that ``interval_homology``
+    reduces, and the highest degree where its homology can be nonzero."""
     top = code.encode(y)
     atoms = [a for a in code.generators if not a & ~top]
     max_degree = max(min(variable_count - 2, len(atoms) - 2), -1)
-    faces = crosscut_faces(atoms, top, max_degree + 2)
-    dims = _agreeing_dims(faces, chars, context)
-    return {d: v for d, v in dims.items() if d <= max_degree}
+    return crosscut_faces(atoms, top, max_degree + 2), max_degree
 
 
 def _as_vector(betti: dict[int, int]) -> tuple[int, ...]:
@@ -223,12 +241,21 @@ def _lattice_betti(ideal: MonomialIdeal, symmetries, dims_at) -> tuple[int, ...]
 
 def _interval_dims(ideal: MonomialIdeal, chars) -> Callable[[Monomial], dict[int, int]]:
     """``interval_homology`` at the elements of lcm(ideal): the one interval
-    model, shared by ``betti_gpw`` and the audit."""
+    model, shared by ``betti_gpw`` and the audit. Each distinct face family
+    is reduced once per closure (see the module docstring)."""
     code = MonomialCode(ideal.variables, ideal.generators)
     variable_count = len(ideal.variables)
-    return lambda m: interval_homology(
-        m, code, variable_count, chars, context=partial(m.to_str, ideal.variables)
-    )
+    memo: dict[tuple, dict[int, int]] = {}
+
+    def dims_at(m: Monomial) -> dict[int, int]:
+        faces, max_degree = _interval_faces(m, code, variable_count)
+        key = tuple((d, tuple(fs)) for d, fs in faces.items())
+        dims = memo.get(key)
+        if dims is None:
+            dims = memo[key] = _agreeing_dims(faces, chars, partial(m.to_str, ideal.variables))
+        return {d: v for d, v in dims.items() if d <= max_degree}
+
+    return dims_at
 
 
 def betti_gpw(ideal: MonomialIdeal, chars=DEFAULT_CHARS, symmetries=()) -> tuple[int, ...]:
@@ -251,9 +278,15 @@ def koszul_complex(ideal: MonomialIdeal, degree: Monomial) -> dict[int, list[tup
     generator g divides m with g_v < m_v for every v in F, so the facets are
     {v in supp m : g_v < m_v}, one for each generator g dividing m. When no
     generator divides m the complex is void, {}."""
+    return faces_by_dim(_koszul_facets(ideal, degree))
+
+
+def _koszul_facets(ideal: MonomialIdeal, degree: Monomial) -> frozenset[tuple[int, ...]]:
+    """The generator facets of K^m(I), m = ``degree`` (see ``koszul_complex``);
+    they determine the complex."""
     support = [v for v in ideal.variables if degree.exponent(v) > 0]
-    return faces_by_dim(
-        [k for k, v in enumerate(support) if g.exponent(v) < degree.exponent(v)]
+    return frozenset(
+        tuple(k for k, v in enumerate(support) if g.exponent(v) < degree.exponent(v))
         for g in ideal.generators
         if g.divides(degree)
     )
@@ -264,10 +297,20 @@ def betti_koszul(ideal: MonomialIdeal, chars=DEFAULT_CHARS, symmetries=()) -> tu
     upper Koszul complexes at the lcm-lattice elements, each built from its
     generator facets, totaled coarsely and shifted to quotient-ring indexing
     (quotient beta_i = ideal beta_{i-1}, so homology in degree d counts
-    toward beta_{d+2})."""
-    return _lattice_betti(ideal, symmetries, lambda m: _agreeing_dims(
-        koszul_complex(ideal, m), chars, lambda: f"degree {m.to_str(ideal.variables)}"
-    ))
+    toward beta_{d+2}). Complexes with the same generator facets are equal,
+    so each is built and reduced once per call."""
+    memo: dict[frozenset, dict[int, int]] = {}
+
+    def dims_at(m: Monomial) -> dict[int, int]:
+        facets = _koszul_facets(ideal, m)
+        dims = memo.get(facets)
+        if dims is None:
+            dims = memo[facets] = _agreeing_dims(
+                faces_by_dim(facets), chars, lambda: f"degree {m.to_str(ideal.variables)}"
+            )
+        return dims
+
+    return _lattice_betti(ideal, symmetries, dims_at)
 
 
 def betti_mobius(lattice: FiniteLattice) -> tuple[int, ...]:

@@ -254,6 +254,8 @@ def verify_corpus(graphs, chars=DEFAULT_CHARS, jobs: int = 1) -> list[Verificati
     """Verify a list of graphs, optionally across processes; report order
     always follows input order. No more workers than graphs are started,
     since the pool may start all of them at once."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     workers = min(jobs, len(graphs))
     if workers <= 1:
         return [verify_graph(G, chars) for G in graphs]

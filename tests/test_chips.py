@@ -1,6 +1,7 @@
 from itertools import product
 
 import pytest
+from hypothesis import given
 
 from parkbetti import (
     enumerate_parking_functions,
@@ -14,6 +15,7 @@ from parkbetti import (
 )
 
 from _oracles import is_pf_oracle, mpf_oracle, pf_set_oracle
+from conftest import multigraphs
 
 
 def test_recognizer_basics(k3, banana):
@@ -40,6 +42,16 @@ def test_burning_agrees_with_bruteforce_on_full_boxes():
                 assert is_parking_function(Gs, config) == is_pf_oracle(Gs, config), (
                     graph_to_text(Gs), config
                 )
+
+
+@given(multigraphs())
+def test_burning_agrees_with_bruteforce_on_random_multigraphs(G):
+    # one chip past each degree too: such a vertex can never burn
+    box = [range(G.degrees[v] + 1) for v in G.nonsink_vertices]
+    for config in product(*box):
+        assert is_parking_function(G, config) == is_pf_oracle(G, config), (
+            graph_to_text(G), config
+        )
 
 
 def test_enumeration_known_sets(k3, kite, banana):

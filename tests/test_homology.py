@@ -1,4 +1,5 @@
 import random
+from collections import defaultdict
 from itertools import combinations
 
 import numpy as np
@@ -30,7 +31,8 @@ from parkbetti import (
     rank_over,
     variable_symmetries,
 )
-from parkbetti.homology import DEFAULT_CHARS, _agreeing_dims
+from parkbetti import homology as homology_module
+from parkbetti.homology import DEFAULT_CHARS, _agreeing_dims, _orbit_representatives
 from parkbetti.simplicial import homology_from_faces_multi
 
 from _oracles import (
@@ -73,6 +75,15 @@ def rp2_stanley_reisner_ideal():
             for t in combinations(range(6), 3)
             if t not in RP2_FACETS
         ),
+    )
+
+
+def rp2_disagreement():
+    """The message ``betti_gpw`` raises on the RP2 Stanley-Reisner ideal
+    over the default characteristics."""
+    return (
+        "homology depends on the field (char 32003: {-1: 0, 0: 0, 1: 0, 2: 0, 3: 0, 4: 0}; "
+        "char 2: {-1: 0, 0: 0, 1: 1, 2: 1, 3: 0, 4: 0}) [x1*x2*x3*x4*x5*x6]"
     )
 
 
@@ -300,10 +311,7 @@ class TestBettiPipelines:
         assert betti_koszul(ideal, (2,)) == (10, 15, 7, 1)
         with pytest.raises(CharacteristicDisagreement) as gpw:
             betti_gpw(ideal)
-        assert str(gpw.value) == (
-            "homology depends on the field (char 32003: {-1: 0, 0: 0, 1: 0, 2: 0, 3: 0, 4: 0}; "
-            "char 2: {-1: 0, 0: 0, 1: 1, 2: 1, 3: 0, 4: 0}) [x1*x2*x3*x4*x5*x6]"
-        )
+        assert str(gpw.value) == rp2_disagreement()
         with pytest.raises(CharacteristicDisagreement) as koszul:
             betti_koszul(ideal)
         assert str(koszul.value) == (
@@ -335,6 +343,99 @@ class TestBettiPipelines:
     def test_wilmes_needs_two_vertices(self):
         with pytest.raises(ValueError):
             betti_wilmes(parse_graph("v:1"))
+
+
+def uncached_betti(ideal, dims_at):
+    """Betti vector summed over every proper element of lcm(ideal), one
+    homology computation per element, without symmetries."""
+    lat = lcm_lattice(ideal)
+    betti = defaultdict(int)
+    for m in lat.elements:
+        if m != lat.bottom:
+            for degree, dim in dims_at(m).items():
+                betti[degree + 2] += dim
+    top = max((i for i, v in betti.items() if v), default=0)
+    return tuple(betti[i] for i in range(1, top + 1))
+
+
+def face_family_keys(ideal):
+    """The distinct relative crosscut face families of the proper elements
+    of lcm(ideal), as ``interval_homology`` builds them."""
+    code = MonomialCode(ideal.variables, ideal.generators)
+    lat = lcm_lattice(ideal)
+    keys = set()
+    for y in lat.elements:
+        if y == lat.bottom:
+            continue
+        top = code.encode(y)
+        atoms = [a for a in code.generators if not a & ~top]
+        cap = max(min(len(ideal.variables) - 2, len(atoms) - 2), -1) + 2
+        keys.add(tuple((d, tuple(fs)) for d, fs in crosscut_faces(atoms, top, cap).items()))
+    return keys
+
+
+class TestReductionMemo:
+    @pytest.fixture
+    def reductions(self, monkeypatch):
+        calls = []
+        reduce = homology_module.homology_from_faces_multi
+
+        def counted(faces, chars):
+            calls.append(faces)
+            return reduce(faces, chars)
+
+        monkeypatch.setattr(homology_module, "homology_from_faces_multi", counted)
+        return calls
+
+    def test_each_face_family_reduced_once_per_call(self, kite, reductions):
+        ideal = parking_ideal(kite)
+        lat = lcm_lattice(ideal)
+        proper = [m for m in lat.elements if m != lat.bottom]
+        orbits = _orbit_representatives(proper, variable_symmetries(kite, "x"))
+        assert betti_gpw(ideal) == (6, 9, 4)
+        first = len(reductions)
+        assert first == len(face_family_keys(ideal))
+        assert first < len(orbits) < len(proper)
+        # nothing survives the call: the second one reduces as much again
+        assert betti_gpw(ideal) == (6, 9, 4)
+        assert len(reductions) == 2 * first
+
+    def test_koszul_and_audit_memos_are_per_call(self, kite, reductions):
+        parking, cutset = parking_ideal(kite), cutset_ideal(kite)
+        dual = lcm_lattice(cutset)  # graded, as the audit needs
+        for compute, lat in (
+            (lambda: betti_koszul(parking), lcm_lattice(parking)),
+            (lambda: betti_koszul(cutset), dual),
+            (lambda: interval_homology_audit(cutset, dual), dual),
+        ):
+            reductions.clear()
+            want = compute()
+            first = len(reductions)
+            assert 0 < first < len(lat) - 1
+            assert compute() == want
+            assert len(reductions) == 2 * first
+
+    def test_disagreement_raised_again_on_every_call(self):
+        ideal = rp2_stanley_reisner_ideal()
+        for _ in range(2):
+            with pytest.raises(CharacteristicDisagreement) as gpw:
+                betti_gpw(ideal)
+            assert str(gpw.value) == rp2_disagreement()
+
+    @given(multigraphs())
+    def test_matches_uncached_sum_over_every_element(self, G):
+        for build in (parking_ideal, cutset_ideal, oriented_cutset_ideal):
+            ideal = build(G)
+            code = MonomialCode(ideal.variables, ideal.generators)
+            want = uncached_betti(
+                ideal, lambda m: interval_homology(m, code, len(ideal.variables))
+            )
+            assert betti_gpw(ideal) == want, graph_to_text(G)
+        ideal = parking_ideal(G)
+        want = uncached_betti(
+            ideal, lambda m: _agreeing_dims(koszul_complex(ideal, m), DEFAULT_CHARS, str)
+        )
+        assert betti_koszul(ideal) == want, graph_to_text(G)
 
 
 class TestKoszulComplex:

@@ -133,6 +133,11 @@ class TestVerifyGraph:
         assert [r.passed for r in verify_corpus([k3], jobs=3)] == [True]
         assert pools == [2]
 
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_verify_corpus_rejects_fewer_than_one_job(self, k3, jobs):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            verify_corpus([k3], jobs=jobs)
+
     def test_single_vertex_rejected(self):
         with pytest.raises(ValueError):
             verify_graph(parse_graph("v:1"))
@@ -262,6 +267,13 @@ class TestCli:
         assert main(["verify", "--corpus", "3", "--max-edges", "4"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["graphs"] > 0 and doc["all_passed"] is True
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_verify_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, jobs):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", self.write(tmp_path), "--jobs", jobs])
+        assert exit_info.value.code == 2
+        assert "--jobs: must be at least 1" in capsys.readouterr().err
 
     def test_verify_needs_input(self, capsys):
         with pytest.raises(SystemExit):
