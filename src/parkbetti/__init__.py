@@ -52,10 +52,12 @@ from .ideals import (
     apply_substitution,
     cutset_ideal,
     forget_orientation_substitution,
+    lcm_closure,
     lcm_lattice,
     minimalize,
     oriented_cutset_ideal,
     parking_ideal,
+    permute_code,
     permute_monomial,
     shared_vertex_substitution,
     variable_symmetries,

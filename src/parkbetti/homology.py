@@ -46,11 +46,18 @@ deletion, link and star), and homology in degree d reads only degrees
 d - 1, d and d + 1, so faces up to dimension max_degree + 1 give every
 degree up to max_degree.
 
-Inside an interval the method works on integer-coded monomials
-(``MonomialCode``): each variable owns a unary bit field, so the lcm of two
-monomials is the OR of their codes and "a divides b" is ``a & ~b == 0``.
-Crosscut faces grow by OR-ing atom codes, and the atoms below an element
-come from one mask test each.
+The whole lattice loop of ``betti_gpw`` and ``betti_koszul`` runs on
+integer-coded monomials (``MonomialCode``): each variable owns a unary bit
+field, so the lcm of two monomials is the OR of their codes and "a divides
+b" is ``a & ~b == 0``. The lattice elements are the codes ``lcm_closure``
+returns, in the order of ``lcm_lattice``; no ``FiniteLattice`` and no
+``Monomial`` is built for them. A symmetry moves whole bit fields
+(``MonomialCode.permutation``), so orbits are found on codes too. Crosscut
+faces grow by OR-ing atom codes, the atoms below an element come from one
+mask test each, and the Koszul facet of a generator g at m reads which
+fields of m & ~g are nonzero. Variable names come back only to label a
+characteristic disagreement. The audit walks the elements of the lattice
+it is given and encodes each once.
 
 Most complexes repeat inside one lattice, so each call of ``betti_gpw``,
 ``betti_koszul`` and ``interval_homology_audit`` reduces every distinct
@@ -73,7 +80,7 @@ from typing import Callable
 
 from .chips import mpf_count
 from .graphs import Multigraph, connected_partitions, contract
-from .ideals import Monomial, MonomialCode, MonomialIdeal, lcm_lattice, permute_monomial
+from .ideals import Monomial, MonomialCode, MonomialIdeal, lcm_closure, permute_code
 from .posets import FiniteLattice
 from .simplicial import faces_by_dim, homology_from_faces_multi
 
@@ -156,15 +163,15 @@ def interval_homology(
     ``code`` is the integer code of the lattice's ideal; its generators are
     the atoms. ``context`` builds the label of a characteristic
     disagreement, only when one is raised."""
-    faces, max_degree = _interval_faces(y, code, variable_count)
+    faces, max_degree = _interval_faces(code.encode(y), code, variable_count)
     dims = _agreeing_dims(faces, chars, context)
     return {d: v for d, v in dims.items() if d <= max_degree}
 
 
-def _interval_faces(y: Monomial, code: MonomialCode, variable_count: int):
-    """The relative crosscut faces of (1, y) that ``interval_homology``
-    reduces, and the highest degree where its homology can be nonzero."""
-    top = code.encode(y)
+def _interval_faces(top: int, code: MonomialCode, variable_count: int):
+    """The relative crosscut faces of (1, y), y the element with code
+    ``top``, that ``interval_homology`` reduces, and the highest degree
+    where its homology can be nonzero."""
     atoms = [a for a in code.generators if not a & ~top]
     max_degree = max(min(variable_count - 2, len(atoms) - 2), -1)
     return crosscut_faces(atoms, top, max_degree + 2), max_degree
@@ -187,72 +194,88 @@ def betti_wilmes(G: Multigraph) -> tuple[int, ...]:
     return _as_vector(betti)
 
 
-def _validated_symmetries(ideal: MonomialIdeal, symmetries) -> tuple:
-    gens = ideal.generator_set()
+def _validated_symmetries(code: MonomialCode, symmetries) -> list[tuple]:
+    """The field moves (``MonomialCode.permutation``) of each symmetry,
+    checked to permute the variables and to fix the generator set."""
+    variables = set(code.variables)
+    gens = set(code.generators)
+    permutations = []
     for mapping in symmetries:
-        if frozenset(permute_monomial(g, mapping) for g in gens) != gens:
+        if set(mapping) != variables or set(mapping.values()) != variables:
+            raise ValueError("symmetry is not a permutation of the ideal's variables")
+        moves = code.permutation(mapping)
+        if {permute_code(g, moves) for g in gens} != gens:
             raise ValueError("symmetry does not preserve the generator set")
-    return tuple(symmetries)
+        permutations.append(moves)
+    return permutations
 
 
-def _orbit_representatives(elements, symmetries) -> list[tuple]:
-    """Split elements into orbits under variable permutations; returns
-    (representative, orbit size) pairs. Isomorphic intervals share all
-    homology, so one computation covers a whole orbit."""
-    if not symmetries:
-        return [(m, 1) for m in elements]
-    element_set = set(elements)
-    seen: set = set()
+def _orbit_representatives(codes, permutations) -> list[tuple[int, int]]:
+    """Split element codes into orbits under variable permutations, given
+    as field moves; returns (representative, orbit size) pairs, each
+    representative the first of its orbit in ``codes``. Isomorphic
+    intervals share all homology, so one computation covers a whole
+    orbit."""
+    if not permutations:
+        return [(c, 1) for c in codes]
+    element_set = set(codes)
+    seen: set[int] = set()
     out = []
-    for m in elements:
-        if m in seen:
+    for c in codes:
+        if c in seen:
             continue
-        orbit = {m}
-        stack = [m]
+        orbit = {c}
+        stack = [c]
         while stack:
             x = stack.pop()
-            for mapping in symmetries:
-                y = permute_monomial(x, mapping)
+            for moves in permutations:
+                y = permute_code(x, moves)
                 if y not in orbit:
                     if y not in element_set:
                         raise ValueError("symmetry does not preserve the lcm-lattice")
                     orbit.add(y)
                     stack.append(y)
         seen |= orbit
-        out.append((m, len(orbit)))
+        out.append((c, len(orbit)))
     return out
 
 
-def _lattice_betti(ideal: MonomialIdeal, symmetries, dims_at) -> tuple[int, ...]:
+def _lattice_betti(code: MonomialCode, symmetries, dims_at) -> tuple[int, ...]:
     """Shared loop of the lcm-lattice methods: beta_i sums, over the proper
     elements m of lcm(I), the reduced homology dims ``dims_at(m)`` reports
     in degree i-2, computed once per symmetry orbit and weighted by the
-    orbit size."""
-    lat = lcm_lattice(ideal)
-    symmetries = _validated_symmetries(ideal, symmetries)
+    orbit size. Elements are the ``lcm_closure`` codes of ``code``."""
+    codes = lcm_closure(code)
+    permutations = _validated_symmetries(code, symmetries)
     betti: dict[int, int] = defaultdict(int)
-    proper = [m for m in lat.elements if m != lat.bottom]
-    for m, weight in _orbit_representatives(proper, symmetries):
-        for degree, dim in dims_at(m).items():
+    # codes[0] is the bottom, 0
+    for top, weight in _orbit_representatives(codes[1:], permutations):
+        for degree, dim in dims_at(top).items():
             if dim:
                 betti[degree + 2] += weight * dim
     return _as_vector(betti)
 
 
-def _interval_dims(ideal: MonomialIdeal, chars) -> Callable[[Monomial], dict[int, int]]:
-    """``interval_homology`` at the elements of lcm(ideal): the one interval
-    model, shared by ``betti_gpw`` and the audit. Each distinct face family
-    is reduced once per closure (see the module docstring)."""
-    code = MonomialCode(ideal.variables, ideal.generators)
-    variable_count = len(ideal.variables)
+def _label(code: MonomialCode, top: int) -> str:
+    """The element with code ``top``, by variable name: used only to label
+    a characteristic disagreement."""
+    return code.decode(top).to_str(code.variables)
+
+
+def _interval_dims(code: MonomialCode, chars) -> Callable[[int], dict[int, int]]:
+    """``interval_homology`` at the element codes of lcm(I), I the ideal of
+    ``code``: the one interval model, shared by ``betti_gpw`` and the
+    audit. Each distinct face family is reduced once per closure (see the
+    module docstring)."""
+    variable_count = len(code.variables)
     memo: dict[tuple, dict[int, int]] = {}
 
-    def dims_at(m: Monomial) -> dict[int, int]:
-        faces, max_degree = _interval_faces(m, code, variable_count)
+    def dims_at(top: int) -> dict[int, int]:
+        faces, max_degree = _interval_faces(top, code, variable_count)
         key = tuple((d, tuple(fs)) for d, fs in faces.items())
         dims = memo.get(key)
         if dims is None:
-            dims = memo[key] = _agreeing_dims(faces, chars, partial(m.to_str, ideal.variables))
+            dims = memo[key] = _agreeing_dims(faces, chars, partial(_label, code, top))
         return {d: v for d, v in dims.items() if d <= max_degree}
 
     return dims_at
@@ -264,8 +287,10 @@ def betti_gpw(ideal: MonomialIdeal, chars=DEFAULT_CHARS, symmetries=()) -> tuple
 
     ``symmetries`` may carry variable permutations that fix the generator
     set (for instance from graph automorphisms); intervals in one orbit are
-    isomorphic and computed once."""
-    return _lattice_betti(ideal, symmetries, _interval_dims(ideal, chars))
+    isomorphic and computed once. Each must map the ideal's variables
+    one-to-one onto themselves."""
+    code = MonomialCode(ideal.variables, ideal.generators)
+    return _lattice_betti(code, symmetries, _interval_dims(code, chars))
 
 
 def koszul_complex(ideal: MonomialIdeal, degree: Monomial) -> dict[int, list[tuple[int, ...]]]:
@@ -277,18 +302,24 @@ def koszul_complex(ideal: MonomialIdeal, degree: Monomial) -> dict[int, list[tup
     It is generated by its facets: m / x^F lies in I exactly when some
     generator g divides m with g_v < m_v for every v in F, so the facets are
     {v in supp m : g_v < m_v}, one for each generator g dividing m. When no
-    generator divides m the complex is void, {}."""
-    return faces_by_dim(_koszul_facets(ideal, degree))
+    generator divides m the complex is void, {}. m may exceed the lcm of
+    the generators, so the code's fields are sized for m too."""
+    code = MonomialCode(ideal.variables, (*ideal.generators, degree))
+    *generators, top = code.generators
+    return faces_by_dim(_koszul_facets(top, generators, code.masks))
 
 
-def _koszul_facets(ideal: MonomialIdeal, degree: Monomial) -> frozenset[tuple[int, ...]]:
-    """The generator facets of K^m(I), m = ``degree`` (see ``koszul_complex``);
-    they determine the complex."""
-    support = [v for v in ideal.variables if degree.exponent(v) > 0]
+def _koszul_facets(top: int, generators, masks) -> frozenset[tuple[int, ...]]:
+    """The generator facets of K^m(I) (see ``koszul_complex``), on codes: m
+    has code ``top``, ``generators`` are the codes of I's generators and
+    ``masks`` the variables' bit fields in variable order. For a generator
+    g dividing m, g_v < m_v exactly when m & ~g has a bit in v's field.
+    The facets determine the complex."""
+    support = [mask for mask in masks if top & mask]
     return frozenset(
-        tuple(k for k, v in enumerate(support) if g.exponent(v) < degree.exponent(v))
-        for g in ideal.generators
-        if g.divides(degree)
+        tuple(k for k, mask in enumerate(support) if top & ~g & mask)
+        for g in generators
+        if not g & ~top
     )
 
 
@@ -299,18 +330,19 @@ def betti_koszul(ideal: MonomialIdeal, chars=DEFAULT_CHARS, symmetries=()) -> tu
     (quotient beta_i = ideal beta_{i-1}, so homology in degree d counts
     toward beta_{d+2}). Complexes with the same generator facets are equal,
     so each is built and reduced once per call."""
+    code = MonomialCode(ideal.variables, ideal.generators)
     memo: dict[frozenset, dict[int, int]] = {}
 
-    def dims_at(m: Monomial) -> dict[int, int]:
-        facets = _koszul_facets(ideal, m)
+    def dims_at(top: int) -> dict[int, int]:
+        facets = _koszul_facets(top, code.generators, code.masks)
         dims = memo.get(facets)
         if dims is None:
             dims = memo[facets] = _agreeing_dims(
-                faces_by_dim(facets), chars, lambda: f"degree {m.to_str(ideal.variables)}"
+                faces_by_dim(facets), chars, lambda: f"degree {_label(code, top)}"
             )
         return dims
 
-    return _lattice_betti(ideal, symmetries, dims_at)
+    return _lattice_betti(code, symmetries, dims_at)
 
 
 def betti_mobius(lattice: FiniteLattice) -> tuple[int, ...]:
@@ -332,7 +364,8 @@ def interval_homology_audit(
     ``ideal``: label, rank, Mobius value, and the nonzero reduced homology of
     the open interval below the element, from the same crosscut model as
     ``betti_gpw``. Feeds the concentration check and the report output."""
-    dims_at = _interval_dims(ideal, chars)
+    code = MonomialCode(ideal.variables, ideal.generators)
+    dims_at = _interval_dims(code, chars)
     mu = lattice.mobius()
     rows = []
     for x in lattice.elements:
@@ -342,6 +375,6 @@ def interval_homology_audit(
             "element": x.to_str(ideal.variables),
             "rank": lattice.rank(x),
             "mobius": mu[x],
-            "homology": {d: v for d, v in dims_at(x).items() if v},
+            "homology": {d: v for d, v in dims_at(code.encode(x)).items() if v},
         })
     return rows

@@ -114,21 +114,30 @@ class MonomialCode:
     """Unary ("thermometer") integer code for the monomials of one ideal.
 
     Variable v owns a bit field as wide as its largest exponent among the
-    generators, and exponent e sets the low e bits of that field. For every
-    monomial dividing the lcm of all generators (so every lcm-lattice
-    element), lcm is bitwise OR, ``a`` divides ``b`` exactly when
-    ``a & ~b == 0``, and equal codes mean equal monomials. For squarefree
-    generators the code is a plain bitmask. Codes are Python ints, which
-    never wrap, so the code stays exact however wide it grows. Decoding
-    counts the set bits of each field."""
+    generators, and exponent e sets the low e bits of that field. The first
+    variable owns the most significant field and the last the least, so for
+    two codes of one degree (one popcount) integer order is the
+    lexicographic order of their exponent vectors, and
+    ``sorted(codes, key=lambda c: (c.bit_count(), c))`` is the
+    (degree, exponent vector) order. For every monomial dividing the lcm of
+    all generators (so every lcm-lattice element), lcm is bitwise OR, ``a``
+    divides ``b`` exactly when ``a & ~b == 0``, and equal codes mean equal
+    monomials. For squarefree generators the code is a plain bitmask. Codes
+    are Python ints, which never wrap, so the code stays exact however wide
+    it grows. Decoding counts the set bits of each field."""
 
     def __init__(self, variables: tuple[str, ...], generators):
+        self.variables = tuple(variables)
+        widths = [max((g.exponent(v) for g in generators), default=0) for v in self.variables]
         self._fields: dict[str, list[int]] = {}
-        offset = 0
-        for v in variables:
-            width = max((g.exponent(v) for g in generators), default=0)
+        self._offsets: dict[str, int] = {}
+        offset = sum(widths)
+        for v, width in zip(self.variables, widths):
+            offset -= width
+            self._offsets[v] = offset
             self._fields[v] = [((1 << e) - 1) << offset for e in range(width + 1)]
-            offset += width
+        # the full field of each variable, in variable order
+        self.masks = tuple(field[-1] for field in self._fields.values())
         self.generators = tuple(self.encode(g) for g in generators)
 
     def encode(self, m: Monomial) -> int:
@@ -140,13 +149,43 @@ class MonomialCode:
             code |= field[e]
         return code
 
+    def decode(self, code: int) -> Monomial:
+        return Monomial(tuple(
+            (v, (code & mask).bit_count()) for v, mask in zip(self.variables, self.masks)
+        ))
+
     def exponents(self, codes) -> np.ndarray:
         """Exponent vectors of the given codes: one int64 row per code, one
         column per variable, each entry the popcount of that variable's
         bit field."""
-        masks = [field[-1] for field in self._fields.values()]
-        rows = [[(c & mask).bit_count() for mask in masks] for c in codes]
-        return np.array(rows, dtype=np.int64).reshape(len(rows), len(masks))
+        rows = [[(c & mask).bit_count() for mask in self.masks] for c in codes]
+        return np.array(rows, dtype=np.int64).reshape(len(rows), len(self.masks))
+
+    def permutation(self, mapping: dict) -> tuple[tuple[int, int], ...]:
+        """A variable permutation as moves of whole bit fields, for
+        ``permute_code``: (mask, shift) pairs, one per distinct shift, each
+        mask the union of the fields that move by that many bits (to the
+        left when positive). ``mapping`` must be a bijection of the
+        variables that maps each field onto one of the same width."""
+        moves: dict[int, int] = {}
+        for v, w in mapping.items():
+            if len(self._fields[v]) != len(self._fields[w]):
+                raise ValueError(
+                    f"the map {v} -> {w} joins bit fields of different widths,"
+                    " so it does not preserve the generator set"
+                )
+            shift = self._offsets[w] - self._offsets[v]
+            moves[shift] = moves.get(shift, 0) | self._fields[v][-1]
+        return tuple((mask, shift) for shift, mask in moves.items() if mask)
+
+
+def permute_code(code: int, moves: tuple[tuple[int, int], ...]) -> int:
+    """Apply a variable permutation, given as ``MonomialCode.permutation``
+    field moves, to a code."""
+    out = 0
+    for mask, shift in moves:
+        out |= (code & mask) << shift if shift >= 0 else (code & mask) >> -shift
+    return out
 
 
 def parking_ideal(G: Multigraph) -> MonomialIdeal:
@@ -200,24 +239,20 @@ def minimalize(ideal: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal(ideal.variables, tuple(kept))
 
 
-def lcm_lattice(ideal: MonomialIdeal) -> FiniteLattice:
-    """Divisibility lattice on all lcms of generator subsets, with the
-    constant monomial adjoined as the bottom. Atoms are the generators, so
-    they must be minimal: a ``ValueError`` is raised when one generator
-    divides another, duplicates included. Elements come out sorted by
-    (degree, exponent vector).
+def lcm_closure(code: MonomialCode) -> list[int]:
+    """Codes of the lcm-lattice elements of the ideal ``code`` was built
+    for: all lcms of generator subsets, the constant monomial 0 included,
+    sorted by (degree, exponent vector), which ``MonomialCode`` makes
+    (popcount, code). Atoms are the generators, so they must be minimal: a
+    ``ValueError`` is raised when one generator divides another, duplicates
+    included.
 
-    The closure runs on ``MonomialCode`` ints, where lcm is bitwise OR. Every
-    lcm of a generator subset is reached by adding one generator at a time,
-    so each new code is OR-ed with the generator codes only. The codes are
-    then decoded to exponent vectors, which give the element order and,
-    divisibility being the componentwise order on them, the lattice's
-    vectors: no order matrix is built here."""
-    if not ideal.generators:
-        raise ValueError("the zero ideal has no lcm-lattice")
-    variables = ideal.variables
-    code = MonomialCode(variables, ideal.generators)
+    lcm is bitwise OR, and every lcm of a generator subset is reached by
+    adding one generator at a time, so each new code is OR-ed with the
+    generator codes only."""
     gens = code.generators
+    if not gens:
+        raise ValueError("the zero ideal has no lcm-lattice")
     if any(i != j and g & ~h == 0 for i, g in enumerate(gens) for j, h in enumerate(gens)):
         raise ValueError("lcm-lattice requires a minimal generating set")
     found = set(gens)
@@ -226,14 +261,18 @@ def lcm_lattice(ideal: MonomialIdeal) -> FiniteLattice:
         frontier = {f | g for f in frontier for g in gens} - found
         found |= frontier
     found.add(0)
-    matrix = code.exponents(list(found))
-    # np.lexsort sorts by its last key first: degree, then the exponents
-    # from the first variable on
-    matrix = matrix[np.lexsort(np.vstack([matrix[:, ::-1].T, matrix.sum(axis=1)]))]
-    elements = [
-        Monomial.of({v: e for v, e in zip(variables, row) if e}) for row in matrix.tolist()
-    ]
-    return FiniteLattice(elements, matrix)
+    return sorted(found, key=lambda c: (c.bit_count(), c))
+
+
+def lcm_lattice(ideal: MonomialIdeal) -> FiniteLattice:
+    """Divisibility lattice on all lcms of generator subsets, with the
+    constant monomial adjoined as the bottom: the decoded ``lcm_closure``,
+    in its order, with the exponent vectors as the lattice's vectors
+    (divisibility is the componentwise order on them). No order matrix is
+    built here."""
+    code = MonomialCode(ideal.variables, ideal.generators)
+    codes = lcm_closure(code)
+    return FiniteLattice([code.decode(c) for c in codes], code.exponents(codes))
 
 
 @dataclass(frozen=True, eq=False)

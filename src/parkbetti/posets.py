@@ -6,8 +6,9 @@ multigraph (0/1 vectors over vertex pairs), whose order dual negates them.
 The N x N order matrix is built on first use; it serves covers, ranks,
 Mobius values, joins, meets and the lattice isomorphism. Interval homology
 uses the crosscut model, which needs only the generators dividing each
-element (see ``homology``), so ``betti_gpw`` and ``betti_koszul`` read the
-elements of their lcm-lattices and never build the order matrix.
+element (see ``homology``), so ``betti_gpw`` and ``betti_koszul`` build no
+lattice at all: they run on the integer codes of the lcm-lattice elements
+(``ideals.lcm_closure``).
 """
 
 from __future__ import annotations

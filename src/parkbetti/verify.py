@@ -267,32 +267,40 @@ def canonical_form(G: Multigraph) -> tuple:
     """Isomorphism-invariant key for a multigraph: the least edge multiset
     over all vertex relabelings that sort a cheap vertex invariant."""
     n = G.n
+    degrees = G.degrees
     pairs = [(min(e.tail, e.head), max(e.tail, e.head)) for e in G.edges]
     multiplicity: dict[tuple[int, int], int] = defaultdict(int)
     for p in pairs:
         multiplicity[p] += 1
-    invariants = []
-    for v in range(n):
-        incident = sorted(m for (a, b), m in multiplicity.items() if v in (a, b))
-        neighbor_degrees = sorted(
-            G.degrees[a if b == v else b] for (a, b) in multiplicity if v in (a, b)
-        )
-        invariants.append((G.degrees[v], tuple(incident), tuple(neighbor_degrees)))
+    incident: list[list[int]] = [[] for _ in range(n)]
+    neighbor_degrees: list[list[int]] = [[] for _ in range(n)]
+    for (a, b), m in multiplicity.items():
+        incident[a].append(m)
+        incident[b].append(m)
+        neighbor_degrees[a].append(degrees[b])
+        neighbor_degrees[b].append(degrees[a])
+    invariants = [
+        (degrees[v], tuple(sorted(incident[v])), tuple(sorted(neighbor_degrees[v])))
+        for v in range(n)
+    ]
     keys = sorted(set(invariants), reverse=True)
     groups = [[v for v in range(n) if invariants[v] == key] for key in keys]
+    # an edge between positions p < q is coded p * n + q, which orders
+    # like the pair (p, q), so sorted code lists compare like pair tuples
     best = None
+    position = [0] * n
     for arrangement in itertools.product(*(itertools.permutations(g) for g in groups)):
-        order = [v for group in arrangement for v in group]
-        position = [0] * n
-        for pos, v in enumerate(order):
+        for pos, v in enumerate(itertools.chain.from_iterable(arrangement)):
             position[v] = pos
-        key = tuple(sorted(
-            (min(position[a], position[b]), max(position[a], position[b]))
-            for a, b in pairs
-        ))
+        key = []
+        for a, b in pairs:
+            p, q = position[a], position[b]
+            key.append(p * n + q if p < q else q * n + p)
+        key.sort()
         if best is None or key < best:
             best = key
-    return (n, best)
+    # from a list, so that each kept key tuple is allocated at its exact size
+    return (n, tuple([divmod(c, n) for c in best or ()]))
 
 
 def _graph_from_pairs(n: int, pairs) -> Multigraph:

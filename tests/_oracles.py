@@ -7,11 +7,13 @@ The matrix oracle likewise works on plain lists of integers, the boundary
 and relative-to-star oracles on plain face lists, the order-complex oracle
 on a lattice's elements and pairwise order test only, and the crosscut and
 lcm-closure and Koszul oracles on monomials given as plain
-{variable: exponent} dicts.
+{variable: exponent} dicts. The canonical-form oracle is the first
+definition of the multigraph key, kept to pin the faster one to the same
+keys, on which corpus order depends.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -299,3 +301,38 @@ def relative_to_star(faces: dict[int, list[tuple[int, ...]]]) -> dict[int, list[
         if v is None or (v not in f and tuple(sorted(f + (v,))) not in family):
             kept.setdefault(len(f) - 1, []).append(f)
     return kept
+
+
+def canonical_form_oracle(G: Multigraph) -> tuple:
+    """The canonical multigraph key by its first definition: for each
+    vertex, scan every vertex pair for its incident multiplicities and
+    neighbour degrees, then take the least sorted edge-pair tuple over all
+    relabelings that order vertices by that invariant, descending."""
+    n = G.n
+    pairs = [(min(a, b), max(a, b)) for a, b in pairs_of(G)]
+    degrees = [sum(v in pair for pair in pairs) for v in range(n)]
+    multiplicity: dict[tuple[int, int], int] = {}
+    for p in pairs:
+        multiplicity[p] = multiplicity.get(p, 0) + 1
+    invariants = []
+    for v in range(n):
+        incident = sorted(m for (a, b), m in multiplicity.items() if v in (a, b))
+        neighbor_degrees = sorted(
+            degrees[a if b == v else b] for (a, b) in multiplicity if v in (a, b)
+        )
+        invariants.append((degrees[v], tuple(incident), tuple(neighbor_degrees)))
+    keys = sorted(set(invariants), reverse=True)
+    groups = [[v for v in range(n) if invariants[v] == key] for key in keys]
+    best = None
+    for arrangement in product(*(permutations(g) for g in groups)):
+        order = [v for group in arrangement for v in group]
+        position = [0] * n
+        for pos, v in enumerate(order):
+            position[v] = pos
+        key = tuple(sorted(
+            (min(position[a], position[b]), max(position[a], position[b]))
+            for a, b in pairs
+        ))
+        if best is None or key < best:
+            best = key
+    return (n, best)

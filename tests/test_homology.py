@@ -8,6 +8,7 @@ from hypothesis import given
 
 from parkbetti import (
     CharacteristicDisagreement,
+    FiniteLattice,
     Monomial,
     MonomialCode,
     MonomialIdeal,
@@ -24,6 +25,7 @@ from parkbetti import (
     interval_homology,
     interval_homology_audit,
     koszul_complex,
+    lcm_closure,
     lcm_lattice,
     oriented_cutset_ideal,
     parking_ideal,
@@ -340,6 +342,41 @@ class TestBettiPipelines:
         with pytest.raises(ValueError):
             betti_koszul(ideal, symmetries=bad)
 
+    @pytest.mark.parametrize("mapping", [
+        {"x1": "x2"},  # not defined on x2
+        {"x1": "x2", "x2": "x1", "x7": "x1"},  # x7 is no variable, x1 is hit twice
+        {"x1": "x2", "x2": "x1", "x3": "x3"},
+    ])
+    def test_symmetry_must_permute_the_variables(self, k3, mapping):
+        ideal = parking_ideal(k3)
+        for method in (betti_gpw, betti_koszul):
+            with pytest.raises(ValueError, match="not a permutation"):
+                method(ideal, symmetries=(mapping,))
+
+    def test_lattice_methods_build_no_lattice_and_no_monomial(self, kite, monkeypatch):
+        built = []
+        init = FiniteLattice.__init__
+        post_init = Monomial.__post_init__
+
+        def recording(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        def recording_monomial(self):
+            built.append(self)
+            post_init(self)
+
+        parking, oriented = parking_ideal(kite), oriented_cutset_ideal(kite)
+        monkeypatch.setattr(FiniteLattice, "__init__", recording)
+        monkeypatch.setattr(Monomial, "__post_init__", recording_monomial)
+        assert betti_gpw(parking, symmetries=variable_symmetries(kite, "x")) == (6, 9, 4)
+        assert betti_koszul(parking, symmetries=variable_symmetries(kite, "x")) == (6, 9, 4)
+        betti_gpw(oriented, symmetries=variable_symmetries(kite, "z"))
+        assert built == []
+        lcm_lattice(parking)  # the recorders do see a lattice being built
+        assert sum(isinstance(x, FiniteLattice) for x in built) == 1
+        assert sum(isinstance(x, Monomial) for x in built) == 33
+
     def test_wilmes_needs_two_vertices(self):
         with pytest.raises(ValueError):
             betti_wilmes(parse_graph("v:1"))
@@ -389,9 +426,10 @@ class TestReductionMemo:
 
     def test_each_face_family_reduced_once_per_call(self, kite, reductions):
         ideal = parking_ideal(kite)
-        lat = lcm_lattice(ideal)
-        proper = [m for m in lat.elements if m != lat.bottom]
-        orbits = _orbit_representatives(proper, variable_symmetries(kite, "x"))
+        code = MonomialCode(ideal.variables, ideal.generators)
+        proper = lcm_closure(code)[1:]
+        moves = [code.permutation(mapping) for mapping in variable_symmetries(kite, "x")]
+        orbits = _orbit_representatives(proper, moves)
         assert betti_gpw(ideal) == (6, 9, 4)
         first = len(reductions)
         assert first == len(face_family_keys(ideal))

@@ -12,12 +12,16 @@ from parkbetti import (
     forget_orientation_substitution,
     generate_corpus,
     graph_to_text,
+    lcm_closure,
     lcm_lattice,
     minimalize,
     oriented_cutset_ideal,
     parking_ideal,
     parse_graph,
+    permute_code,
+    permute_monomial,
     shared_vertex_substitution,
+    variable_symmetries,
 )
 
 from _oracles import lcm_closure_oracle
@@ -66,7 +70,9 @@ class TestMonomialCode:
         codes = [code.encode(m) for m in box]
         assert max(codes).bit_length() == 160
         assert code.exponents(codes).tolist() == [list(m.vector(variables)) for m in box]
-        assert code.encode(Monomial.of({"a": 70})) == (1 << 70) - 1
+        # the first variable owns the most significant field: a above b, c, d
+        assert code.encode(Monomial.of({"a": 70})) == ((1 << 70) - 1) << 90
+        assert [code.decode(c) for c in codes] == box
         assert len(set(codes)) == len(box)
         for m, cm in zip(box, codes):
             for n, cn in zip(box, codes):
@@ -88,6 +94,45 @@ class TestMonomialCode:
             for m, c, row in zip(elements, codes, code.exponents(codes).tolist()):
                 assert tuple(row) == m.vector(ideal.variables), (graph_to_text(G), str(m))
                 assert code.encode(Monomial.of(dict(zip(ideal.variables, row)))) == c
+
+    @given(multigraphs())
+    def test_closure_decodes_to_the_lattice_elements(self, G):
+        for build in (parking_ideal, cutset_ideal, oriented_cutset_ideal):
+            ideal = build(G)
+            code = MonomialCode(ideal.variables, ideal.generators)
+            codes = lcm_closure(code)
+            assert codes[0] == 0
+            assert [code.decode(c) for c in codes] == list(lcm_lattice(ideal).elements), (
+                graph_to_text(G), build.__name__
+            )
+
+    @pytest.mark.parametrize("text", [
+        "v:4; a 1 2; b 1 3; c 1 4; d 2 3; e 3 4",
+        "v:3; a 1 2; b 1 2; c 2 3; d 1 3",
+        "v:4; a 1 2; b 1 2; c 2 3; d 2 3; e 1 4; f 3 4",
+        "v:4; a 1 4; b 2 4; c 3 4; d 3 4; e 1 2",
+        "v:5; a 1 2; b 1 3; c 1 4; d 2 5; e 3 5; f 4 5",
+    ])
+    def test_field_moves_permute_the_variables(self, text):
+        # parking fields differ in width when degrees differ, and symmetric
+        # variables must share one
+        G = parse_graph(text)
+        for kind, build in (("x", parking_ideal), ("y", cutset_ideal), ("z", oriented_cutset_ideal)):
+            ideal = build(G)
+            code = MonomialCode(ideal.variables, ideal.generators)
+            symmetries = variable_symmetries(G, kind)
+            assert symmetries, (text, kind)
+            for mapping in symmetries:
+                moves = code.permutation(mapping)
+                for c in lcm_closure(code):
+                    assert permute_code(c, moves) == code.encode(
+                        permute_monomial(code.decode(c), mapping)
+                    ), (text, kind, mapping)
+
+    def test_field_moves_need_equal_widths(self):
+        code = MonomialCode(("x1", "x2"), [Monomial.of({"x1": 2}), Monomial.of({"x2": 1})])
+        with pytest.raises(ValueError):
+            code.permutation({"x1": "x2", "x2": "x1"})
 
     def test_monomial_outside_the_box_rejected(self):
         code = MonomialCode(("x1", "x2"), [Monomial.of({"x1": 2})])

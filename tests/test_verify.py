@@ -19,6 +19,7 @@ from parkbetti import verify as verify_module
 from parkbetti.verify import CHECK_NAMES
 from parkbetti.cli import main
 
+from _oracles import canonical_form_oracle
 from conftest import KITE_TEXT, multigraphs
 
 
@@ -64,6 +65,14 @@ class TestCorpusGeneration:
         simple = generate_corpus(5, max_edges=10)
         assert corpus[: len(simple)] == simple
         assert verification_corpus(5, include_multi=False) == simple
+
+    def test_canonical_form_keys_unchanged_on_the_corpus(self):
+        for G in generate_corpus(5, 8, True):
+            assert canonical_form(G) == canonical_form_oracle(G), graph_to_text(G)
+
+    @given(multigraphs())
+    def test_canonical_form_keys_unchanged(self, G):
+        assert canonical_form(G) == canonical_form_oracle(G)
 
     def test_canonical_form_invariance(self):
         G1 = parse_graph("v:3; a 1 2; b 2 3")
