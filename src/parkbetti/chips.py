@@ -1,9 +1,9 @@
 """Parking-function recognition, enumeration, and maximality.
 
 A configuration assigns chips to the non-sink vertices (ascending vertex
-order, sink omitted). Recognition runs the standard sink-fire sweep; the
-subset-quantified definition lives only in the test suite, as its slow
-oracle.
+order, sink omitted). Recognition is Dhar's burning test, edge by edge; the
+subset-quantified definition and the dominance definition of maximality
+live only in the test suite, as its slow oracles.
 """
 
 from __future__ import annotations
@@ -50,22 +50,23 @@ def is_parking_function(G: Multigraph, config) -> bool:
     return burnt == G.full_mask
 
 
-def enumerate_parking_functions(G: Multigraph) -> frozenset[ChipConfig]:
-    """All parking functions for the fixed sink.
+def _degree_box(G: Multigraph):
+    return product(*(range(G.degrees[v]) for v in G.nonsink_vertices))
 
-    The search box is the product of the vertex degrees: the singleton
-    subset {v} already forces c_v < deg(v)."""
-    ranges = [range(G.degrees[v]) for v in G.nonsink_vertices]
-    return frozenset(c for c in product(*ranges) if is_parking_function(G, c))
+
+def enumerate_parking_functions(G: Multigraph) -> frozenset[ChipConfig]:
+    """All parking functions for the fixed sink, searched in the box c_v < deg(v) that {v} forces."""
+    return frozenset(c for c in _degree_box(G) if is_parking_function(G, c))
 
 
 def maximal_parking_functions(G: Multigraph) -> frozenset[ChipConfig]:
-    """Parking functions maximal under coordinatewise dominance."""
-    pfs = enumerate_parking_functions(G)
-    return frozenset(
-        c for c in pfs
-        if not any(d != c and all(x <= y for x, y in zip(c, d)) for d in pfs)
-    )
+    """The parking functions of degree g = |E| - |V| + 1, which are exactly the
+    maximal ones under coordinatewise dominance. Each maximal one is indeg_O - 1
+    for an acyclic orientation O whose only source is the sink (Benson-Chakrabarty-
+    Tetali, Discrete Math. 2010), so has degree g; every parking function lies
+    below a maximal one, so has degree at most g, and equals it at degree g."""
+    g = len(G.edges) - G.n + 1
+    return frozenset(c for c in _degree_box(G) if sum(c) == g and is_parking_function(G, c))
 
 
 def mpf_count(G: Multigraph) -> int:

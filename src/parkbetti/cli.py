@@ -15,7 +15,6 @@ from pathlib import Path
 
 from .chips import maximal_parking_functions
 from .graphs import (
-    GraphParseError,
     GraphValidationError,
     Multigraph,
     graph_from_json,
@@ -230,9 +229,6 @@ def main(argv=None) -> int:
         parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
     try:
         return args.fn(args)
-    except (GraphParseError, GraphValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,6 +27,8 @@ class Monomial:
         for v, e in self.exps:
             if e < 0:
                 raise ValueError(f"negative exponent for {v}")
+        if len({v for v, _ in self.exps}) != len(self.exps):
+            raise ValueError(f"a variable is named twice in {self.exps}")
         object.__setattr__(self, "exps", tuple(sorted((v, e) for v, e in self.exps if e)))
 
     @staticmethod

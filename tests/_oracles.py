@@ -129,13 +129,17 @@ def pf_set_oracle(G: Multigraph) -> set[tuple[int, ...]]:
     return found
 
 
-def mpf_oracle(G: Multigraph) -> int:
+def mpf_set_oracle(G: Multigraph) -> set[tuple[int, ...]]:
+    """The parking functions maximal under coordinatewise dominance."""
     pfs = pf_set_oracle(G)
-    maximal = [
+    return {
         c for c in pfs
         if not any(d != c and all(x <= y for x, y in zip(c, d)) for d in pfs)
-    ]
-    return len(maximal)
+    }
+
+
+def mpf_oracle(G: Multigraph) -> int:
+    return len(mpf_set_oracle(G))
 
 
 def betti_wilmes_oracle(G: Multigraph) -> tuple[int, ...]:

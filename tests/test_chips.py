@@ -1,4 +1,5 @@
 from itertools import product
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -14,7 +15,7 @@ from parkbetti import (
     spanning_tree_count,
 )
 
-from _oracles import is_pf_oracle, mpf_oracle, pf_set_oracle
+from _oracles import is_pf_oracle, mpf_oracle, mpf_set_oracle, pf_set_oracle
 from conftest import multigraphs
 
 
@@ -83,6 +84,21 @@ def test_maximal_plus_unit_is_not_parking():
             for i in range(len(c)):
                 bumped = c[:i] + (c[i] + 1,) + c[i + 1:]
                 assert not is_parking_function(G, bumped)
+
+
+@given(multigraphs())
+def test_maximal_are_the_parking_functions_of_degree_g(G):
+    g = len(G.edges) - G.n + 1
+    assert maximal_parking_functions(G) == mpf_set_oracle(G), graph_to_text(G)
+    assert all(sum(c) <= g for c in enumerate_parking_functions(G)), graph_to_text(G)
+
+
+def test_mpf_count_of_complete_graphs():
+    for n in range(2, 8):
+        K = parse_graph(f"v:{n}; " + "; ".join(
+            f"e{u}_{v} {u} {v}" for u in range(1, n + 1) for v in range(u + 1, n + 1)
+        ))
+        assert mpf_count(K) == factorial(n - 1)
 
 
 def test_mpf_values(kite, k3):

@@ -40,6 +40,10 @@ class TestMonomial:
         with pytest.raises(ValueError):
             Monomial.of({"x1": -1})
 
+    def test_variable_named_twice_rejected(self):
+        with pytest.raises(ValueError):
+            Monomial.of([("x1", 1), ("x1", 2)])
+
     def test_divides_and_lcm(self):
         a = Monomial.of({"x1": 2})
         b = Monomial.of({"x1": 1, "x2": 1})

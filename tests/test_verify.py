@@ -209,11 +209,15 @@ class TestCli:
         assert main(["parse", str(path)]) == 0
         assert "a 1 2" in capsys.readouterr().out
 
-    def test_parse_error_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("v:3; a 1 1", "loop", id="loop"),
+        pytest.param("v:x", "expected an integer", id="parse"),
+    ])
+    def test_parse_error_exit_code(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.txt"
-        path.write_text("v:3; a 1 1")
+        path.write_text(text)
         assert main(["parse", str(path)]) == 2
-        assert "loop" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_ideal(self, tmp_path, capsys):
         assert main(["ideal", self.write(tmp_path), "--which", "I"]) == 0
