@@ -40,9 +40,7 @@ from .homology import (
     betti_mobius,
     betti_wilmes,
     crosscut_faces,
-    interval_homology,
     interval_homology_audit,
-    koszul_complex,
 )
 from .ideals import (
     Monomial,
@@ -58,7 +56,6 @@ from .ideals import (
     oriented_cutset_ideal,
     parking_ideal,
     permute_code,
-    permute_monomial,
     shared_vertex_substitution,
     variable_symmetries,
 )
@@ -69,7 +66,6 @@ from .posets import (
     connected_common_refinement,
     connected_partition_lattice,
     dual_connected_partition_lattice,
-    lattice_isomorphism,
     lattice_isomorphism_failure,
     lattice_to_dot,
     lattice_to_json,

@@ -55,8 +55,11 @@ def _degree_box(G: Multigraph):
 
 
 def enumerate_parking_functions(G: Multigraph) -> frozenset[ChipConfig]:
-    """All parking functions for the fixed sink, searched in the box c_v < deg(v) that {v} forces."""
-    return frozenset(c for c in _degree_box(G) if is_parking_function(G, c))
+    """All parking functions for the fixed sink, searched in the box c_v < deg(v)
+    that {v} forces, among the configurations of degree at most g = |E| - |V| + 1
+    (see ``maximal_parking_functions``)."""
+    g = len(G.edges) - G.n + 1
+    return frozenset(c for c in _degree_box(G) if sum(c) <= g and is_parking_function(G, c))
 
 
 def maximal_parking_functions(G: Multigraph) -> frozenset[ChipConfig]:

@@ -461,9 +461,13 @@ def graph_from_json(doc) -> Multigraph:
             raise GraphParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise GraphParseError("JSON graph document needs a 'vertices' field")
+    edges = doc.get("edges", [])
+    arrays = (list, tuple)
+    if not isinstance(edges, arrays) or not all(isinstance(row, arrays) for row in edges):
+        raise GraphParseError("JSON 'edges' must be an array of [label, i, j] arrays")
     try:
         n = _json_int(doc["vertices"])
-        rows = [(str(label), _json_int(i), _json_int(j)) for label, i, j in doc.get("edges", [])]
+        rows = [(_json_label(label), _json_int(i), _json_int(j)) for label, i, j in edges]
         sink = None if doc.get("sink") is None else _json_int(doc["sink"])
     except (TypeError, ValueError, OverflowError) as exc:
         raise GraphParseError(f"malformed JSON graph document: {exc}") from None
@@ -471,8 +475,24 @@ def graph_from_json(doc) -> Multigraph:
 
 
 def _json_int(value) -> int:
-    """``int()`` of a JSON field, rejecting a dropped fraction (1.5 is not 1)."""
+    """``int()`` of a JSON field, rejecting a dropped fraction (1.5 is not 1)
+    and booleans (true is not 1)."""
     number = int(value)
-    if not isinstance(value, str) and number != value:
+    if isinstance(value, bool) or not isinstance(value, str) and number != value:
         raise ValueError(f"{value!r} is not an integer")
     return number
+
+
+def _json_label(label) -> str:
+    """An edge label the edge-list format can carry, so that
+    ``graph_to_text`` of the graph parses back: a non-empty string without
+    whitespace, ';' or '#' that does not start a header statement."""
+    if (
+        not isinstance(label, str)
+        or label.split() != [label]
+        or ";" in label
+        or "#" in label
+        or label.startswith(("v:", "sink:"))
+    ):
+        raise ValueError(f"edge label {label!r} cannot be written in the edge-list format")
+    return label

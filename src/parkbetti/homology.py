@@ -8,12 +8,14 @@ averaged.
 
 Every homology computation takes one route: a plain face family
 {dimension: [index tuples]} handed to ``_agreeing_dims``. Two models build
-these families. ``betti_gpw`` and the concentration audit
-(``interval_homology_audit``) both use the crosscut model of an lcm-lattice
-interval below, so the audit reports the homology that gpw sums.
-``betti_koszul`` uses the upper Koszul complex at each lattice element,
-expanded from its generator facets by ``simplicial.faces_by_dim``. The
-order complex of an interval (every chain) is kept only as a test oracle.
+these families, each through one per-element function. ``_interval_dims``
+uses the crosscut model of the lcm-lattice interval below an element; both
+``betti_gpw`` and the concentration audit (``interval_homology_audit``)
+go through it, so the audit reports the homology that gpw sums.
+``_koszul_dims`` uses the upper Koszul complex at an element, expanded
+from its generator facets by ``simplicial.faces_by_dim``; ``betti_koszul``
+goes through it. The order complex of an interval (every chain) and the
+Koszul complex by its subset definition are kept only as test oracles.
 
 Interval homology in an lcm-lattice uses one model: by the crosscut
 theorem the open interval (1, y) is homotopy equivalent to the crosscut
@@ -62,10 +64,11 @@ it is given and encodes each once.
 Most complexes repeat inside one lattice, so each call of ``betti_gpw``,
 ``betti_koszul`` and ``interval_homology_audit`` reduces every distinct
 complex once, through a plain dict that lives in the closure the call
-builds. Its keys are exact: an interval is keyed by its relative crosscut
-face family itself, which is all the reduction reads (each interval's own
-degree cap is applied after the lookup), and a Koszul complex by its set
-of generator facets, which determines every face. The memo lives for one
+builds (``_interval_dims`` or ``_koszul_dims``). Its keys are exact: an
+interval is keyed by its relative crosscut face family itself, which is
+all the reduction reads (each interval's own degree cap is applied after
+the lookup), and a Koszul complex by its set of generator facets, which
+determines every face. The memo lives for one
 call and no longer: nothing is shared between calls, so every call does
 the same work whatever ran before it. A characteristic disagreement
 propagates and is never stored, so it is raised at the same element, with
@@ -80,7 +83,7 @@ from typing import Callable
 
 from .chips import mpf_count
 from .graphs import Multigraph, connected_partitions, contract
-from .ideals import Monomial, MonomialCode, MonomialIdeal, lcm_closure, permute_code
+from .ideals import MonomialCode, MonomialIdeal, lcm_closure, permute_code
 from .posets import FiniteLattice
 from .simplicial import faces_by_dim, homology_from_faces_multi
 
@@ -150,33 +153,6 @@ def crosscut_faces(
     return faces
 
 
-def interval_homology(
-    y: Monomial,
-    code: MonomialCode,
-    variable_count: int,
-    chars=DEFAULT_CHARS,
-    context: Callable[[], str] = str,
-) -> dict[int, int]:
-    """Reduced homology of the open interval (1, y) of an lcm-lattice,
-    reported for the degrees where it can be nonzero, from the crosscut
-    complex on the atoms below y, relative to the star of the first one.
-    ``code`` is the integer code of the lattice's ideal; its generators are
-    the atoms. ``context`` builds the label of a characteristic
-    disagreement, only when one is raised."""
-    faces, max_degree = _interval_faces(code.encode(y), code, variable_count)
-    dims = _agreeing_dims(faces, chars, context)
-    return {d: v for d, v in dims.items() if d <= max_degree}
-
-
-def _interval_faces(top: int, code: MonomialCode, variable_count: int):
-    """The relative crosscut faces of (1, y), y the element with code
-    ``top``, that ``interval_homology`` reduces, and the highest degree
-    where its homology can be nonzero."""
-    atoms = [a for a in code.generators if not a & ~top]
-    max_degree = max(min(variable_count - 2, len(atoms) - 2), -1)
-    return crosscut_faces(atoms, top, max_degree + 2), max_degree
-
-
 def _as_vector(betti: dict[int, int]) -> tuple[int, ...]:
     top = max((i for i, v in betti.items() if v), default=0)
     return tuple(betti.get(i, 0) for i in range(1, top + 1))
@@ -215,10 +191,18 @@ def _orbit_representatives(codes, permutations) -> list[tuple[int, int]]:
     as field moves; returns (representative, orbit size) pairs, each
     representative the first of its orbit in ``codes``. Isomorphic
     intervals share all homology, so one computation covers a whole
-    orbit."""
+    orbit.
+
+    Every orbit stays among the proper elements of the lattice, so no
+    image needs checking: each permutation fixes the generator set
+    (``_validated_symmetries`` checks it), ``permute_code`` commutes with
+    OR, and every proper element is the OR of a nonempty set of
+    generators, so its image is the OR of their images, again a nonempty
+    set of generators. The search applies every map to every orbit
+    element, because ``symmetries`` is caller input that need not be
+    closed under composition."""
     if not permutations:
         return [(c, 1) for c in codes]
-    element_set = set(codes)
     seen: set[int] = set()
     out = []
     for c in codes:
@@ -231,8 +215,6 @@ def _orbit_representatives(codes, permutations) -> list[tuple[int, int]]:
             for moves in permutations:
                 y = permute_code(x, moves)
                 if y not in orbit:
-                    if y not in element_set:
-                        raise ValueError("symmetry does not preserve the lcm-lattice")
                     orbit.add(y)
                     stack.append(y)
         seen |= orbit
@@ -263,20 +245,61 @@ def _label(code: MonomialCode, top: int) -> str:
 
 
 def _interval_dims(code: MonomialCode, chars) -> Callable[[int], dict[int, int]]:
-    """``interval_homology`` at the element codes of lcm(I), I the ideal of
-    ``code``: the one interval model, shared by ``betti_gpw`` and the
-    audit. Each distinct face family is reduced once per closure (see the
-    module docstring)."""
+    """Reduced homology of the open interval (1, y) of lcm(I), I the ideal
+    of ``code``, at the code of y, reported for the degrees where it can be
+    nonzero: the one interval path, shared by ``betti_gpw`` and the audit.
+    The atoms below y are the generators it is divisible by, and the
+    relative crosscut faces grow up to the degree bound of the module
+    docstring. Each distinct face family is reduced once per closure."""
     variable_count = len(code.variables)
     memo: dict[tuple, dict[int, int]] = {}
 
     def dims_at(top: int) -> dict[int, int]:
-        faces, max_degree = _interval_faces(top, code, variable_count)
+        atoms = [a for a in code.generators if not a & ~top]
+        max_degree = max(min(variable_count - 2, len(atoms) - 2), -1)
+        faces = crosscut_faces(atoms, top, max_degree + 2)
         key = tuple((d, tuple(fs)) for d, fs in faces.items())
         dims = memo.get(key)
         if dims is None:
             dims = memo[key] = _agreeing_dims(faces, chars, partial(_label, code, top))
         return {d: v for d, v in dims.items() if d <= max_degree}
+
+    return dims_at
+
+
+def _koszul_facets(code: MonomialCode, top: int) -> frozenset[tuple[int, ...]]:
+    """The generator facets of the upper Koszul complex K^m(I), I the ideal
+    of ``code`` and m the element with code ``top``. K^m(I) is the family
+    of subsets F of supp m with m / x^F in I (Miller-Sturmfels, Thm 1.34),
+    vertices numbered by their place in supp m in variable order. m / x^F
+    lies in I exactly when some generator g divides m with g_v < m_v for
+    every v in F, so the facets are {v in supp m : g_v < m_v}, one for each
+    generator g dividing m, and they determine the complex. On codes,
+    g_v < m_v exactly when m & ~g has a bit in v's field. When no generator
+    divides m the complex is void."""
+    support = [mask for mask in code.masks if top & mask]
+    return frozenset(
+        tuple(k for k, mask in enumerate(support) if top & ~g & mask)
+        for g in code.generators
+        if not g & ~top
+    )
+
+
+def _koszul_dims(code: MonomialCode, chars) -> Callable[[int], dict[int, int]]:
+    """Reduced homology of K^m(I), I the ideal of ``code``, at the code of
+    m: the one Koszul path, used by ``betti_koszul``. Complexes with the
+    same generator facets are equal, so each is built and reduced once per
+    closure."""
+    memo: dict[frozenset, dict[int, int]] = {}
+
+    def dims_at(top: int) -> dict[int, int]:
+        facets = _koszul_facets(code, top)
+        dims = memo.get(facets)
+        if dims is None:
+            dims = memo[facets] = _agreeing_dims(
+                faces_by_dim(facets), chars, lambda: f"degree {_label(code, top)}"
+            )
+        return dims
 
     return dims_at
 
@@ -293,56 +316,13 @@ def betti_gpw(ideal: MonomialIdeal, chars=DEFAULT_CHARS, symmetries=()) -> tuple
     return _lattice_betti(code, symmetries, _interval_dims(code, chars))
 
 
-def koszul_complex(ideal: MonomialIdeal, degree: Monomial) -> dict[int, list[tuple[int, ...]]]:
-    """Face family of the upper Koszul complex K^m(I) at the multidegree
-    m = ``degree``: the subsets F of supp m with m / x^F in I
-    (Miller-Sturmfels, Thm 1.34), vertices numbered by their place in supp m
-    in variable order.
-
-    It is generated by its facets: m / x^F lies in I exactly when some
-    generator g divides m with g_v < m_v for every v in F, so the facets are
-    {v in supp m : g_v < m_v}, one for each generator g dividing m. When no
-    generator divides m the complex is void, {}. m may exceed the lcm of
-    the generators, so the code's fields are sized for m too."""
-    code = MonomialCode(ideal.variables, (*ideal.generators, degree))
-    *generators, top = code.generators
-    return faces_by_dim(_koszul_facets(top, generators, code.masks))
-
-
-def _koszul_facets(top: int, generators, masks) -> frozenset[tuple[int, ...]]:
-    """The generator facets of K^m(I) (see ``koszul_complex``), on codes: m
-    has code ``top``, ``generators`` are the codes of I's generators and
-    ``masks`` the variables' bit fields in variable order. For a generator
-    g dividing m, g_v < m_v exactly when m & ~g has a bit in v's field.
-    The facets determine the complex."""
-    support = [mask for mask in masks if top & mask]
-    return frozenset(
-        tuple(k for k, mask in enumerate(support) if top & ~g & mask)
-        for g in generators
-        if not g & ~top
-    )
-
-
 def betti_koszul(ideal: MonomialIdeal, chars=DEFAULT_CHARS, symmetries=()) -> tuple[int, ...]:
     """Independent oracle: multigraded Betti numbers of the ideal from the
-    upper Koszul complexes at the lcm-lattice elements, each built from its
-    generator facets, totaled coarsely and shifted to quotient-ring indexing
-    (quotient beta_i = ideal beta_{i-1}, so homology in degree d counts
-    toward beta_{d+2}). Complexes with the same generator facets are equal,
-    so each is built and reduced once per call."""
+    upper Koszul complexes at the lcm-lattice elements, totaled coarsely and
+    shifted to quotient-ring indexing (quotient beta_i = ideal beta_{i-1},
+    so homology in degree d counts toward beta_{d+2})."""
     code = MonomialCode(ideal.variables, ideal.generators)
-    memo: dict[frozenset, dict[int, int]] = {}
-
-    def dims_at(top: int) -> dict[int, int]:
-        facets = _koszul_facets(top, code.generators, code.masks)
-        dims = memo.get(facets)
-        if dims is None:
-            dims = memo[facets] = _agreeing_dims(
-                faces_by_dim(facets), chars, lambda: f"degree {_label(code, top)}"
-            )
-        return dims
-
-    return _lattice_betti(code, symmetries, dims_at)
+    return _lattice_betti(code, symmetries, _koszul_dims(code, chars))
 
 
 def betti_mobius(lattice: FiniteLattice) -> tuple[int, ...]:

@@ -362,8 +362,3 @@ def variable_symmetries(G: Multigraph, kind: str) -> tuple[dict, ...]:
                         mapping[f"z2_{e.label}"] = f"z{2 if keeps else 1}_{t.label}"
         maps.append(mapping)
     return tuple(maps)
-
-
-def permute_monomial(m: Monomial, mapping: dict) -> Monomial:
-    """Apply a variable permutation to a monomial."""
-    return Monomial.of({mapping[v]: e for v, e in m.exps})

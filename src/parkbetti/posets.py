@@ -259,11 +259,6 @@ def lattice_isomorphism_failure(L1: FiniteLattice, L2: FiniteLattice, mapping) -
     return "order-violation"
 
 
-def lattice_isomorphism(L1: FiniteLattice, L2: FiniteLattice, mapping) -> bool:
-    """True iff the candidate map is a bijection preserving order both ways."""
-    return lattice_isomorphism_failure(L1, L2, mapping) is None
-
-
 def lattice_to_json(L: FiniteLattice) -> dict:
     """Elements, covers, Mobius values, and ranks (when graded) as one dict."""
     mu = L.mobius()

@@ -5,11 +5,12 @@ fields of a Multigraph (n, edges, sink). No package algorithm is reused, so
 agreement between an oracle and the implementation is meaningful evidence.
 The matrix oracle likewise works on plain lists of integers, the boundary
 and relative-to-star oracles on plain face lists, the order-complex oracle
-on a lattice's elements and pairwise order test only, and the crosscut and
+on a lattice's elements and pairwise order test only, the crosscut,
 lcm-closure and Koszul oracles on monomials given as plain
-{variable: exponent} dicts. The canonical-form oracle is the first
-definition of the multigraph key, kept to pin the faster one to the same
-keys, on which corpus order depends.
+{variable: exponent} dicts, and the permutation oracle on a monomial's
+variable names. The canonical-form oracle is the first definition of the
+multigraph key, kept to pin the faster one to the same keys, on which
+corpus order depends.
 """
 
 from fractions import Fraction
@@ -17,7 +18,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from parkbetti import Multigraph
+from parkbetti import Monomial, Multigraph
 
 
 def pairs_of(G: Multigraph) -> list[tuple[int, int]]:
@@ -290,6 +291,11 @@ def koszul_faces_oracle(generators: list[dict], degree: dict) -> dict[int, list[
             if any(all(quotient.get(v, 0) >= e for v, e in g.items()) for g in generators):
                 faces.setdefault(r - 1, []).append(subset)
     return faces
+
+
+def permute_monomial(m: Monomial, mapping: dict) -> Monomial:
+    """Apply a variable permutation to a monomial, by variable name."""
+    return Monomial.of({mapping[v]: e for v, e in m.exps})
 
 
 def relative_to_star(faces: dict[int, list[tuple[int, ...]]]) -> dict[int, list[tuple[int, ...]]]:

@@ -117,6 +117,31 @@ class TestParsing:
         with pytest.raises(GraphParseError):
             graph_from_json(doc)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"vertices": 2, "edges": ["a12"]},
+            {"vertices": 2, "edges": {"a12": "a"}},
+            {"vertices": 2, "edges": [["a", True, 2]]},
+            {"vertices": 2, "edges": [["a", 1, 2]], "sink": True},
+            {"vertices": 2, "edges": [[None, 1, 2]]},
+            {"vertices": 2, "edges": [[7, 1, 2]]},
+            {"vertices": 2, "edges": [["a b", 1, 2]]},
+            {"vertices": 2, "edges": [["a#", 1, 2]]},
+            {"vertices": 2, "edges": [["a;b", 1, 2]]},
+            {"vertices": 2, "edges": [["", 1, 2]]},
+            {"vertices": 2, "edges": [["v:3", 1, 2]]},
+        ],
+        ids=["row-string", "edges-object", "bool-vertex", "bool-sink",
+             "null-label", "number-label", "space-label", "hash-label", "semicolon-label",
+             "empty-label", "header-label"],
+    )
+    def test_json_malformed_rows_and_labels_rejected(self, doc):
+        # each was once read as a graph, and the bad labels as text that
+        # parse_graph rejects
+        with pytest.raises(GraphParseError):
+            graph_from_json(doc)
+
     def test_json_integral_values_accepted(self):
         doc = {"vertices": 2.0, "edges": [["a", "1", 2.0]], "sink": "1"}
         assert graph_from_json(doc) == parse_graph("v:2; a 1 2; sink:1")

@@ -22,9 +22,7 @@ from parkbetti import (
     faces_by_dim,
     generate_corpus,
     graph_to_text,
-    interval_homology,
     interval_homology_audit,
-    koszul_complex,
     lcm_closure,
     lcm_lattice,
     oriented_cutset_ideal,
@@ -34,7 +32,14 @@ from parkbetti import (
     variable_symmetries,
 )
 from parkbetti import homology as homology_module
-from parkbetti.homology import DEFAULT_CHARS, _agreeing_dims, _orbit_representatives
+from parkbetti.homology import (
+    DEFAULT_CHARS,
+    _agreeing_dims,
+    _interval_dims,
+    _koszul_dims,
+    _koszul_facets,
+    _orbit_representatives,
+)
 from parkbetti.simplicial import homology_from_faces_multi
 
 from _oracles import (
@@ -232,10 +237,11 @@ class TestIntervalMachinery:
             ideal = build(G)
             lat = lcm_lattice(ideal)
             code = MonomialCode(ideal.variables, ideal.generators)
+            dims_at = _interval_dims(code, DEFAULT_CHARS)
             for y in lat.elements:
                 if y == lat.bottom:
                     continue
-                dims = interval_homology(y, code, len(ideal.variables))
+                dims = dims_at(code.encode(y))
                 assert nonzero(dims) == nonzero(chain_homology(lat, y)), (graph_to_text(G), str(y))
 
     def test_kite_top_interval_concentration(self, kite):
@@ -342,6 +348,17 @@ class TestBettiPipelines:
         with pytest.raises(ValueError):
             betti_koszul(ideal, symmetries=bad)
 
+    def test_symmetry_must_fix_the_generator_set(self, kite):
+        # y_a y_d is a generator of J(kite) and y_b y_d is not; the series
+        # edges a and d are interchangeable
+        ideal = cutset_ideal(kite)
+        identity = {v: v for v in ideal.variables}
+        for method in (betti_gpw, betti_koszul):
+            with pytest.raises(ValueError, match="does not preserve the generator set"):
+                method(ideal, symmetries=({**identity, "y_a": "y_b", "y_b": "y_a"},))
+            series = {**identity, "y_a": "y_d", "y_d": "y_a"}
+            assert method(ideal, symmetries=(series,)) == (6, 9, 4)
+
     @pytest.mark.parametrize("mapping", [
         {"x1": "x2"},  # not defined on x2
         {"x1": "x2", "x2": "x1", "x7": "x1"},  # x7 is no variable, x1 is hit twice
@@ -397,7 +414,7 @@ def uncached_betti(ideal, dims_at):
 
 def face_family_keys(ideal):
     """The distinct relative crosscut face families of the proper elements
-    of lcm(ideal), as ``interval_homology`` builds them."""
+    of lcm(ideal), as ``_interval_dims`` builds them."""
     code = MonomialCode(ideal.variables, ideal.generators)
     lat = lcm_lattice(ideal)
     keys = set()
@@ -462,28 +479,37 @@ class TestReductionMemo:
 
     @given(multigraphs())
     def test_matches_uncached_sum_over_every_element(self, G):
+        # a fresh closure per element, so no memo is shared between elements
         for build in (parking_ideal, cutset_ideal, oriented_cutset_ideal):
             ideal = build(G)
             code = MonomialCode(ideal.variables, ideal.generators)
             want = uncached_betti(
-                ideal, lambda m: interval_homology(m, code, len(ideal.variables))
+                ideal, lambda m: _interval_dims(code, DEFAULT_CHARS)(code.encode(m))
             )
             assert betti_gpw(ideal) == want, graph_to_text(G)
         ideal = parking_ideal(G)
+        code = MonomialCode(ideal.variables, ideal.generators)
         want = uncached_betti(
-            ideal, lambda m: _agreeing_dims(koszul_complex(ideal, m), DEFAULT_CHARS, str)
+            ideal, lambda m: _koszul_dims(code, DEFAULT_CHARS)(code.encode(m))
         )
         assert betti_koszul(ideal) == want, graph_to_text(G)
+
+
+def koszul_faces(ideal, m):
+    """Faces of K^m(ideal), expanded from the generator facets that
+    ``betti_koszul`` reads."""
+    code = MonomialCode(ideal.variables, ideal.generators)
+    return faces_by_dim(_koszul_facets(code, code.encode(m)))
 
 
 class TestKoszulComplex:
     def test_principal_degree(self):
         ideal = MonomialIdeal(("x1",), (Monomial.of({"x1": 2}),))
-        assert koszul_complex(ideal, Monomial.of({"x1": 2})) == {-1: [()]}
+        assert koszul_faces(ideal, Monomial.of({"x1": 2})) == {-1: [()]}
 
     def test_k3_top_degree(self, k3):
         ideal = parking_ideal(k3)
-        faces = koszul_complex(ideal, Monomial.of({"x1": 2, "x2": 2}))
+        faces = koszul_faces(ideal, Monomial.of({"x1": 2, "x2": 2}))
         # both strips stay inside the ideal: a full segment, contractible
         assert nonzero(reduced_homology_dims(faces, 2)) == {}
 
@@ -497,12 +523,12 @@ class TestKoszulComplex:
             for m in lcm_lattice(ideal).elements:
                 degree = {v: m.exponent(v) for v in ideal.variables if m.exponent(v)}
                 want = koszul_faces_oracle(plain, degree)
-                assert koszul_complex(ideal, m) == want, (graph_to_text(G), str(m))
+                assert koszul_faces(ideal, m) == want, (graph_to_text(G), str(m))
             # a generator less one variable: no minimal generator divides it
             g = ideal.generators[0]
             v, e = g.exps[0]
             below = Monomial.of({**dict(g.exps), v: e - 1})
-            assert koszul_complex(ideal, below) == {}
+            assert koszul_faces(ideal, below) == {}
             assert koszul_faces_oracle(plain, dict(below.exps)) == {}
 
 

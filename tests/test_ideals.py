@@ -19,12 +19,11 @@ from parkbetti import (
     parking_ideal,
     parse_graph,
     permute_code,
-    permute_monomial,
     shared_vertex_substitution,
     variable_symmetries,
 )
 
-from _oracles import lcm_closure_oracle
+from _oracles import lcm_closure_oracle, permute_monomial
 from conftest import multigraphs
 
 
