@@ -225,6 +225,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "verify" and args.file is None and args.corpus is None:
         parser.error("verify needs a file or --corpus N")
+    if args.command == "verify" and args.corpus is not None:
+        if args.file is not None:
+            parser.error("argument --corpus: not allowed with a graph file")
+        if args.sink is not None:
+            parser.error("argument --sink: not allowed with --corpus")
     if args.command == "verify" and args.jobs < 1:
         parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
     try:

@@ -123,6 +123,12 @@ class Multigraph:
     def nonsink_vertices(self) -> tuple[int, ...]:
         return tuple(v for v in range(self.n) if v != self.sink)
 
+    @cached_property
+    def sink_automorphisms(self) -> tuple[tuple[int, ...], ...]:
+        """``sink_fixing_automorphisms`` of this graph, searched once per
+        instance: every variable kind reads the same search."""
+        return tuple(sink_fixing_automorphisms(self))
+
     def with_sink(self, sink: int) -> "Multigraph":
         """Same graph, same orientation, different sink (0-based index)."""
         return replace(self, sink=sink)

@@ -61,18 +61,24 @@ fields of m & ~g are nonzero. Variable names come back only to label a
 characteristic disagreement. The audit walks the elements of the lattice
 it is given and encodes each once.
 
-Most complexes repeat inside one lattice, so each call of ``betti_gpw``,
-``betti_koszul`` and ``interval_homology_audit`` reduces every distinct
-complex once, through a plain dict that lives in the closure the call
-builds (``_interval_dims`` or ``_koszul_dims``). Its keys are exact: an
-interval is keyed by its relative crosscut face family itself, which is
-all the reduction reads (each interval's own degree cap is applied after
-the lookup), and a Koszul complex by its set of generator facets, which
-determines every face. The memo lives for one
-call and no longer: nothing is shared between calls, so every call does
-the same work whatever ran before it. A characteristic disagreement
-propagates and is never stored, so it is raised at the same element, with
-the same message, as if there were no memo.
+Most complexes repeat, inside one lattice and across the lattices of one
+graph, so every distinct complex is reduced once per memo: a plain dict
+that ``_ReductionMemo`` holds with the characteristics its entries were
+computed over. Its keys are exact. An interval is keyed by its relative
+crosscut face family, in the form {dim: tuple(faces)}, which is all the
+reduction reads; each interval's own degree cap is applied after the
+lookup. A Koszul complex is keyed first by its set of generator facets,
+which determines every face, so a hit skips ``faces_by_dim``; on a miss it
+is looked up by its face family in the same form, so a Koszul complex and
+a crosscut family with equal faces are one chain complex, reduced once.
+Each call of ``betti_gpw``, ``betti_koszul`` and
+``interval_homology_audit`` builds its own memo and drops it on return;
+``verify.verify_graph`` builds one for its whole graph, shared by every
+Betti check at every sink and by the audit, and drops it on return.
+Nothing is shared between calls, so every call does the same work
+whatever ran before it. A characteristic disagreement propagates and is
+never stored, so it is raised at the same element, with the same message,
+as if there were no memo.
 """
 
 from __future__ import annotations
@@ -244,24 +250,36 @@ def _label(code: MonomialCode, top: int) -> str:
     return code.decode(top).to_str(code.variables)
 
 
-def _interval_dims(code: MonomialCode, chars) -> Callable[[int], dict[int, int]]:
+def _reduced(faces, chars, memo: dict, context: Callable[[], str]) -> dict[int, int]:
+    """``_agreeing_dims`` of the face family ``faces``, reduced only when
+    ``memo`` does not hold it yet. The key is the family itself, in the
+    form {dim: tuple(faces)}, which is all the reduction reads; a
+    disagreement propagates and is never stored."""
+    key = tuple((d, tuple(fs)) for d, fs in faces.items())
+    dims = memo.get(key)
+    if dims is None:
+        dims = memo[key] = _agreeing_dims(faces, chars, context)
+    return dims
+
+
+def _interval_dims(
+    code: MonomialCode, chars, memo: dict | None = None
+) -> Callable[[int], dict[int, int]]:
     """Reduced homology of the open interval (1, y) of lcm(I), I the ideal
     of ``code``, at the code of y, reported for the degrees where it can be
     nonzero: the one interval path, shared by ``betti_gpw`` and the audit.
     The atoms below y are the generators it is divisible by, and the
     relative crosscut faces grow up to the degree bound of the module
-    docstring. Each distinct face family is reduced once per closure."""
+    docstring. Each distinct face family is reduced once per ``memo``, a
+    new one for each closure unless one is given."""
     variable_count = len(code.variables)
-    memo: dict[tuple, dict[int, int]] = {}
+    memo = {} if memo is None else memo
 
     def dims_at(top: int) -> dict[int, int]:
         atoms = [a for a in code.generators if not a & ~top]
         max_degree = max(min(variable_count - 2, len(atoms) - 2), -1)
         faces = crosscut_faces(atoms, top, max_degree + 2)
-        key = tuple((d, tuple(fs)) for d, fs in faces.items())
-        dims = memo.get(key)
-        if dims is None:
-            dims = memo[key] = _agreeing_dims(faces, chars, partial(_label, code, top))
+        dims = _reduced(faces, chars, memo, partial(_label, code, top))
         return {d: v for d, v in dims.items() if d <= max_degree}
 
     return dims_at
@@ -285,23 +303,62 @@ def _koszul_facets(code: MonomialCode, top: int) -> frozenset[tuple[int, ...]]:
     )
 
 
-def _koszul_dims(code: MonomialCode, chars) -> Callable[[int], dict[int, int]]:
+def _koszul_dims(
+    code: MonomialCode, chars, memo: dict | None = None
+) -> Callable[[int], dict[int, int]]:
     """Reduced homology of K^m(I), I the ideal of ``code``, at the code of
     m: the one Koszul path, used by ``betti_koszul``. Complexes with the
-    same generator facets are equal, so each is built and reduced once per
-    closure."""
-    memo: dict[frozenset, dict[int, int]] = {}
+    same generator facets are equal, so ``memo`` (a new one for each
+    closure unless one is given) is read by the facets first, which skips
+    ``faces_by_dim`` on a hit, and then by the face family, as
+    ``_interval_dims`` keys it. A frozenset of facets never equals a tuple
+    face family, so both keys live in one dict."""
+    memo = {} if memo is None else memo
 
     def dims_at(top: int) -> dict[int, int]:
         facets = _koszul_facets(code, top)
         dims = memo.get(facets)
         if dims is None:
-            dims = memo[facets] = _agreeing_dims(
-                faces_by_dim(facets), chars, lambda: f"degree {_label(code, top)}"
+            dims = memo[facets] = _reduced(
+                faces_by_dim(facets), chars, memo, lambda: f"degree {_label(code, top)}"
             )
         return dims
 
     return dims_at
+
+
+class _ReductionMemo:
+    """The lcm-lattice computations over one reduction memo (see the module
+    docstring). Its keys leave out the characteristics, so the memo is held
+    with the ``chars`` its dims were computed over."""
+
+    def __init__(self, chars):
+        self.chars = chars
+        self.memo: dict = {}
+
+    def betti_gpw(self, ideal: MonomialIdeal, symmetries=()) -> tuple[int, ...]:
+        code = MonomialCode(ideal.variables, ideal.generators)
+        return _lattice_betti(code, symmetries, _interval_dims(code, self.chars, self.memo))
+
+    def betti_koszul(self, ideal: MonomialIdeal, symmetries=()) -> tuple[int, ...]:
+        code = MonomialCode(ideal.variables, ideal.generators)
+        return _lattice_betti(code, symmetries, _koszul_dims(code, self.chars, self.memo))
+
+    def audit(self, ideal: MonomialIdeal, lattice: FiniteLattice) -> list[dict]:
+        code = MonomialCode(ideal.variables, ideal.generators)
+        dims_at = _interval_dims(code, self.chars, self.memo)
+        mu = lattice.mobius()
+        rows = []
+        for x in lattice.elements:
+            if x == lattice.bottom:
+                continue
+            rows.append({
+                "element": x.to_str(ideal.variables),
+                "rank": lattice.rank(x),
+                "mobius": mu[x],
+                "homology": {d: v for d, v in dims_at(code.encode(x)).items() if v},
+            })
+        return rows
 
 
 def betti_gpw(ideal: MonomialIdeal, chars=DEFAULT_CHARS, symmetries=()) -> tuple[int, ...]:
@@ -312,8 +369,7 @@ def betti_gpw(ideal: MonomialIdeal, chars=DEFAULT_CHARS, symmetries=()) -> tuple
     set (for instance from graph automorphisms); intervals in one orbit are
     isomorphic and computed once. Each must map the ideal's variables
     one-to-one onto themselves."""
-    code = MonomialCode(ideal.variables, ideal.generators)
-    return _lattice_betti(code, symmetries, _interval_dims(code, chars))
+    return _ReductionMemo(chars).betti_gpw(ideal, symmetries)
 
 
 def betti_koszul(ideal: MonomialIdeal, chars=DEFAULT_CHARS, symmetries=()) -> tuple[int, ...]:
@@ -321,8 +377,7 @@ def betti_koszul(ideal: MonomialIdeal, chars=DEFAULT_CHARS, symmetries=()) -> tu
     upper Koszul complexes at the lcm-lattice elements, totaled coarsely and
     shifted to quotient-ring indexing (quotient beta_i = ideal beta_{i-1},
     so homology in degree d counts toward beta_{d+2})."""
-    code = MonomialCode(ideal.variables, ideal.generators)
-    return _lattice_betti(code, symmetries, _koszul_dims(code, chars))
+    return _ReductionMemo(chars).betti_koszul(ideal, symmetries)
 
 
 def betti_mobius(lattice: FiniteLattice) -> tuple[int, ...]:
@@ -344,17 +399,4 @@ def interval_homology_audit(
     ``ideal``: label, rank, Mobius value, and the nonzero reduced homology of
     the open interval below the element, from the same crosscut model as
     ``betti_gpw``. Feeds the concentration check and the report output."""
-    code = MonomialCode(ideal.variables, ideal.generators)
-    dims_at = _interval_dims(code, chars)
-    mu = lattice.mobius()
-    rows = []
-    for x in lattice.elements:
-        if x == lattice.bottom:
-            continue
-        rows.append({
-            "element": x.to_str(ideal.variables),
-            "rank": lattice.rank(x),
-            "mobius": mu[x],
-            "homology": {d: v for d, v in dims_at(code.encode(x)).items() if v},
-        })
-    return rows
+    return _ReductionMemo(chars).audit(ideal, lattice)

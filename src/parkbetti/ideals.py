@@ -332,8 +332,6 @@ def variable_symmetries(G: Multigraph, kind: str) -> tuple[dict, ...]:
     for the parking ('x'), cut-set ('y'), or oriented ('z') variable set.
     The identity is omitted. Parallel edges are matched class-to-class in
     label order; an orientation flip swaps an edge's z1/z2 variables."""
-    from .graphs import sink_fixing_automorphisms
-
     if kind not in ("x", "y", "z"):
         raise ValueError(f"unknown variable kind {kind!r}")
     by_pair: dict[tuple[int, int], list] = {}
@@ -342,7 +340,7 @@ def variable_symmetries(G: Multigraph, kind: str) -> tuple[dict, ...]:
     for edges in by_pair.values():
         edges.sort(key=lambda e: e.label)
     maps = []
-    for sigma in sink_fixing_automorphisms(G):
+    for sigma in G.sink_automorphisms:
         if sigma == tuple(range(G.n)):
             continue
         mapping: dict[str, str] = {}

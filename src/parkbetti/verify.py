@@ -31,11 +31,9 @@ from .graphs import (
 from .homology import (
     DEFAULT_CHARS,
     CharacteristicDisagreement,
-    betti_gpw,
-    betti_koszul,
+    _ReductionMemo,
     betti_mobius,
     betti_wilmes,
-    interval_homology_audit,
 )
 from .ideals import (
     Monomial,
@@ -129,6 +127,8 @@ def verify_graph(G: Multigraph, chars=DEFAULT_CHARS) -> VerificationReport:
     per_sink = {s: G.with_sink(s) for s in range(G.n)}
     parking = {s: parking_ideal(Gs) for s, Gs in per_sink.items()}
     oriented = {s: oriented_cutset_ideal(Gs) for s, Gs in per_sink.items()}
+    # one memo for every lcm-lattice computation below, dropped on return
+    reductions = _ReductionMemo(chars)
 
     def check_cuts_vs_atoms():
         atom_blocks = {p.blocks for p in lattice_dual.atoms()}
@@ -196,14 +196,14 @@ def verify_graph(G: Multigraph, chars=DEFAULT_CHARS) -> VerificationReport:
         results: dict[str, tuple[int, ...]] = {
             "wilmes": betti_wilmes(G),
             "mobius": betti_mobius(lattice_dual),
-            "gpw-J": betti_gpw(ideal_j, chars, symmetries=variable_symmetries(G, "y")),
+            "gpw-J": reductions.betti_gpw(ideal_j, variable_symmetries(G, "y")),
         }
         for s, Gs in per_sink.items():
             sym_x = variable_symmetries(Gs, "x")
             sym_z = variable_symmetries(Gs, "z")
-            results[f"gpw-I/sink-v{s + 1}"] = betti_gpw(parking[s], chars, symmetries=sym_x)
-            results[f"gpw-K/sink-v{s + 1}"] = betti_gpw(oriented[s], chars, symmetries=sym_z)
-            results[f"koszul-I/sink-v{s + 1}"] = betti_koszul(parking[s], chars, symmetries=sym_x)
+            results[f"gpw-I/sink-v{s + 1}"] = reductions.betti_gpw(parking[s], sym_x)
+            results[f"gpw-K/sink-v{s + 1}"] = reductions.betti_gpw(oriented[s], sym_z)
+            results[f"koszul-I/sink-v{s + 1}"] = reductions.betti_koszul(parking[s], sym_x)
         betti_doc.update({name: list(vec) for name, vec in results.items()})
         if len(set(results.values())) != 1:
             return "methods disagree: " + ", ".join(
@@ -212,7 +212,7 @@ def verify_graph(G: Multigraph, chars=DEFAULT_CHARS) -> VerificationReport:
         return None
 
     def check_concentration():
-        rows = interval_homology_audit(ideal_j, lat_j, chars)
+        rows = reductions.audit(ideal_j, lat_j)
         audit_rows.extend(rows)
         for row in rows:
             expected = {row["rank"] - 2: abs(row["mobius"])} if row["mobius"] else {}

@@ -30,10 +30,12 @@ from parkbetti import (
     parse_graph,
     rank_over,
     variable_symmetries,
+    verify_graph,
 )
 from parkbetti import homology as homology_module
 from parkbetti.homology import (
     DEFAULT_CHARS,
+    _ReductionMemo,
     _agreeing_dims,
     _interval_dims,
     _koszul_dims,
@@ -91,6 +93,15 @@ def rp2_disagreement():
     return (
         "homology depends on the field (char 32003: {-1: 0, 0: 0, 1: 0, 2: 0, 3: 0, 4: 0}; "
         "char 2: {-1: 0, 0: 0, 1: 1, 2: 1, 3: 0, 4: 0}) [x1*x2*x3*x4*x5*x6]"
+    )
+
+
+def rp2_koszul_disagreement():
+    """The message ``betti_koszul`` raises on the RP2 Stanley-Reisner ideal
+    over the default characteristics."""
+    return (
+        "homology depends on the field (char 32003: {-1: 0, 0: 0, 1: 0, 2: 0}; "
+        "char 2: {-1: 0, 0: 0, 1: 1, 2: 1}) [degree x1*x2*x3*x4*x5*x6]"
     )
 
 
@@ -322,10 +333,7 @@ class TestBettiPipelines:
         assert str(gpw.value) == rp2_disagreement()
         with pytest.raises(CharacteristicDisagreement) as koszul:
             betti_koszul(ideal)
-        assert str(koszul.value) == (
-            "homology depends on the field (char 32003: {-1: 0, 0: 0, 1: 0, 2: 0}; "
-            "char 2: {-1: 0, 0: 0, 1: 1, 2: 1}) [degree x1*x2*x3*x4*x5*x6]"
-        )
+        assert str(koszul.value) == rp2_koszul_disagreement()
 
     def test_principal_ideal(self):
         principal = MonomialIdeal(("x1",), (Monomial.of({"x1": 5}),))
@@ -493,6 +501,58 @@ class TestReductionMemo:
             ideal, lambda m: _koszul_dims(code, DEFAULT_CHARS)(code.encode(m))
         )
         assert betti_koszul(ideal) == want, graph_to_text(G)
+
+
+class TestSharedReductionMemo:
+    @pytest.fixture
+    def reduced(self, monkeypatch):
+        """The face families reduced, in the key form of the memo."""
+        keys = []
+        reduce = homology_module.homology_from_faces_multi
+
+        def counted(faces, chars):
+            keys.append(tuple((d, tuple(fs)) for d, fs in faces.items()))
+            return reduce(faces, chars)
+
+        monkeypatch.setattr(homology_module, "homology_from_faces_multi", counted)
+        return keys
+
+    def test_verify_graph_reduces_each_face_family_once(self, kite, reduced):
+        report = verify_graph(kite)
+        first = list(reduced)
+        assert first and len(set(first)) == len(first)
+        # nothing survives the call: the second one reduces as much again
+        assert verify_graph(kite).to_json_dict(include_audit=True) == report.to_json_dict(
+            include_audit=True
+        )
+        assert reduced[len(first):] == first
+
+        reduced.clear()
+        ideal_j = cutset_ideal(kite)
+        want = {"gpw-J": betti_gpw(ideal_j)}
+        for s in range(kite.n):
+            Gs = kite.with_sink(s)
+            want[f"gpw-I/sink-v{s + 1}"] = betti_gpw(parking_ideal(Gs))
+            want[f"gpw-K/sink-v{s + 1}"] = betti_gpw(oriented_cutset_ideal(Gs))
+            want[f"koszul-I/sink-v{s + 1}"] = betti_koszul(parking_ideal(Gs))
+        audit = interval_homology_audit(ideal_j, lcm_lattice(ideal_j))
+        assert {name: report.betti[name] for name in want} == {
+            name: list(vec) for name, vec in want.items()
+        }
+        assert report.audit == audit
+        # separate public calls share nothing, so they reduce more
+        assert len(reduced) > len(first)
+
+    def test_disagreement_is_never_stored(self):
+        ideal = rp2_stanley_reisner_ideal()
+        shared = _ReductionMemo(DEFAULT_CHARS)
+        for _ in range(2):
+            with pytest.raises(CharacteristicDisagreement) as gpw:
+                shared.betti_gpw(ideal)
+            assert str(gpw.value) == rp2_disagreement()
+            with pytest.raises(CharacteristicDisagreement) as koszul:
+                shared.betti_koszul(ideal)
+            assert str(koszul.value) == rp2_koszul_disagreement()
 
 
 def koszul_faces(ideal, m):

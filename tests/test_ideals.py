@@ -22,6 +22,7 @@ from parkbetti import (
     shared_vertex_substitution,
     variable_symmetries,
 )
+from parkbetti import graphs as graphs_module
 
 from _oracles import lcm_closure_oracle, permute_monomial
 from conftest import multigraphs
@@ -131,6 +132,24 @@ class TestMonomialCode:
                     assert permute_code(c, moves) == code.encode(
                         permute_monomial(code.decode(c), mapping)
                     ), (text, kind, mapping)
+
+    def test_automorphisms_searched_once_per_graph(self, monkeypatch):
+        calls = []
+        search = graphs_module.sink_fixing_automorphisms
+
+        def counted(G):
+            calls.append(G)
+            return search(G)
+
+        monkeypatch.setattr(graphs_module, "sink_fixing_automorphisms", counted)
+        G = parse_graph("v:4; a 1 2; b 1 3; c 1 4; d 2 3; e 3 4")
+        maps = {kind: variable_symmetries(G, kind) for kind in "xyz"}
+        assert all(maps.values())
+        assert calls == [G]
+        # a graph with another sink is another instance, searched again
+        variable_symmetries(G.with_sink(0), "x")
+        assert variable_symmetries(G, "x") == maps["x"]
+        assert len(calls) == 2
 
     def test_field_moves_need_equal_widths(self):
         code = MonomialCode(("x1", "x2"), [Monomial.of({"x1": 2}), Monomial.of({"x2": 1})])

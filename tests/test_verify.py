@@ -288,6 +288,18 @@ class TestCli:
         assert exit_info.value.code == 2
         assert "--jobs: must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, message", [
+        pytest.param(["/nonexistent/file.txt", "--corpus", "2"],
+                     "--corpus: not allowed with a graph file", id="file"),
+        pytest.param(["--corpus", "2", "--sink", "9"],
+                     "--sink: not allowed with --corpus", id="sink"),
+    ])
+    def test_verify_corpus_takes_no_graph_input(self, capsys, args, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", *args])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_verify_needs_input(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify"])
