@@ -21,32 +21,53 @@ Interval homology in an lcm-lattice uses one model: by the crosscut
 theorem the open interval (1, y) is homotopy equivalent to the crosscut
 complex D on the atoms below y, whose faces are the atom subsets whose join
 stays a proper divisor of y. The atoms below y are the generators dividing
-y, so the model needs no lattice order. Degrees are bounded before anything
-is assembled, by max(min(#variables - 2, #atoms - 2), -1):
+y, so the model needs no lattice order.
+
+Dominated atoms are dropped before any face is built
+(``_crosscut_atoms``). Let T be the top bit of each nonzero field of y
+(fields as in the integer codes below), and call r(b) = b & T the reach of
+an atom b: the variables where b has y's exponent. A join of atoms is y
+exactly when their reaches cover T, so a set of atoms is a face of D
+exactly when the sets M(b) = T & ~r(b) of its atoms share a bit: the
+facets of D are {b : t in M(b)}, one for each bit t of T. When
+r(b') is inside r(b) for another atom b', every facet that holds b holds
+b' too, so b is dominated by b'. Deleting a dominated vertex is a strong
+collapse, which keeps the homotopy type (Barmak-Minian, "Strong homotopy
+types, nerves and collapses", DCG 47, 2012). Deleting them one at a time
+leaves one atom for each inclusion-minimal distinct reach. Faces depend on
+the reaches alone, so the kept reaches stand in for their atoms and T for
+y. When T = y, as at every element of a squarefree ideal (J and K), each
+atom is its own reach; minimal generators form an antichain, so no atom
+is dominated, and the atoms are kept as they are, in generator order. When
+the kept reaches miss a bit of T, every kept atom holds that bit in its M,
+so the pruned complex is a simplex and has no homology; below a generator
+y the one atom is y itself, whose reach is T, and the complex is {()}.
+
+Degrees are bounded before anything is assembled, by
+max(min(#variables - 2, #kept atoms - 2), -1):
 - degrees above #variables - 2 vanish because the quotient's projective
   dimension is at most the variable count;
-- the atoms below y join to y, so no crosscut face holds all of them and
-  the complex has dimension at most #atoms - 2.
-The second bound never cuts below the order complex's own: every element of
-an lcm-lattice is the join of the atoms below it, so each step up a chain in
-(1, y) adds at least one atom, which gives #atoms - 2 >= height - 1.
+- when the kept reaches cover T, no face holds every kept atom, so the
+  pruned complex has dimension at most #kept - 2 and no homology above it,
+  and neither has D, which has its homotopy type; when they do not, the
+  complex is a simplex and no degree has homology.
 
-D itself is never assembled. Let a be the first atom. Every face of D
-that holds a lies in the star of a, the faces F with F + a in D, which is a
-cone on a. So the faces of D outside the star are the faces of the deletion
-del(a) (faces without a) outside the link lk(a) (faces F without a with
-F + a in D), and the augmented chains C~(D) / C~(star a) and
-C~(del a) / C~(lk a) are one and the same chain complex. A cone is acyclic
-over every coefficient ring, so H~_i(D) = H_i(del a, lk a) for every i,
-over the integers and every field. The basis of this relative complex is
-every subset F of the other atoms with join(F) != y and join(F) v a = y.
-The empty face is among them exactly when a = y, that is when y is a
-generator: then the star and the link are void and H~_{-1} = 1, as for the
-empty complex D. Truncation is exact too: the relative chains up to
-dimension d + 1 are those of the (d + 1)-skeleta (skeleta commute with
-deletion, link and star), and homology in degree d reads only degrees
-d - 1, d and d + 1, so faces up to dimension max_degree + 1 give every
-degree up to max_degree.
+The pruned complex itself is never assembled. Let a be its first atom.
+Every face that holds a lies in the star of a, the faces F with F + a a
+face, which is a cone on a. So the faces outside the star are the faces of
+the deletion del(a) (faces without a) outside the link lk(a) (faces F
+without a with F + a a face), and the augmented chains of the complex
+relative to star(a) and of del(a) relative to lk(a) are one and the same
+chain complex. A cone is acyclic over every coefficient ring, so the
+reduced homology is H_i(del a, lk a) for every i, over the integers and
+every field. The basis of this relative complex is every subset F of the
+other kept reaches whose OR is not T but becomes T with a. The empty face
+is among them exactly when a's reach is T, that is when y is a generator:
+then the star and the link are void and H~_{-1} = 1, as for the complex
+{()}. Truncation is exact too: the relative chains up to dimension d + 1
+are those of the (d + 1)-skeleta (skeleta commute with deletion, link and
+star), and homology in degree d reads only degrees d - 1, d and d + 1, so
+faces up to dimension max_degree + 1 give every degree up to max_degree.
 
 The whole lattice loop of ``betti_gpw`` and ``betti_koszul`` runs on
 integer-coded monomials (``MonomialCode``): each variable owns a unary bit
@@ -69,8 +90,12 @@ crosscut face family, in the form {dim: tuple(faces)}, which is all the
 reduction reads; each interval's own degree cap is applied after the
 lookup. A Koszul complex is keyed first by its set of generator facets,
 which determines every face, so a hit skips ``faces_by_dim``; on a miss it
-is looked up by its face family in the same form, so a Koszul complex and
-a crosscut family with equal faces are one chain complex, reduced once.
+is looked up by its face family in the same form. Every face family key
+carries its model's name, so the two models keep separate key spaces: a
+Koszul lookup never reads a crosscut reduction, nor the reverse, and
+``betti_koszul`` stays an oracle independent of ``betti_gpw`` on a shared
+memo. A family both models build (the one-point complex {()} of a
+generator) is reduced once by each.
 Each call of ``betti_gpw``, ``betti_koszul`` and
 ``interval_homology_audit`` builds its own memo and drops it on return;
 ``verify.verify_graph`` builds one for its whole graph, shared by every
@@ -125,8 +150,10 @@ def crosscut_faces(
 ) -> dict[int, list[tuple[int, ...]]]:
     """Basis of the relative crosscut complex (del a, lk a) of the interval
     [1, top], a = atoms[0], whose homology is the reduced homology of the
-    crosscut complex (see the module docstring). The atoms are
-    ``MonomialCode`` codes of monomials dividing top and joining to it.
+    crosscut complex (see the module docstring). The atoms are codes below
+    top; ``_interval_dims`` passes the reaches ``_crosscut_atoms`` keeps,
+    with T as top. When they do not join to top the complex is a simplex
+    and no face is kept.
 
     Returns the subsets F of the atoms after the first, as index tuples into
     ``atoms`` (all >= 1), of at most ``cap`` elements, whose lcm (the OR of
@@ -250,16 +277,51 @@ def _label(code: MonomialCode, top: int) -> str:
     return code.decode(top).to_str(code.variables)
 
 
-def _reduced(faces, chars, memo: dict, context: Callable[[], str]) -> dict[int, int]:
+def _reduced(
+    model: str, faces, chars, memo: dict, context: Callable[[], str]
+) -> dict[int, int]:
     """``_agreeing_dims`` of the face family ``faces``, reduced only when
-    ``memo`` does not hold it yet. The key is the family itself, in the
-    form {dim: tuple(faces)}, which is all the reduction reads; a
-    disagreement propagates and is never stored."""
-    key = tuple((d, tuple(fs)) for d, fs in faces.items())
+    ``memo`` does not hold it yet for the same ``model``. The key is the
+    model's name and the family itself, in the form {dim: tuple(faces)},
+    which is all the reduction reads; a disagreement propagates and is
+    never stored."""
+    key = (model, tuple((d, tuple(fs)) for d, fs in faces.items()))
     dims = memo.get(key)
     if dims is None:
         dims = memo[key] = _agreeing_dims(faces, chars, context)
     return dims
+
+
+def _crosscut_atoms(code: MonomialCode) -> Callable[[int], tuple[list[int], int]]:
+    """The vertices of the crosscut complex of (1, y) that survive strong
+    collapse, at the code of y: returns (atoms, T) for ``crosscut_faces``,
+    T the top bit of each nonzero field of y and each atom given by its
+    reach b & T (see the module docstring). When T is y itself the reach
+    of every atom is the atom, no atom is dominated, and the atoms below y
+    come back as they are, in generator order. Otherwise one reach is kept
+    for each inclusion-minimal distinct reach, in (popcount, first
+    appearance) order."""
+    # (y >> 1) & inner moves each set bit one place down inside its field:
+    # inner clears the highest bit of every field, where a bit of the next
+    # field up would land
+    inner = ~0
+    for mask in code.masks:
+        inner &= ~(mask & ~(mask >> 1))
+
+    def atoms_at(top: int) -> tuple[list[int], int]:
+        atoms = [a for a in code.generators if not a & ~top]
+        tops = top & ~((top >> 1) & inner)
+        if tops == top:
+            return atoms, top
+        kept: list[int] = []
+        # a reach that holds a smaller one holds a minimal one, which comes
+        # first in popcount order and is kept: the kept ones are all to test
+        for reach in sorted(dict.fromkeys(a & tops for a in atoms), key=int.bit_count):
+            if all(k & ~reach for k in kept):
+                kept.append(reach)
+        return kept, tops
+
+    return atoms_at
 
 
 def _interval_dims(
@@ -268,18 +330,20 @@ def _interval_dims(
     """Reduced homology of the open interval (1, y) of lcm(I), I the ideal
     of ``code``, at the code of y, reported for the degrees where it can be
     nonzero: the one interval path, shared by ``betti_gpw`` and the audit.
-    The atoms below y are the generators it is divisible by, and the
-    relative crosscut faces grow up to the degree bound of the module
-    docstring. Each distinct face family is reduced once per ``memo``, a
-    new one for each closure unless one is given."""
+    The atoms below y are the generators it is divisible by, less the
+    dominated ones (``_crosscut_atoms``), and the relative crosscut faces
+    grow up to the degree bound of the module docstring. Each distinct face
+    family is reduced once per ``memo``, a new one for each closure unless
+    one is given."""
     variable_count = len(code.variables)
     memo = {} if memo is None else memo
+    atoms_at = _crosscut_atoms(code)
 
     def dims_at(top: int) -> dict[int, int]:
-        atoms = [a for a in code.generators if not a & ~top]
+        atoms, tops = atoms_at(top)
         max_degree = max(min(variable_count - 2, len(atoms) - 2), -1)
-        faces = crosscut_faces(atoms, top, max_degree + 2)
-        dims = _reduced(faces, chars, memo, partial(_label, code, top))
+        faces = crosscut_faces(atoms, tops, max_degree + 2)
+        dims = _reduced("crosscut", faces, chars, memo, partial(_label, code, top))
         return {d: v for d, v in dims.items() if d <= max_degree}
 
     return dims_at
@@ -310,9 +374,10 @@ def _koszul_dims(
     m: the one Koszul path, used by ``betti_koszul``. Complexes with the
     same generator facets are equal, so ``memo`` (a new one for each
     closure unless one is given) is read by the facets first, which skips
-    ``faces_by_dim`` on a hit, and then by the face family, as
-    ``_interval_dims`` keys it. A frozenset of facets never equals a tuple
-    face family, so both keys live in one dict."""
+    ``faces_by_dim`` on a hit, and then by the face family under the
+    Koszul model's name, so it never reads a crosscut reduction. A
+    frozenset of facets never equals a tagged face family, so both keys
+    live in one dict."""
     memo = {} if memo is None else memo
 
     def dims_at(top: int) -> dict[int, int]:
@@ -320,7 +385,8 @@ def _koszul_dims(
         dims = memo.get(facets)
         if dims is None:
             dims = memo[facets] = _reduced(
-                faces_by_dim(facets), chars, memo, lambda: f"degree {_label(code, top)}"
+                "koszul", faces_by_dim(facets), chars, memo,
+                lambda: f"degree {_label(code, top)}",
             )
         return dims
 

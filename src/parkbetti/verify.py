@@ -171,9 +171,13 @@ def verify_graph(G: Multigraph, chars=DEFAULT_CHARS) -> VerificationReport:
         reason = lattice_isomorphism_failure(lattice_dual, lat_j, phi)
         if reason is not None:
             return f"edge-separation map is not an isomorphism: {reason}"
+        # every join is a lattice element, whose separating edges are known
         for (p, p_edges), (q, q_edges) in itertools.combinations(separated.items(), 2):
             joined = connected_common_refinement(G, p, q)
-            if separating_edges(G, joined) != p_edges | q_edges:
+            joined_edges = separated.get(joined)
+            if joined_edges is None:
+                return f"the join {joined} of {p} and {q} is not an element of the dual lattice"
+            if joined_edges != p_edges | q_edges:
                 return f"separating edges of the join of {p} and {q} are not the union"
         return None
 

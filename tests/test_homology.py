@@ -37,9 +37,11 @@ from parkbetti.homology import (
     DEFAULT_CHARS,
     _ReductionMemo,
     _agreeing_dims,
+    _crosscut_atoms,
     _interval_dims,
     _koszul_dims,
     _koszul_facets,
+    _label,
     _orbit_representatives,
 )
 from parkbetti.simplicial import homology_from_faces_multi
@@ -288,6 +290,55 @@ class TestIntegerCodedCrosscut:
         assert vectors == {betti_koszul(parking_ideal(G))}, graph_to_text(G)
 
 
+class TestDominatedAtoms:
+    @given(multigraphs())
+    def test_pruned_family_keeps_the_homology(self, G):
+        # at every proper element of lcm(I), lcm(J) and lcm(K) the kept
+        # atoms span a complex with the homology of the one on every atom;
+        # J and K are squarefree, so there they keep every atom in order
+        for build in (parking_ideal, cutset_ideal, oriented_cutset_ideal):
+            ideal = build(G)
+            code = MonomialCode(ideal.variables, ideal.generators)
+            atoms_at = _crosscut_atoms(code)
+            for top in lcm_closure(code)[1:]:
+                atoms = [a for a in code.generators if not a & ~top]
+                kept, tops = atoms_at(top)
+                if build is not parking_ideal:
+                    assert (kept, tops) == (atoms, top)
+                    continue
+                want = homology_from_faces_multi(crosscut_faces(atoms, top), (32003, 2))
+                got = homology_from_faces_multi(crosscut_faces(kept, tops), (32003, 2))
+                for char in (32003, 2):
+                    assert nonzero(got[char]) == nonzero(want[char]), (
+                        graph_to_text(G), _label(code, top)
+                    )
+
+    def test_dominated_atom_dropped(self, c4):
+        # below x1*x2*x3^2 the atom x1*x2 reaches the top bits of x1 and x2,
+        # a superset of the reach of x1*x3 (x1 only): it is dominated, and
+        # the three atoms left span a hollow triangle
+        ideal = parking_ideal(c4)
+        code = MonomialCode(ideal.variables, ideal.generators)
+        top = code.encode(Monomial.of({"x1": 1, "x2": 1, "x3": 2}))
+        kept, tops = _crosscut_atoms(code)(top)
+        assert len([a for a in code.generators if not a & ~top]) == 4
+        assert len(kept) == 3
+        assert tops != top
+        assert nonzero(_interval_dims(code, DEFAULT_CHARS)(top)) == {1: 1}
+
+    def test_generator_keeps_the_empty_face(self, kite):
+        # below a generator the only atom is the generator itself, whose
+        # reach is every top bit: the relative family is {()} alone
+        ideal = parking_ideal(kite)
+        code = MonomialCode(ideal.variables, ideal.generators)
+        atoms_at, dims_at = _crosscut_atoms(code), _interval_dims(code, DEFAULT_CHARS)
+        for g in code.generators:
+            kept, tops = atoms_at(g)
+            assert kept == [tops]
+            assert crosscut_faces(kept, tops, 1) == {-1: [()]}
+            assert dims_at(g) == {-1: 1}
+
+
 class TestBettiPipelines:
     def test_kite_all_methods(self, kite):
         want = (6, 9, 4)
@@ -422,17 +473,18 @@ def uncached_betti(ideal, dims_at):
 
 def face_family_keys(ideal):
     """The distinct relative crosscut face families of the proper elements
-    of lcm(ideal), as ``_interval_dims`` builds them."""
+    of lcm(ideal), as ``_interval_dims`` builds them: on the atoms that
+    ``_crosscut_atoms`` keeps."""
     code = MonomialCode(ideal.variables, ideal.generators)
+    atoms_at = _crosscut_atoms(code)
     lat = lcm_lattice(ideal)
     keys = set()
     for y in lat.elements:
         if y == lat.bottom:
             continue
-        top = code.encode(y)
-        atoms = [a for a in code.generators if not a & ~top]
+        atoms, tops = atoms_at(code.encode(y))
         cap = max(min(len(ideal.variables) - 2, len(atoms) - 2), -1) + 2
-        keys.add(tuple((d, tuple(fs)) for d, fs in crosscut_faces(atoms, top, cap).items()))
+        keys.add(tuple((d, tuple(fs)) for d, fs in crosscut_faces(atoms, tops, cap).items()))
     return keys
 
 
@@ -506,20 +558,29 @@ class TestReductionMemo:
 class TestSharedReductionMemo:
     @pytest.fixture
     def reduced(self, monkeypatch):
-        """The face families reduced, in the key form of the memo."""
+        """The face families reduced, in the key form of the memo: (model,
+        family)."""
         keys = []
+        models = []
+        lookup = homology_module._reduced
         reduce = homology_module.homology_from_faces_multi
 
+        def tagged(model, *rest):
+            models.append(model)
+            return lookup(model, *rest)
+
         def counted(faces, chars):
-            keys.append(tuple((d, tuple(fs)) for d, fs in faces.items()))
+            keys.append((models[-1], tuple((d, tuple(fs)) for d, fs in faces.items())))
             return reduce(faces, chars)
 
+        monkeypatch.setattr(homology_module, "_reduced", tagged)
         monkeypatch.setattr(homology_module, "homology_from_faces_multi", counted)
         return keys
 
     def test_verify_graph_reduces_each_face_family_once(self, kite, reduced):
         report = verify_graph(kite)
         first = list(reduced)
+        # once per model: a family both models build is reduced by each
         assert first and len(set(first)) == len(first)
         # nothing survives the call: the second one reduces as much again
         assert verify_graph(kite).to_json_dict(include_audit=True) == report.to_json_dict(
@@ -542,6 +603,25 @@ class TestSharedReductionMemo:
         assert report.audit == audit
         # separate public calls share nothing, so they reduce more
         assert len(reduced) > len(first)
+
+    def test_models_keep_separate_key_spaces(self, kite, reduced):
+        # a Koszul lookup never reads a crosscut reduction, nor the reverse:
+        # after the other model has run on one memo, each reduces as much as
+        # on a fresh memo
+        ideal = parking_ideal(kite)
+        fresh = {}
+        for name in ("betti_gpw", "betti_koszul"):
+            reduced.clear()
+            assert getattr(_ReductionMemo(DEFAULT_CHARS), name)(ideal) == (6, 9, 4)
+            fresh[name] = {family for _, family in reduced}
+        # the one-point complex {()} of a generator is built by both
+        assert fresh["betti_gpw"] & fresh["betti_koszul"]
+        for before, after in (("betti_gpw", "betti_koszul"), ("betti_koszul", "betti_gpw")):
+            shared = _ReductionMemo(DEFAULT_CHARS)
+            getattr(shared, before)(ideal)
+            reduced.clear()
+            assert getattr(shared, after)(ideal) == (6, 9, 4)
+            assert len(reduced) == len(fresh[after])
 
     def test_disagreement_is_never_stored(self):
         ideal = rp2_stanley_reisner_ideal()

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from parkbetti import (
     CheckResult,
+    ConnectedPartition,
     VerificationReport,
     canonical_form,
     export_figure,
@@ -101,6 +102,16 @@ class TestVerifyGraph:
         a = json.dumps(verify_graph(kite).to_json_dict(), sort_keys=True)
         b = json.dumps(verify_graph(kite).to_json_dict(), sort_keys=True)
         assert a == b
+
+    def test_join_outside_the_dual_lattice_fails_duality(self, p3, monkeypatch):
+        # a join the lattice does not hold is named, not looked up as a miss
+        outside = ConnectedPartition((0b101, 0b010))  # {v1 v3} is not connected
+        monkeypatch.setattr(verify_module, "connected_common_refinement", lambda G, p, q: outside)
+        report = verify_graph(p3)
+        duality = next(c for c in report.checks if c.name == "cutset-lattice-duality")
+        assert not duality.passed
+        assert duality.witness.startswith("the join {v2 | v1 v3} of ")
+        assert duality.witness.endswith(" is not an element of the dual lattice")
 
     def test_report_failure_shape(self):
         report = VerificationReport(
