@@ -39,7 +39,6 @@ from .homology import (
     betti_koszul,
     betti_mobius,
     betti_wilmes,
-    crosscut_faces,
     interval_homology_audit,
 )
 from .ideals import (
@@ -70,7 +69,7 @@ from .posets import (
     lattice_to_dot,
     lattice_to_json,
 )
-from .simplicial import faces_by_dim, rank_over
+from .simplicial import rank_over
 from .verify import (
     CheckResult,
     VerificationReport,

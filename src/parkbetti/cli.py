@@ -45,10 +45,8 @@ def _load_graph(path: str, sink: int | None) -> Multigraph:
     return G
 
 
-def _chars(value: str | None):
-    if value is None:
-        return DEFAULT_CHARS
-    return (int(value),)
+def _chars(value: int | None):
+    return DEFAULT_CHARS if value is None else (value,)
 
 
 def cmd_parse(args) -> int:
@@ -187,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--method", choices=("wilmes", "gpw", "koszul", "mobius"), required=True)
     p.add_argument("--ideal", choices=("I", "J", "K"), default="I")
-    p.add_argument("--char", default=None, metavar="P",
+    p.add_argument("--char", type=int, default=None, metavar="P",
                    help="coefficient characteristic (prime or 0); default checks 32003 and 2")
     common(p)
     p.set_defaults(fn=cmd_betti)
@@ -202,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="skip parallel-edge variants in the corpus")
     p.add_argument("--jobs", type=int, default=1, metavar="K",
                    help="worker processes for a corpus (at least 1, default 1)")
-    p.add_argument("--char", default=None, metavar="P")
+    p.add_argument("--char", type=int, default=None, metavar="P")
     p.add_argument("--pretty", action="store_true", help="table output instead of JSON")
     p.add_argument("--verbose", action="store_true", help="list passing checks too")
     p.add_argument("--timings", action="store_true", help="include timings in JSON output")

@@ -6,44 +6,51 @@ Homology is computed over every characteristic in ``chars`` and must agree;
 a disagreement means the answer is field-dependent and is raised, never
 averaged.
 
-Every homology computation takes one route: a plain face family
-{dimension: [index tuples]} handed to ``_agreeing_dims``. Two models build
-these families, each through one per-element function. ``_interval_dims``
-uses the crosscut model of the lcm-lattice interval below an element; both
-``betti_gpw`` and the concentration audit (``interval_homology_audit``)
-go through it, so the audit reports the homology that gpw sums.
-``_koszul_dims`` uses the upper Koszul complex at an element, expanded
-from its generator facets by ``simplicial.faces_by_dim``; ``betti_koszul``
-goes through it. The order complex of an interval (every chain) and the
-Koszul complex by its subset definition are kept only as test oracles.
+Every homology computation takes one route: a relative face family
+{dimension: [index tuples]}, built by ``relative_faces`` and handed to
+``_agreeing_dims``. Two models feed it, each through one per-element
+function. ``_interval_dims`` uses the crosscut model of the lcm-lattice
+interval below an element; both ``betti_gpw`` and the concentration audit
+(``interval_homology_audit``) go through it, so the audit reports the
+homology that gpw sums. ``_koszul_dims`` uses the upper Koszul complex at
+an element; ``betti_koszul`` goes through it. The order complex of an
+interval (every chain) and the Koszul complex by its subset definition are
+kept only as test oracles.
 
-Interval homology in an lcm-lattice uses one model: by the crosscut
-theorem the open interval (1, y) is homotopy equivalent to the crosscut
-complex D on the atoms below y, whose faces are the atom subsets whose join
-stays a proper divisor of y. The atoms below y are the generators dividing
-y, so the model needs no lattice order.
+Both complexes have one shape: a set of vertices is a face exactly when
+some facet holds all of them. Each vertex is given by its mask, the
+bitmask of the facets that hold it, so a set of vertices is a face exactly
+when the AND of its masks is nonzero; the AND of no mask holds every
+facet, and every complex here has one, so the empty set is a face. A
+vertex whose mask is 0 lies in no facet and is no vertex of the complex.
+
+Interval homology in an lcm-lattice uses the crosscut model: by the
+crosscut theorem the open interval (1, y) is homotopy equivalent to the
+crosscut complex D on the atoms below y, whose faces are the atom subsets
+whose join stays a proper divisor of y. The atoms below y are the
+generators dividing y, so the model needs no lattice order. Let T be the
+top bit of each nonzero field of y (fields as in the integer codes below),
+and call r(b) = b & T the reach of an atom b: the variables where b has
+y's exponent. A join of atoms is y exactly when their reaches cover T, so
+a set of atoms is a face of D exactly when the masks M(b) = T & ~r(b) of
+its atoms share a bit: the facets of D are {b : t in M(b)}, one for each
+bit t of T.
 
 Dominated atoms are dropped before any face is built
-(``_crosscut_atoms``). Let T be the top bit of each nonzero field of y
-(fields as in the integer codes below), and call r(b) = b & T the reach of
-an atom b: the variables where b has y's exponent. A join of atoms is y
-exactly when their reaches cover T, so a set of atoms is a face of D
-exactly when the sets M(b) = T & ~r(b) of its atoms share a bit: the
-facets of D are {b : t in M(b)}, one for each bit t of T. When
-r(b') is inside r(b) for another atom b', every facet that holds b holds
-b' too, so b is dominated by b'. Deleting a dominated vertex is a strong
-collapse, which keeps the homotopy type (Barmak-Minian, "Strong homotopy
-types, nerves and collapses", DCG 47, 2012). Deleting them one at a time
-leaves one atom for each inclusion-minimal distinct reach. Faces depend on
-the reaches alone, so the kept reaches stand in for their atoms and T for
-y. When T = y, as at every element of a squarefree ideal (J and K), each
+(``_crosscut_masks``). When M(b) is inside M(b') for another atom b',
+every facet that holds b holds b' too, so b is dominated by b'. Deleting a
+dominated vertex is a strong collapse, which keeps the homotopy type
+(Barmak-Minian, "Strong homotopy types, nerves and collapses", DCG 47,
+2012). Deleting them one at a time leaves one atom for each
+inclusion-maximal distinct mask, and faces depend on the masks alone.
+When T = y, as at every element of a squarefree ideal (J and K), each
 atom is its own reach; minimal generators form an antichain, so no atom
-is dominated, and the atoms are kept as they are, in generator order. When
-the kept reaches miss a bit of T, every kept atom holds that bit in its M,
-so the pruned complex is a simplex and has no homology; below a generator
-y the one atom is y itself, whose reach is T, and the complex is {()}.
+is dominated, and every atom is kept, in generator order. When the kept
+reaches miss a bit of T, every kept atom holds that bit in its mask, so
+the pruned complex is a simplex and has no homology; below a generator y
+the one atom is y itself, whose mask is 0, and the complex is {()}.
 
-Degrees are bounded before anything is assembled, by
+Degrees of an interval are bounded before anything is assembled, by
 max(min(#variables - 2, #kept atoms - 2), -1):
 - degrees above #variables - 2 vanish because the quotient's projective
   dimension is at most the variable count;
@@ -52,22 +59,31 @@ max(min(#variables - 2, #kept atoms - 2), -1):
   and neither has D, which has its homotopy type; when they do not, the
   complex is a simplex and no degree has homology.
 
-The pruned complex itself is never assembled. Let a be its first atom.
-Every face that holds a lies in the star of a, the faces F with F + a a
-face, which is a cone on a. So the faces outside the star are the faces of
-the deletion del(a) (faces without a) outside the link lk(a) (faces F
-without a with F + a a face), and the augmented chains of the complex
-relative to star(a) and of del(a) relative to lk(a) are one and the same
-chain complex. A cone is acyclic over every coefficient ring, so the
-reduced homology is H_i(del a, lk a) for every i, over the integers and
-every field. The basis of this relative complex is every subset F of the
-other kept reaches whose OR is not T but becomes T with a. The empty face
-is among them exactly when a's reach is T, that is when y is a generator:
-then the star and the link are void and H~_{-1} = 1, as for the complex
-{()}. Truncation is exact too: the relative chains up to dimension d + 1
-are those of the (d + 1)-skeleta (skeleta commute with deletion, link and
-star), and homology in degree d reads only degrees d - 1, d and d + 1, so
-faces up to dimension max_degree + 1 give every degree up to max_degree.
+The Koszul model reads the upper Koszul complex K^m(I), the family of
+subsets F of supp m with m / x^F in I (Miller-Sturmfels, Thm 1.34), its
+vertices the variables of supp m in variable order. m / x^F lies in I
+exactly when some generator g divides m with g_v < m_v for every v in F,
+so the facets are {v in supp m : g_v < m_v}, one for each generator g
+dividing m: the mask of v has a bit for each g with g_v < m_v, which on
+codes is m & ~g having a bit in v's field. At a generator m = g every mask
+is 0 and the complex is {()}.
+
+Neither complex is ever assembled. Let a be its first vertex, the first
+with a nonzero mask. Every face that holds a lies in the star of a, the
+faces F with F + a a face, which is a cone on a. So the faces outside the
+star are the faces of the deletion del(a) (faces without a) outside the
+link lk(a) (faces F without a with F + a a face), and the augmented chains
+of the complex relative to star(a) and of del(a) relative to lk(a) are one
+and the same chain complex. A cone is acyclic over every coefficient ring,
+so the reduced homology is H_i(del a, lk a) for every i, over the integers
+and every field. The basis of this relative complex is every subset F of
+the other vertices whose masks share a bit and share none of a's. The
+empty face is among them exactly when no vertex is left: then the complex
+is {()}, the star and the link are void, and H~_{-1} = 1. Truncation is
+exact too: the relative chains up to dimension d + 1 are those of the
+(d + 1)-skeleta (skeleta commute with deletion, link and star), and
+homology in degree d reads only degrees d - 1, d and d + 1, so faces up to
+dimension max_degree + 1 give every degree up to max_degree.
 
 The whole lattice loop of ``betti_gpw`` and ``betti_koszul`` runs on
 integer-coded monomials (``MonomialCode``): each variable owns a unary bit
@@ -75,26 +91,22 @@ field, so the lcm of two monomials is the OR of their codes and "a divides
 b" is ``a & ~b == 0``. The lattice elements are the codes ``lcm_closure``
 returns, in the order of ``lcm_lattice``; no ``FiniteLattice`` and no
 ``Monomial`` is built for them. A symmetry moves whole bit fields
-(``MonomialCode.permutation``), so orbits are found on codes too. Crosscut
-faces grow by OR-ing atom codes, the atoms below an element come from one
-mask test each, and the Koszul facet of a generator g at m reads which
-fields of m & ~g are nonzero. Variable names come back only to label a
-characteristic disagreement. The audit walks the elements of the lattice
-it is given and encodes each once.
+(``MonomialCode.permutation``), so orbits are found on codes too. The
+atoms below an element and every vertex mask come from mask tests on
+codes. Variable names come back only to label a characteristic
+disagreement. The audit walks the elements of the lattice it is given and
+encodes each once.
 
 Most complexes repeat, inside one lattice and across the lattices of one
 graph, so every distinct complex is reduced once per memo: a plain dict
 that ``_ReductionMemo`` holds with the characteristics its entries were
-computed over. Its keys are exact. An interval is keyed by its relative
-crosscut face family, in the form {dim: tuple(faces)}, which is all the
-reduction reads; each interval's own degree cap is applied after the
-lookup. A Koszul complex is keyed first by its set of generator facets,
-which determines every face, so a hit skips ``faces_by_dim``; on a miss it
-is looked up by its face family in the same form. Every face family key
-carries its model's name, so the two models keep separate key spaces: a
-Koszul lookup never reads a crosscut reduction, nor the reverse, and
-``betti_koszul`` stays an oracle independent of ``betti_gpw`` on a shared
-memo. A family both models build (the one-point complex {()} of a
+computed over. Its keys are exact, and both models key it the same way
+(``_reduced``): by the model's name and the relative face family, in the
+form {dim: tuple(faces)}, which is all the reduction reads. An interval's
+own degree cap is applied after the lookup. The model's name keeps two key
+spaces: a Koszul lookup never reads a crosscut reduction, nor the reverse,
+and ``betti_koszul`` stays an oracle independent of ``betti_gpw`` on a
+shared memo. A family both models build (the one-point complex {()} of a
 generator) is reduced once by each.
 Each call of ``betti_gpw``, ``betti_koszul`` and
 ``interval_homology_audit`` builds its own memo and drops it on return;
@@ -116,7 +128,7 @@ from .chips import mpf_count
 from .graphs import Multigraph, connected_partitions, contract
 from .ideals import MonomialCode, MonomialIdeal, lcm_closure, permute_code
 from .posets import FiniteLattice
-from .simplicial import faces_by_dim, homology_from_faces_multi
+from .simplicial import homology_from_faces_multi
 
 DEFAULT_CHARS = (32003, 2)
 
@@ -145,41 +157,45 @@ def _agreeing_dims(faces, chars, context: Callable[[], str]) -> dict[int, int]:
     return first
 
 
-def crosscut_faces(
-    atoms: list[int], top: int, cap: int | None = None
+def relative_faces(
+    masks: list[int], cap: int | None = None
 ) -> dict[int, list[tuple[int, ...]]]:
-    """Basis of the relative crosscut complex (del a, lk a) of the interval
-    [1, top], a = atoms[0], whose homology is the reduced homology of the
-    crosscut complex (see the module docstring). The atoms are codes below
-    top; ``_interval_dims`` passes the reaches ``_crosscut_atoms`` keeps,
-    with T as top. When they do not join to top the complex is a simplex
-    and no face is kept.
+    """Basis of the relative complex (del a, lk a) of a complex given by
+    the facet masks of its vertices, a its first vertex, whose homology is
+    the reduced homology of the complex (see the module docstring). The
+    complex must have a facet. Zero masks are dropped, since such a vertex
+    lies in no facet, and the vertices left are numbered in order; a is
+    vertex 0.
 
-    Returns the subsets F of the atoms after the first, as index tuples into
-    ``atoms`` (all >= 1), of at most ``cap`` elements, whose lcm (the OR of
-    their codes) is a proper divisor of top and becomes top when a is added,
-    keyed by dimension, each dimension in lexicographic order; dimensions
-    without a face are left out. The deletion del(a) is downward closed,
-    because lcms only grow, so prefix extension over the atoms after the
-    first enumerates it exactly, and each grown face is kept when it lies
-    outside the link."""
-    first = atoms[0]
-    count = len(atoms)
+    Returns the subsets F of the vertices after a, as index tuples (all
+    >= 1), of at most ``cap`` elements, whose masks AND to a nonzero value
+    that shares no bit with a's mask, keyed by dimension, each dimension in
+    lexicographic order; dimensions without a face are left out. With no
+    vertex left the complex is {()}, and so is the result. The deletion
+    del(a) is downward closed, because ANDs only shrink, so prefix
+    extension over the vertices after a enumerates it exactly, and each
+    grown face is kept when it lies outside the link."""
+    if 0 in masks:
+        masks = [m for m in masks if m]
+    if not masks:
+        return {-1: [()]}
+    first = masks[0]
+    count = len(masks)
     limit = count - 1 if cap is None else min(cap, count - 1)
-    # the empty face, whose lcm is 1, is kept by the same rule as the others
-    faces: dict[int, list[tuple[int, ...]]] = {-1: [()]} if first == top else {}
-    level: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    faces: dict[int, list[tuple[int, ...]]] = {}
+    # the empty face holds every facet, a's among them, so it is never kept
+    level: list[tuple[tuple[int, ...], int]] = [((), -1)]
     for size in range(1, limit + 1):
         grown: list[tuple[tuple[int, ...], int]] = []
-        for face, joined in level:
+        for face, shared in level:
             start = face[-1] + 1 if face else 1
             for j in range(start, count):
-                bigger = joined | atoms[j]
-                if bigger != top:
-                    grown.append((face + (j,), bigger))
+                common = shared & masks[j]
+                if common:
+                    grown.append((face + (j,), common))
         if not grown:
             break
-        kept = [f for f, joined in grown if joined | first == top]
+        kept = [f for f, common in grown if not common & first]
         if kept:
             faces[size - 1] = kept
         level = grown
@@ -292,15 +308,14 @@ def _reduced(
     return dims
 
 
-def _crosscut_atoms(code: MonomialCode) -> Callable[[int], tuple[list[int], int]]:
-    """The vertices of the crosscut complex of (1, y) that survive strong
-    collapse, at the code of y: returns (atoms, T) for ``crosscut_faces``,
-    T the top bit of each nonzero field of y and each atom given by its
-    reach b & T (see the module docstring). When T is y itself the reach
-    of every atom is the atom, no atom is dominated, and the atoms below y
-    come back as they are, in generator order. Otherwise one reach is kept
-    for each inclusion-minimal distinct reach, in (popcount, first
-    appearance) order."""
+def _crosscut_masks(code: MonomialCode) -> Callable[[int], list[int]]:
+    """The facet masks of the crosscut complex of (1, y) on the atoms that
+    survive strong collapse, at the code of y: T & ~(b & T) for an atom b,
+    T the top bit of each nonzero field of y (see the module docstring).
+    When T is y itself the reach of every atom is the atom, no atom is
+    dominated, and every atom below y has its mask, in generator order.
+    Otherwise one mask is kept for each inclusion-maximal distinct mask,
+    in (descending popcount, first appearance) order."""
     # (y >> 1) & inner moves each set bit one place down inside its field:
     # inner clears the highest bit of every field, where a bit of the next
     # field up would land
@@ -308,20 +323,20 @@ def _crosscut_atoms(code: MonomialCode) -> Callable[[int], tuple[list[int], int]
     for mask in code.masks:
         inner &= ~(mask & ~(mask >> 1))
 
-    def atoms_at(top: int) -> tuple[list[int], int]:
-        atoms = [a for a in code.generators if not a & ~top]
+    def masks_at(top: int) -> list[int]:
         tops = top & ~((top >> 1) & inner)
+        masks = [tops & ~a for a in code.generators if not a & ~top]
         if tops == top:
-            return atoms, top
+            return masks
         kept: list[int] = []
-        # a reach that holds a smaller one holds a minimal one, which comes
+        # a mask inside a larger one is inside a maximal one, which comes
         # first in popcount order and is kept: the kept ones are all to test
-        for reach in sorted(dict.fromkeys(a & tops for a in atoms), key=int.bit_count):
-            if all(k & ~reach for k in kept):
-                kept.append(reach)
-        return kept, tops
+        for mask in sorted(dict.fromkeys(masks), key=int.bit_count, reverse=True):
+            if all(mask & ~k for k in kept):
+                kept.append(mask)
+        return kept
 
-    return atoms_at
+    return masks_at
 
 
 def _interval_dims(
@@ -331,64 +346,53 @@ def _interval_dims(
     of ``code``, at the code of y, reported for the degrees where it can be
     nonzero: the one interval path, shared by ``betti_gpw`` and the audit.
     The atoms below y are the generators it is divisible by, less the
-    dominated ones (``_crosscut_atoms``), and the relative crosscut faces
-    grow up to the degree bound of the module docstring. Each distinct face
-    family is reduced once per ``memo``, a new one for each closure unless
-    one is given."""
+    dominated ones (``_crosscut_masks``), and the relative crosscut faces
+    grow on their masks up to the degree bound of the module docstring.
+    Each distinct face family is reduced once per ``memo``, a new one for
+    each closure unless one is given."""
     variable_count = len(code.variables)
     memo = {} if memo is None else memo
-    atoms_at = _crosscut_atoms(code)
+    masks_at = _crosscut_masks(code)
 
     def dims_at(top: int) -> dict[int, int]:
-        atoms, tops = atoms_at(top)
-        max_degree = max(min(variable_count - 2, len(atoms) - 2), -1)
-        faces = crosscut_faces(atoms, tops, max_degree + 2)
+        masks = masks_at(top)
+        max_degree = max(min(variable_count - 2, len(masks) - 2), -1)
+        faces = relative_faces(masks, max_degree + 2)
         dims = _reduced("crosscut", faces, chars, memo, partial(_label, code, top))
         return {d: v for d, v in dims.items() if d <= max_degree}
 
     return dims_at
 
 
-def _koszul_facets(code: MonomialCode, top: int) -> frozenset[tuple[int, ...]]:
-    """The generator facets of the upper Koszul complex K^m(I), I the ideal
-    of ``code`` and m the element with code ``top``. K^m(I) is the family
-    of subsets F of supp m with m / x^F in I (Miller-Sturmfels, Thm 1.34),
-    vertices numbered by their place in supp m in variable order. m / x^F
-    lies in I exactly when some generator g divides m with g_v < m_v for
-    every v in F, so the facets are {v in supp m : g_v < m_v}, one for each
-    generator g dividing m, and they determine the complex. On codes,
-    g_v < m_v exactly when m & ~g has a bit in v's field. When no generator
-    divides m the complex is void."""
-    support = [mask for mask in code.masks if top & mask]
-    return frozenset(
-        tuple(k for k, mask in enumerate(support) if top & ~g & mask)
-        for g in code.generators
-        if not g & ~top
-    )
+def _koszul_masks(code: MonomialCode, top: int) -> list[int]:
+    """The facet masks of the upper Koszul complex K^m(I), I the ideal of
+    ``code`` and m the element with code ``top``: one for each variable v
+    of supp m, in variable order, with bit i set when the i-th generator g
+    dividing m has g_v < m_v, that is when m & ~g has a bit in v's field
+    (see the module docstring)."""
+    gaps = [top & ~g for g in code.generators if not g & ~top]
+    return [
+        sum(1 << i for i, gap in enumerate(gaps) if gap & mask)
+        for mask in code.masks
+        if top & mask
+    ]
 
 
 def _koszul_dims(
     code: MonomialCode, chars, memo: dict | None = None
 ) -> Callable[[int], dict[int, int]]:
     """Reduced homology of K^m(I), I the ideal of ``code``, at the code of
-    m: the one Koszul path, used by ``betti_koszul``. Complexes with the
-    same generator facets are equal, so ``memo`` (a new one for each
-    closure unless one is given) is read by the facets first, which skips
-    ``faces_by_dim`` on a hit, and then by the face family under the
-    Koszul model's name, so it never reads a crosscut reduction. A
-    frozenset of facets never equals a tagged face family, so both keys
-    live in one dict."""
+    m: the one Koszul path, used by ``betti_koszul``. Each distinct
+    relative face family is reduced once per ``memo``, a new one for each
+    closure unless one is given, under the Koszul model's name, so it never
+    reads a crosscut reduction."""
     memo = {} if memo is None else memo
 
     def dims_at(top: int) -> dict[int, int]:
-        facets = _koszul_facets(code, top)
-        dims = memo.get(facets)
-        if dims is None:
-            dims = memo[facets] = _reduced(
-                "koszul", faces_by_dim(facets), chars, memo,
-                lambda: f"degree {_label(code, top)}",
-            )
-        return dims
+        return _reduced(
+            "koszul", relative_faces(_koszul_masks(code, top)), chars, memo,
+            lambda: f"degree {_label(code, top)}",
+        )
 
     return dims_at
 

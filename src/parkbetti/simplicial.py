@@ -1,17 +1,16 @@
 """Face families of finite simplicial complexes and exact reduced homology.
 
 A complex is passed around as its face family, a plain dict
-{dimension: [sorted index tuples]}; no complex type is stored. A complex
-given by generating facets becomes such a dict through ``faces_by_dim``.
-Two degenerate cases are distinguished: the void complex, {} (no faces at
+{dimension: [sorted index tuples]}; no complex type is stored. Two
+degenerate cases are distinguished: the void complex, {} (no faces at
 all, zero homology everywhere), and the empty complex, {-1: [()]} (whose
 only face is the empty one, carrying one unit of reduced homology in
 degree -1). Homology ranks are computed over a prime field or, for
 characteristic 0, over the rationals.
 
 A family need not be downward closed: a complex minus a subcomplex (a
-relative family, such as the crosscut complex of an lcm-lattice interval
-taken relative to the star of one atom) spans its relative chain complex,
+relative family, such as the ones ``homology.relative_faces`` builds,
+relative to the star of one vertex) spans its relative chain complex,
 because the boundary terms that fall outside the family are the ones that
 vanish in the quotient. The core has one reduction path: the boundary maps
 are assembled and reduced bottom-up, unit pivots first, and the faces that
@@ -25,22 +24,8 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
-
-
-def faces_by_dim(facets) -> dict[int, list[tuple[int, ...]]]:
-    """Every face of the complex generated by ``facets`` (vertex
-    collections), as sorted index tuples grouped by dimension, each
-    dimension in lexicographic order; the empty face sits at -1. No facets
-    give the void complex, {}; the facet () alone gives the empty complex,
-    {-1: [()]}. Facets need not be maximal."""
-    grouped: dict[int, set] = {}
-    for f in {tuple(sorted(set(f))) for f in facets}:
-        for r in range(len(f) + 1):
-            grouped.setdefault(r - 1, set()).update(combinations(f, r))
-    return {d: sorted(fs) for d, fs in sorted(grouped.items())}
 
 
 def _unit_pivot_reduce(rows, cols, signs, n_rows: int, n_cols: int):

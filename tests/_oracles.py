@@ -5,12 +5,12 @@ fields of a Multigraph (n, edges, sink). No package algorithm is reused, so
 agreement between an oracle and the implementation is meaningful evidence.
 The matrix oracle likewise works on plain lists of integers, the boundary
 and relative-to-star oracles on plain face lists, the order-complex oracle
-on a lattice's elements and pairwise order test only, the crosscut,
-lcm-closure and Koszul oracles on monomials given as plain
-{variable: exponent} dicts, and the permutation oracle on a monomial's
-variable names. The canonical-form oracle is the first definition of the
-multigraph key, kept to pin the faster one to the same keys, on which
-corpus order depends.
+on a lattice's elements and pairwise order test only, the facet
+expansion on plain vertex collections, the crosscut, lcm-closure and
+Koszul oracles on monomials given as plain {variable: exponent} dicts, and
+the permutation oracle on a monomial's variable names. The canonical-form
+oracle is the first definition of the multigraph key, kept to pin the
+faster one to the same keys, on which corpus order depends.
 """
 
 from fractions import Fraction
@@ -215,6 +215,19 @@ def boundary_matrices(faces: dict[int, list[tuple[int, ...]]]) -> dict[int, np.n
     return mats
 
 
+def faces_by_dim(facets) -> dict[int, list[tuple[int, ...]]]:
+    """Every face of the complex generated by ``facets`` (vertex
+    collections), as sorted index tuples grouped by dimension, each
+    dimension in lexicographic order; the empty face sits at -1. No facets
+    give the void complex, {}; the facet () alone gives the empty complex,
+    {-1: [()]}. Facets need not be maximal."""
+    grouped: dict[int, set] = {}
+    for f in {tuple(sorted(set(f))) for f in facets}:
+        for r in range(len(f) + 1):
+            grouped.setdefault(r - 1, set()).update(combinations(f, r))
+    return {d: sorted(fs) for d, fs in sorted(grouped.items())}
+
+
 def interval_chain_faces(lattice, y) -> dict[int, list[tuple[int, ...]]]:
     """Order complex of the open interval (bottom, y): every chain, keyed by
     dimension, each dimension in lexicographic order. Chain entries are
@@ -291,6 +304,20 @@ def koszul_faces_oracle(generators: list[dict], degree: dict) -> dict[int, list[
             if any(all(quotient.get(v, 0) >= e for v, e in g.items()) for g in generators):
                 faces.setdefault(r - 1, []).append(subset)
     return faces
+
+
+def koszul_facets_oracle(generators: list[dict], degree: dict) -> set[tuple[int, ...]]:
+    """Generator facets of the upper Koszul complex at ``degree``: for each
+    generator g dividing degree, the support indices (in the key order of
+    ``degree``) of the variables where g's exponent is below degree's. A
+    subset F of the support has degree / x^F divisible by g exactly when F
+    lies in g's facet. No generator dividing degree gives no facet."""
+    support = [v for v, e in degree.items() if e > 0]
+    return {
+        tuple(k for k, v in enumerate(support) if g.get(v, 0) < degree[v])
+        for g in generators
+        if all(degree.get(v, 0) >= e for v, e in g.items())
+    }
 
 
 def permute_monomial(m: Monomial, mapping: dict) -> Monomial:

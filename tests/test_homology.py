@@ -16,10 +16,8 @@ from parkbetti import (
     betti_koszul,
     betti_mobius,
     betti_wilmes,
-    crosscut_faces,
     cutset_ideal,
     dual_connected_partition_lattice,
-    faces_by_dim,
     generate_corpus,
     graph_to_text,
     interval_homology_audit,
@@ -37,12 +35,13 @@ from parkbetti.homology import (
     DEFAULT_CHARS,
     _ReductionMemo,
     _agreeing_dims,
-    _crosscut_atoms,
+    _crosscut_masks,
     _interval_dims,
     _koszul_dims,
-    _koszul_facets,
+    _koszul_masks,
     _label,
     _orbit_representatives,
+    relative_faces,
 )
 from parkbetti.simplicial import homology_from_faces_multi
 
@@ -50,7 +49,9 @@ from _oracles import (
     betti_wilmes_oracle,
     boundary_matrices,
     crosscut_faces_oracle,
+    faces_by_dim,
     interval_chain_faces,
+    koszul_facets_oracle,
     koszul_faces_oracle,
     rank_oracle,
     relative_to_star,
@@ -113,6 +114,12 @@ def nonzero(dims):
 
 def reduced_homology_dims(faces, char):
     return homology_from_faces_multi(faces, (char,))[char]
+
+
+def crosscut_masks(atoms, top):
+    """The facet masks of the crosscut complex of [1, top] on ``atoms``:
+    the bits of top outside each atom."""
+    return [top & ~a for a in atoms]
 
 
 def chain_homology(lat, y):
@@ -238,7 +245,7 @@ class TestIntervalMachinery:
                     continue
                 top = code.encode(y)
                 atoms = [a for a in code.generators if not a & ~top]
-                by_char = homology_from_faces_multi(crosscut_faces(atoms, top), (32003, 2))
+                by_char = homology_from_faces_multi(relative_faces(crosscut_masks(atoms, top)), (32003, 2))
                 assert by_char[32003] == by_char[2]
                 assert nonzero(by_char[2]) == nonzero(chain_homology(lat, y))
 
@@ -285,7 +292,7 @@ class TestIntegerCodedCrosscut:
                 # one size more, so the oracle sees F + a for every face F kept
                 want = relative_to_star(crosscut_faces_oracle(below, dict(y.exps), cap + 1))
                 want = {d: fs for d, fs in want.items() if d < cap}
-                assert crosscut_faces(atoms, top, cap) == want
+                assert relative_faces(crosscut_masks(atoms, top), cap) == want
             vectors.add(betti_gpw(ideal))
         assert vectors == {betti_koszul(parking_ideal(G))}, graph_to_text(G)
 
@@ -299,15 +306,15 @@ class TestDominatedAtoms:
         for build in (parking_ideal, cutset_ideal, oriented_cutset_ideal):
             ideal = build(G)
             code = MonomialCode(ideal.variables, ideal.generators)
-            atoms_at = _crosscut_atoms(code)
+            masks_at = _crosscut_masks(code)
             for top in lcm_closure(code)[1:]:
                 atoms = [a for a in code.generators if not a & ~top]
-                kept, tops = atoms_at(top)
+                kept = masks_at(top)
                 if build is not parking_ideal:
-                    assert (kept, tops) == (atoms, top)
+                    assert kept == crosscut_masks(atoms, top)
                     continue
-                want = homology_from_faces_multi(crosscut_faces(atoms, top), (32003, 2))
-                got = homology_from_faces_multi(crosscut_faces(kept, tops), (32003, 2))
+                want = homology_from_faces_multi(relative_faces(crosscut_masks(atoms, top)), (32003, 2))
+                got = homology_from_faces_multi(relative_faces(kept), (32003, 2))
                 for char in (32003, 2):
                     assert nonzero(got[char]) == nonzero(want[char]), (
                         graph_to_text(G), _label(code, top)
@@ -320,22 +327,23 @@ class TestDominatedAtoms:
         ideal = parking_ideal(c4)
         code = MonomialCode(ideal.variables, ideal.generators)
         top = code.encode(Monomial.of({"x1": 1, "x2": 1, "x3": 2}))
-        kept, tops = _crosscut_atoms(code)(top)
+        kept = _crosscut_masks(code)(top)
         assert len([a for a in code.generators if not a & ~top]) == 4
         assert len(kept) == 3
-        assert tops != top
+        # no kept mask lies inside another
+        assert all(m & ~k for m in kept for k in kept if m != k)
         assert nonzero(_interval_dims(code, DEFAULT_CHARS)(top)) == {1: 1}
 
     def test_generator_keeps_the_empty_face(self, kite):
         # below a generator the only atom is the generator itself, whose
-        # reach is every top bit: the relative family is {()} alone
+        # reach is every top bit, so its mask is 0: the relative family is
+        # {()} alone
         ideal = parking_ideal(kite)
         code = MonomialCode(ideal.variables, ideal.generators)
-        atoms_at, dims_at = _crosscut_atoms(code), _interval_dims(code, DEFAULT_CHARS)
+        masks_at, dims_at = _crosscut_masks(code), _interval_dims(code, DEFAULT_CHARS)
         for g in code.generators:
-            kept, tops = atoms_at(g)
-            assert kept == [tops]
-            assert crosscut_faces(kept, tops, 1) == {-1: [()]}
+            assert masks_at(g) == [0]
+            assert relative_faces(masks_at(g), 1) == {-1: [()]}
             assert dims_at(g) == {-1: 1}
 
 
@@ -473,18 +481,19 @@ def uncached_betti(ideal, dims_at):
 
 def face_family_keys(ideal):
     """The distinct relative crosscut face families of the proper elements
-    of lcm(ideal), as ``_interval_dims`` builds them: on the atoms that
-    ``_crosscut_atoms`` keeps."""
+    of lcm(ideal), as ``_interval_dims`` builds them: on the masks that
+    ``_crosscut_masks`` keeps."""
     code = MonomialCode(ideal.variables, ideal.generators)
-    atoms_at = _crosscut_atoms(code)
+    masks_at = _crosscut_masks(code)
     lat = lcm_lattice(ideal)
     keys = set()
     for y in lat.elements:
         if y == lat.bottom:
             continue
-        atoms, tops = atoms_at(code.encode(y))
-        cap = max(min(len(ideal.variables) - 2, len(atoms) - 2), -1) + 2
-        keys.add(tuple((d, tuple(fs)) for d, fs in crosscut_faces(atoms, tops, cap).items()))
+        masks = masks_at(code.encode(y))
+        cap = max(min(len(ideal.variables) - 2, len(masks) - 2), -1) + 2
+        faces = relative_faces(masks, cap)
+        keys.add(tuple((d, tuple(fs)) for d, fs in faces.items()))
     return keys
 
 
@@ -636,10 +645,26 @@ class TestSharedReductionMemo:
 
 
 def koszul_faces(ideal, m):
-    """Faces of K^m(ideal), expanded from the generator facets that
-    ``betti_koszul`` reads."""
+    """The relative face family of K^m(ideal) that ``betti_koszul``
+    reduces."""
     code = MonomialCode(ideal.variables, ideal.generators)
-    return faces_by_dim(_koszul_facets(code, code.encode(m)))
+    return relative_faces(_koszul_masks(code, code.encode(m)))
+
+
+def koszul_facets(ideal, m):
+    """The generator facets that the masks of K^m(ideal) encode: facet i
+    holds the support variables whose mask has bit i, one facet for each
+    generator dividing m."""
+    code = MonomialCode(ideal.variables, ideal.generators)
+    top = code.encode(m)
+    masks = _koszul_masks(code, top)
+    count = sum(not g & ~top for g in code.generators)
+    return {tuple(k for k, mask in enumerate(masks) if mask >> i & 1) for i in range(count)}
+
+
+def support_degree(ideal, m):
+    """The exponents of m on its support, in variable order."""
+    return {v: m.exponent(v) for v in ideal.variables if m.exponent(v)}
 
 
 class TestKoszulComplex:
@@ -655,21 +680,66 @@ class TestKoszulComplex:
 
     @given(multigraphs())
     def test_facets_match_membership_oracle(self, G):
-        # the facet construction against the per-subset definition at every
-        # element of lcm(I), lcm(J) and lcm(K)
+        # the facets the masks encode, and the complex they generate,
+        # against the per-subset definition at every element of lcm(I),
+        # lcm(J) and lcm(K)
         for build in (parking_ideal, cutset_ideal, oriented_cutset_ideal):
             ideal = build(G)
             plain = [dict(g.exps) for g in ideal.generators]
             for m in lcm_lattice(ideal).elements:
-                degree = {v: m.exponent(v) for v in ideal.variables if m.exponent(v)}
-                want = koszul_faces_oracle(plain, degree)
-                assert koszul_faces(ideal, m) == want, (graph_to_text(G), str(m))
+                degree = support_degree(ideal, m)
+                facets = koszul_facets_oracle(plain, degree)
+                assert koszul_facets(ideal, m) == facets, (graph_to_text(G), str(m))
+                assert faces_by_dim(facets) == koszul_faces_oracle(plain, degree)
             # a generator less one variable: no minimal generator divides it
             g = ideal.generators[0]
             v, e = g.exps[0]
             below = Monomial.of({**dict(g.exps), v: e - 1})
-            assert koszul_faces(ideal, below) == {}
+            assert koszul_facets(ideal, below) == set()
             assert koszul_faces_oracle(plain, dict(below.exps)) == {}
+
+    @given(multigraphs())
+    def test_relative_family_matches_oracle(self, G):
+        # at every proper element of lcm(I), lcm(J) and lcm(K): the family
+        # reduced is the oracle's complex relative to the star of its first
+        # vertex, numbered over the vertices that lie in a facet, with the
+        # homology of the whole complex
+        for build in (parking_ideal, cutset_ideal, oriented_cutset_ideal):
+            ideal = build(G)
+            plain = [dict(g.exps) for g in ideal.generators]
+            lat = lcm_lattice(ideal)
+            for m in lat.elements:
+                if m == lat.bottom:
+                    continue
+                full = koszul_faces_oracle(plain, support_degree(ideal, m))
+                in_a_facet = sorted({v for fs in full.values() for f in fs for v in f})
+                index = {v: i for i, v in enumerate(in_a_facet)}
+                want = {
+                    d: [tuple(index[v] for v in f) for f in fs]
+                    for d, fs in relative_to_star(full).items()
+                }
+                got = koszul_faces(ideal, m)
+                assert got == want, (graph_to_text(G), str(m))
+                got_dims = homology_from_faces_multi(got, (32003, 2))
+                want_dims = homology_from_faces_multi(full, (32003, 2))
+                for char in (32003, 2):
+                    assert nonzero(got_dims[char]) == nonzero(want_dims[char]), (
+                        graph_to_text(G), str(m)
+                    )
+
+    def test_first_variable_in_no_facet(self):
+        # both generators hold x1 as often as m does, so x1 lies in no
+        # facet and is dropped: K^m is the two points x2 and x3
+        ideal = MonomialIdeal(("x1", "x2", "x3"), (
+            Monomial.of({"x1": 1, "x2": 1}), Monomial.of({"x1": 1, "x3": 1}),
+        ))
+        m = Monomial.of({"x1": 1, "x2": 1, "x3": 1})
+        code = MonomialCode(ideal.variables, ideal.generators)
+        assert _koszul_masks(code, code.encode(m))[0] == 0
+        faces = koszul_faces(ideal, m)
+        assert faces == {0: [(1,)]}
+        assert nonzero(reduced_homology_dims(faces, 32003)) == {0: 1}
+        assert nonzero(reduced_homology_dims(faces, 2)) == {0: 1}
 
 
 class TestAuditAndEuler:

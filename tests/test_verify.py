@@ -262,6 +262,16 @@ class TestCli:
         assert main(["betti", self.write(tmp_path), "--method", "gpw", "--ideal", "J", "--char", "0"]) == 0
         assert json.loads(capsys.readouterr().out) == [6, 9, 4]
 
+    @pytest.mark.parametrize("command", ["betti", "verify"])
+    def test_char_not_an_integer_is_a_usage_error(self, tmp_path, capsys, command):
+        args = [command, self.write(tmp_path), "--char", "x"]
+        if command == "betti":
+            args += ["--method", "gpw"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(args)
+        assert exit_info.value.code == 2
+        assert "argument --char: invalid int value: 'x'" in capsys.readouterr().err
+
     def test_lattice_text(self, tmp_path, capsys):
         assert main(["lattice", self.write(tmp_path), "--dual", "--mobius"]) == 0
         out = capsys.readouterr().out
