@@ -228,6 +228,8 @@ def main(argv=None) -> int:
             parser.error("argument --corpus: not allowed with a graph file")
         if args.sink is not None:
             parser.error("argument --sink: not allowed with --corpus")
+    if args.command == "betti" and args.char is not None and args.method in ("wilmes", "mobius"):
+        parser.error(f"argument --char: not allowed with --method {args.method}")
     if args.command == "verify" and args.jobs < 1:
         parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
     try:

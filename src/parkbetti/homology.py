@@ -7,15 +7,16 @@ a disagreement means the answer is field-dependent and is raised, never
 averaged.
 
 Every homology computation takes one route: a relative face family
-{dimension: [index tuples]}, built by ``relative_faces`` and handed to
-``_agreeing_dims``. Two models feed it, each through one per-element
-function. ``_interval_dims`` uses the crosscut model of the lcm-lattice
-interval below an element; both ``betti_gpw`` and the concentration audit
-(``interval_homology_audit``) go through it, so the audit reports the
-homology that gpw sums. ``_koszul_dims`` uses the upper Koszul complex at
-an element; ``betti_koszul`` goes through it. The order complex of an
-interval (every chain) and the Koszul complex by its subset definition are
-kept only as test oracles.
+{dimension: [index tuples]}, built by ``relative_faces`` and reduced by
+``_ReductionMemo._reduced``. Two models feed it, each through one
+per-element method of ``_ReductionMemo``. ``_interval_dims`` uses the
+crosscut model of the lcm-lattice interval below an element; both
+``betti_gpw`` and the concentration audit (``interval_homology_audit``) go
+through it, so the audit reports the homology that gpw sums.
+``_koszul_dims`` uses the upper Koszul complex at an element;
+``betti_koszul`` goes through it. The order complex of an interval (every
+chain) and the Koszul complex by its subset definition are kept only as
+test oracles.
 
 Both complexes have one shape: a set of vertices is a face exactly when
 some facet holds all of them. Each vertex is given by its mask, the
@@ -50,14 +51,10 @@ reaches miss a bit of T, every kept atom holds that bit in its mask, so
 the pruned complex is a simplex and has no homology; below a generator y
 the one atom is y itself, whose mask is 0, and the complex is {()}.
 
-Degrees of an interval are bounded before anything is assembled, by
-max(min(#variables - 2, #kept atoms - 2), -1):
-- degrees above #variables - 2 vanish because the quotient's projective
-  dimension is at most the variable count;
-- when the kept reaches cover T, no face holds every kept atom, so the
-  pruned complex has dimension at most #kept - 2 and no homology above it,
-  and neither has D, which has its homotopy type; when they do not, the
-  complex is a simplex and no degree has homology.
+Degrees of an interval are bounded by #variables - 2 before anything is
+assembled: higher degrees vanish because the quotient's projective
+dimension is at most the variable count. The faces are grown up to one
+dimension more, which truncation (below) shows to be exact.
 
 The Koszul model reads the upper Koszul complex K^m(I), the family of
 subsets F of supp m with m / x^F in I (Miller-Sturmfels, Thm 1.34), its
@@ -98,21 +95,22 @@ disagreement. The audit walks the elements of the lattice it is given and
 encodes each once.
 
 Most complexes repeat, inside one lattice and across the lattices of one
-graph, so every distinct complex is reduced once per memo: a plain dict
-that ``_ReductionMemo`` holds with the characteristics its entries were
-computed over. Its keys are exact, and both models key it the same way
+graph, so every distinct complex is reduced once per ``_ReductionMemo``:
+the one object the lattice methods run on. It checks the characteristics
+once (at least one) and holds them with a plain dict of the dims computed
+over them. Its keys are exact, and both models key it the same way
 (``_reduced``): by the model's name and the relative face family, in the
 form {dim: tuple(faces)}, which is all the reduction reads. An interval's
-own degree cap is applied after the lookup. The model's name keeps two key
+degree cap is applied after the lookup. The model's name keeps two key
 spaces: a Koszul lookup never reads a crosscut reduction, nor the reverse,
 and ``betti_koszul`` stays an oracle independent of ``betti_gpw`` on a
 shared memo. A family both models build (the one-point complex {()} of a
 generator) is reduced once by each.
 Each call of ``betti_gpw``, ``betti_koszul`` and
-``interval_homology_audit`` builds its own memo and drops it on return;
-``verify.verify_graph`` builds one for its whole graph, shared by every
-Betti check at every sink and by the audit, and drops it on return.
-Nothing is shared between calls, so every call does the same work
+``interval_homology_audit`` builds its own ``_ReductionMemo`` and drops it
+on return; ``verify.verify_graph`` builds one for its whole graph, shared
+by every Betti check at every sink and by the audit, and drops it on
+return. Nothing is shared between calls, so every call does the same work
 whatever ran before it. A characteristic disagreement propagates and is
 never stored, so it is raised at the same element, with the same message,
 as if there were no memo.
@@ -142,19 +140,6 @@ class CharacteristicDisagreement(ArithmeticError):
         summary = "; ".join(f"char {c}: {d}" for c, d in dims_by_char.items())
         suffix = f" [{context}]" if context else ""
         super().__init__(f"homology depends on the field ({summary}){suffix}")
-
-
-def _agreeing_dims(faces, chars, context: Callable[[], str]) -> dict[int, int]:
-    """Homology dims of a face family over every characteristic in
-    ``chars``, required to agree. ``context`` builds the label of a
-    disagreement; it is called only when one is raised."""
-    if not chars:
-        raise ValueError("need at least one characteristic")
-    dims_by_char = homology_from_faces_multi(faces, tuple(chars))
-    first = dims_by_char[chars[0]]
-    if any(d != first for d in dims_by_char.values()):
-        raise CharacteristicDisagreement(dims_by_char, context())
-    return first
 
 
 def relative_faces(
@@ -293,22 +278,7 @@ def _label(code: MonomialCode, top: int) -> str:
     return code.decode(top).to_str(code.variables)
 
 
-def _reduced(
-    model: str, faces, chars, memo: dict, context: Callable[[], str]
-) -> dict[int, int]:
-    """``_agreeing_dims`` of the face family ``faces``, reduced only when
-    ``memo`` does not hold it yet for the same ``model``. The key is the
-    model's name and the family itself, in the form {dim: tuple(faces)},
-    which is all the reduction reads; a disagreement propagates and is
-    never stored."""
-    key = (model, tuple((d, tuple(fs)) for d, fs in faces.items()))
-    dims = memo.get(key)
-    if dims is None:
-        dims = memo[key] = _agreeing_dims(faces, chars, context)
-    return dims
-
-
-def _crosscut_masks(code: MonomialCode) -> Callable[[int], list[int]]:
+def _crosscut_masks(code: MonomialCode, top: int) -> list[int]:
     """The facet masks of the crosscut complex of (1, y) on the atoms that
     survive strong collapse, at the code of y: T & ~(b & T) for an atom b,
     T the top bit of each nonzero field of y (see the module docstring).
@@ -316,52 +286,17 @@ def _crosscut_masks(code: MonomialCode) -> Callable[[int], list[int]]:
     dominated, and every atom below y has its mask, in generator order.
     Otherwise one mask is kept for each inclusion-maximal distinct mask,
     in (descending popcount, first appearance) order."""
-    # (y >> 1) & inner moves each set bit one place down inside its field:
-    # inner clears the highest bit of every field, where a bit of the next
-    # field up would land
-    inner = ~0
-    for mask in code.masks:
-        inner &= ~(mask & ~(mask >> 1))
-
-    def masks_at(top: int) -> list[int]:
-        tops = top & ~((top >> 1) & inner)
-        masks = [tops & ~a for a in code.generators if not a & ~top]
-        if tops == top:
-            return masks
-        kept: list[int] = []
-        # a mask inside a larger one is inside a maximal one, which comes
-        # first in popcount order and is kept: the kept ones are all to test
-        for mask in sorted(dict.fromkeys(masks), key=int.bit_count, reverse=True):
-            if all(mask & ~k for k in kept):
-                kept.append(mask)
-        return kept
-
-    return masks_at
-
-
-def _interval_dims(
-    code: MonomialCode, chars, memo: dict | None = None
-) -> Callable[[int], dict[int, int]]:
-    """Reduced homology of the open interval (1, y) of lcm(I), I the ideal
-    of ``code``, at the code of y, reported for the degrees where it can be
-    nonzero: the one interval path, shared by ``betti_gpw`` and the audit.
-    The atoms below y are the generators it is divisible by, less the
-    dominated ones (``_crosscut_masks``), and the relative crosscut faces
-    grow on their masks up to the degree bound of the module docstring.
-    Each distinct face family is reduced once per ``memo``, a new one for
-    each closure unless one is given."""
-    variable_count = len(code.variables)
-    memo = {} if memo is None else memo
-    masks_at = _crosscut_masks(code)
-
-    def dims_at(top: int) -> dict[int, int]:
-        masks = masks_at(top)
-        max_degree = max(min(variable_count - 2, len(masks) - 2), -1)
-        faces = relative_faces(masks, max_degree + 2)
-        dims = _reduced("crosscut", faces, chars, memo, partial(_label, code, top))
-        return {d: v for d, v in dims.items() if d <= max_degree}
-
-    return dims_at
+    tops = code.tops(top)
+    masks = [tops & ~a for a in code.generators if not a & ~top]
+    if tops == top:
+        return masks
+    kept: list[int] = []
+    # a mask inside a larger one is inside a maximal one, which comes first
+    # in popcount order and is kept: the kept ones are all to test
+    for mask in sorted(dict.fromkeys(masks), key=int.bit_count, reverse=True):
+        if all(mask & ~k for k in kept):
+            kept.append(mask)
+    return kept
 
 
 def _koszul_masks(code: MonomialCode, top: int) -> list[int]:
@@ -378,45 +313,64 @@ def _koszul_masks(code: MonomialCode, top: int) -> list[int]:
     ]
 
 
-def _koszul_dims(
-    code: MonomialCode, chars, memo: dict | None = None
-) -> Callable[[int], dict[int, int]]:
-    """Reduced homology of K^m(I), I the ideal of ``code``, at the code of
-    m: the one Koszul path, used by ``betti_koszul``. Each distinct
-    relative face family is reduced once per ``memo``, a new one for each
-    closure unless one is given, under the Koszul model's name, so it never
-    reads a crosscut reduction."""
-    memo = {} if memo is None else memo
+class _ReductionMemo:
+    """The one object the lcm-lattice computations run on (see the module
+    docstring): the characteristics, checked once, and the memo of dims
+    computed over them, whose keys leave the characteristics out."""
 
-    def dims_at(top: int) -> dict[int, int]:
-        return _reduced(
-            "koszul", relative_faces(_koszul_masks(code, top)), chars, memo,
+    def __init__(self, chars):
+        self.chars = tuple(chars)
+        if not self.chars:
+            raise ValueError("need at least one characteristic")
+        self.memo: dict = {}
+
+    def _reduced(self, model: str, faces, context: Callable[[], str]) -> dict[int, int]:
+        """Homology dims of the face family ``faces`` over every
+        characteristic, required to agree, reduced only when the memo does
+        not hold the family yet for the same ``model``. The key is the
+        model's name and the family itself, in the form {dim: tuple(faces)},
+        which is all the reduction reads. ``context`` builds the label of a
+        disagreement; it is called only when one is raised, and a
+        disagreement is never stored."""
+        key = (model, tuple((d, tuple(fs)) for d, fs in faces.items()))
+        dims = self.memo.get(key)
+        if dims is None:
+            dims_by_char = homology_from_faces_multi(faces, self.chars)
+            dims = dims_by_char[self.chars[0]]
+            if any(d != dims for d in dims_by_char.values()):
+                raise CharacteristicDisagreement(dims_by_char, context())
+            self.memo[key] = dims
+        return dims
+
+    def _interval_dims(self, code: MonomialCode, top: int) -> dict[int, int]:
+        """Reduced homology of the open interval (1, y) of lcm(I), I the
+        ideal of ``code``, at the code of y, in the degrees up to the
+        projective-dimension bound: the one interval path, shared by
+        ``betti_gpw`` and the audit. The atoms below y are the generators it
+        is divisible by, less the dominated ones (``_crosscut_masks``)."""
+        max_degree = len(code.variables) - 2
+        faces = relative_faces(_crosscut_masks(code, top), max_degree + 2)
+        dims = self._reduced("crosscut", faces, partial(_label, code, top))
+        return {d: v for d, v in dims.items() if d <= max_degree}
+
+    def _koszul_dims(self, code: MonomialCode, top: int) -> dict[int, int]:
+        """Reduced homology of K^m(I), I the ideal of ``code``, at the code
+        of m: the one Koszul path, used by ``betti_koszul``."""
+        return self._reduced(
+            "koszul", relative_faces(_koszul_masks(code, top)),
             lambda: f"degree {_label(code, top)}",
         )
 
-    return dims_at
-
-
-class _ReductionMemo:
-    """The lcm-lattice computations over one reduction memo (see the module
-    docstring). Its keys leave out the characteristics, so the memo is held
-    with the ``chars`` its dims were computed over."""
-
-    def __init__(self, chars):
-        self.chars = chars
-        self.memo: dict = {}
-
     def betti_gpw(self, ideal: MonomialIdeal, symmetries=()) -> tuple[int, ...]:
-        code = MonomialCode(ideal.variables, ideal.generators)
-        return _lattice_betti(code, symmetries, _interval_dims(code, self.chars, self.memo))
+        code = ideal.code
+        return _lattice_betti(code, symmetries, partial(self._interval_dims, code))
 
     def betti_koszul(self, ideal: MonomialIdeal, symmetries=()) -> tuple[int, ...]:
-        code = MonomialCode(ideal.variables, ideal.generators)
-        return _lattice_betti(code, symmetries, _koszul_dims(code, self.chars, self.memo))
+        code = ideal.code
+        return _lattice_betti(code, symmetries, partial(self._koszul_dims, code))
 
     def audit(self, ideal: MonomialIdeal, lattice: FiniteLattice) -> list[dict]:
-        code = MonomialCode(ideal.variables, ideal.generators)
-        dims_at = _interval_dims(code, self.chars, self.memo)
+        code = ideal.code
         mu = lattice.mobius()
         rows = []
         for x in lattice.elements:
@@ -426,7 +380,9 @@ class _ReductionMemo:
                 "element": x.to_str(ideal.variables),
                 "rank": lattice.rank(x),
                 "mobius": mu[x],
-                "homology": {d: v for d, v in dims_at(code.encode(x)).items() if v},
+                "homology": {
+                    d: v for d, v in self._interval_dims(code, code.encode(x)).items() if v
+                },
             })
         return rows
 

@@ -4,6 +4,11 @@ Variable naming is fixed so printed generators are byte-stable: parking
 variables are ``x<i>`` (1-based vertex index, sink omitted), cut-set
 variables ``y_<edgelabel>``, and oriented half-edge variables
 ``z1_<edgelabel>`` / ``z2_<edgelabel>`` for the tail and head ends.
+
+Inside the engine monomials are integers (``MonomialCode``). An ideal
+builds its code once, on first use of ``MonomialIdeal.code``, and every
+lattice computation on that ideal object reads it. Shift arithmetic on the
+bit fields stays in ``MonomialCode`` (``MonomialCode.tops``).
 """
 
 from __future__ import annotations
@@ -111,6 +116,11 @@ class MonomialIdeal:
             ],
         }
 
+    @cached_property
+    def code(self) -> "MonomialCode":
+        """The ideal's ``MonomialCode``, built on first use and kept."""
+        return MonomialCode(self.variables, self.generators)
+
 
 class MonomialCode:
     """Unary ("thermometer") integer code for the monomials of one ideal.
@@ -140,6 +150,10 @@ class MonomialCode:
             self._fields[v] = [((1 << e) - 1) << offset for e in range(width + 1)]
         # the full field of each variable, in variable order
         self.masks = tuple(field[-1] for field in self._fields.values())
+        # every bit but the highest of each field
+        self._inner = ~0
+        for mask in self.masks:
+            self._inner &= ~(mask & ~(mask >> 1))
         self.generators = tuple(self.encode(g) for g in generators)
 
     def encode(self, m: Monomial) -> int:
@@ -150,6 +164,13 @@ class MonomialCode:
                 raise ValueError(f"{m} does not divide the lcm of the generators")
             code |= field[e]
         return code
+
+    def tops(self, code: int) -> int:
+        """The highest set bit of each nonzero field of ``code``, a code of a
+        monomial dividing the lcm of the generators: (code >> 1) moves each
+        bit one place down, and masking out the top bit of every field keeps
+        a bit of one field from landing in the field below."""
+        return code & ~((code >> 1) & self._inner)
 
     def decode(self, code: int) -> Monomial:
         return Monomial(tuple(
@@ -272,7 +293,7 @@ def lcm_lattice(ideal: MonomialIdeal) -> FiniteLattice:
     in its order, with the exponent vectors as the lattice's vectors
     (divisibility is the componentwise order on them). No order matrix is
     built here."""
-    code = MonomialCode(ideal.variables, ideal.generators)
+    code = ideal.code
     codes = lcm_closure(code)
     return FiniteLattice([code.decode(c) for c in codes], code.exponents(codes))
 

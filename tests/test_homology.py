@@ -10,7 +10,6 @@ from parkbetti import (
     CharacteristicDisagreement,
     FiniteLattice,
     Monomial,
-    MonomialCode,
     MonomialIdeal,
     betti_gpw,
     betti_koszul,
@@ -34,10 +33,7 @@ from parkbetti import homology as homology_module
 from parkbetti.homology import (
     DEFAULT_CHARS,
     _ReductionMemo,
-    _agreeing_dims,
     _crosscut_masks,
-    _interval_dims,
-    _koszul_dims,
     _koszul_masks,
     _label,
     _orbit_representatives,
@@ -176,7 +172,7 @@ class TestReducedHomology:
         assert nonzero(reduced_homology_dims(RP2, 32003)) == {}
         assert nonzero(reduced_homology_dims(RP2, 0)) == {}
         with pytest.raises(CharacteristicDisagreement):
-            _agreeing_dims(RP2, DEFAULT_CHARS, str)
+            _ReductionMemo(DEFAULT_CHARS)._reduced("crosscut", RP2, str)
 
     def test_boundary_matrices_compose_to_zero(self):
         mats = boundary_matrices(RP2)
@@ -239,7 +235,7 @@ class TestIntervalMachinery:
         for build in (parking_ideal, cutset_ideal, oriented_cutset_ideal):
             ideal = build(kite)
             lat = lcm_lattice(ideal)
-            code = MonomialCode(ideal.variables, ideal.generators)
+            code = ideal.code
             for y in lat.elements:
                 if y == lat.bottom:
                     continue
@@ -256,13 +252,27 @@ class TestIntervalMachinery:
         for build in (parking_ideal, cutset_ideal, oriented_cutset_ideal):
             ideal = build(G)
             lat = lcm_lattice(ideal)
-            code = MonomialCode(ideal.variables, ideal.generators)
-            dims_at = _interval_dims(code, DEFAULT_CHARS)
+            code = ideal.code
+            reductions = _ReductionMemo(DEFAULT_CHARS)
             for y in lat.elements:
                 if y == lat.bottom:
                     continue
-                dims = dims_at(code.encode(y))
+                dims = reductions._interval_dims(code, code.encode(y))
                 assert nonzero(dims) == nonzero(chain_homology(lat, y)), (graph_to_text(G), str(y))
+
+    def test_faces_grow_one_dimension_past_the_cap(self):
+        # I = (t) + (every product of two of a, b, c, d). Below tabcd the
+        # first atom t leaves every set of the six other atoms whose pairs
+        # cover a, b, c, d in the relative family, up to all six, while the
+        # cap is 5 - 2 = 3: degree 3 comes out 0 only when the faces of
+        # dimension 4 are grown too
+        pairs = [Monomial.of({u: 1, v: 1}) for u, v in combinations("abcd", 2)]
+        ideal = MonomialIdeal(("t", "a", "b", "c", "d"), (Monomial.of({"t": 1}), *pairs))
+        lat = lcm_lattice(ideal)
+        dims = _ReductionMemo(DEFAULT_CHARS)._interval_dims(ideal.code, ideal.code.encode(lat.top))
+        assert nonzero(dims) == nonzero(chain_homology(lat, lat.top)) == {2: 3}
+        # S/(t) tensor S/(the six pairs): (1, 1) times (6, 8, 3)
+        assert betti_gpw(ideal) == betti_koszul(ideal) == (7, 14, 11, 3)
 
     def test_kite_top_interval_concentration(self, kite):
         # the dual lattice has height 3, so the top interval is a wedge of
@@ -280,7 +290,7 @@ class TestIntegerCodedCrosscut:
         for build in (parking_ideal, cutset_ideal, oriented_cutset_ideal):
             ideal = build(G)
             lat = lcm_lattice(ideal)
-            code = MonomialCode(ideal.variables, ideal.generators)
+            code = ideal.code
             plain = [dict(g.exps) for g in ideal.generators]
             for y in lat.elements:
                 if y == lat.bottom:
@@ -305,11 +315,10 @@ class TestDominatedAtoms:
         # J and K are squarefree, so there they keep every atom in order
         for build in (parking_ideal, cutset_ideal, oriented_cutset_ideal):
             ideal = build(G)
-            code = MonomialCode(ideal.variables, ideal.generators)
-            masks_at = _crosscut_masks(code)
+            code = ideal.code
             for top in lcm_closure(code)[1:]:
                 atoms = [a for a in code.generators if not a & ~top]
-                kept = masks_at(top)
+                kept = _crosscut_masks(code, top)
                 if build is not parking_ideal:
                     assert kept == crosscut_masks(atoms, top)
                     continue
@@ -325,26 +334,26 @@ class TestDominatedAtoms:
         # a superset of the reach of x1*x3 (x1 only): it is dominated, and
         # the three atoms left span a hollow triangle
         ideal = parking_ideal(c4)
-        code = MonomialCode(ideal.variables, ideal.generators)
+        code = ideal.code
         top = code.encode(Monomial.of({"x1": 1, "x2": 1, "x3": 2}))
-        kept = _crosscut_masks(code)(top)
+        kept = _crosscut_masks(code, top)
         assert len([a for a in code.generators if not a & ~top]) == 4
         assert len(kept) == 3
         # no kept mask lies inside another
         assert all(m & ~k for m in kept for k in kept if m != k)
-        assert nonzero(_interval_dims(code, DEFAULT_CHARS)(top)) == {1: 1}
+        assert nonzero(_ReductionMemo(DEFAULT_CHARS)._interval_dims(code, top)) == {1: 1}
 
     def test_generator_keeps_the_empty_face(self, kite):
         # below a generator the only atom is the generator itself, whose
         # reach is every top bit, so its mask is 0: the relative family is
         # {()} alone
         ideal = parking_ideal(kite)
-        code = MonomialCode(ideal.variables, ideal.generators)
-        masks_at, dims_at = _crosscut_masks(code), _interval_dims(code, DEFAULT_CHARS)
+        code = ideal.code
+        reductions = _ReductionMemo(DEFAULT_CHARS)
         for g in code.generators:
-            assert masks_at(g) == [0]
-            assert relative_faces(masks_at(g), 1) == {-1: [()]}
-            assert dims_at(g) == {-1: 1}
+            assert _crosscut_masks(code, g) == [0]
+            assert relative_faces(_crosscut_masks(code, g), 1) == {-1: [()]}
+            assert reductions._interval_dims(code, g) == {-1: 1}
 
 
 class TestBettiPipelines:
@@ -393,6 +402,17 @@ class TestBettiPipelines:
         with pytest.raises(CharacteristicDisagreement) as koszul:
             betti_koszul(ideal)
         assert str(koszul.value) == rp2_koszul_disagreement()
+
+    def test_no_characteristic_rejected(self, kite):
+        # every lattice method needs a field to compute over, even where the
+        # memo would never reduce anything
+        ideal = cutset_ideal(kite)
+        with pytest.raises(ValueError, match="at least one characteristic"):
+            betti_gpw(ideal, chars=())
+        with pytest.raises(ValueError, match="at least one characteristic"):
+            betti_koszul(ideal, chars=())
+        with pytest.raises(ValueError, match="at least one characteristic"):
+            interval_homology_audit(ideal, lcm_lattice(ideal), chars=())
 
     def test_principal_ideal(self):
         principal = MonomialIdeal(("x1",), (Monomial.of({"x1": 5}),))
@@ -483,16 +503,14 @@ def face_family_keys(ideal):
     """The distinct relative crosscut face families of the proper elements
     of lcm(ideal), as ``_interval_dims`` builds them: on the masks that
     ``_crosscut_masks`` keeps."""
-    code = MonomialCode(ideal.variables, ideal.generators)
-    masks_at = _crosscut_masks(code)
+    code = ideal.code
+    max_degree = len(ideal.variables) - 2
     lat = lcm_lattice(ideal)
     keys = set()
     for y in lat.elements:
         if y == lat.bottom:
             continue
-        masks = masks_at(code.encode(y))
-        cap = max(min(len(ideal.variables) - 2, len(masks) - 2), -1) + 2
-        faces = relative_faces(masks, cap)
+        faces = relative_faces(_crosscut_masks(code, code.encode(y)), max_degree + 2)
         keys.add(tuple((d, tuple(fs)) for d, fs in faces.items()))
     return keys
 
@@ -512,7 +530,7 @@ class TestReductionMemo:
 
     def test_each_face_family_reduced_once_per_call(self, kite, reductions):
         ideal = parking_ideal(kite)
-        code = MonomialCode(ideal.variables, ideal.generators)
+        code = ideal.code
         proper = lcm_closure(code)[1:]
         moves = [code.permutation(mapping) for mapping in variable_symmetries(kite, "x")]
         orbits = _orbit_representatives(proper, moves)
@@ -548,18 +566,18 @@ class TestReductionMemo:
 
     @given(multigraphs())
     def test_matches_uncached_sum_over_every_element(self, G):
-        # a fresh closure per element, so no memo is shared between elements
+        # a fresh memo per element, so no reduction is shared between elements
         for build in (parking_ideal, cutset_ideal, oriented_cutset_ideal):
             ideal = build(G)
-            code = MonomialCode(ideal.variables, ideal.generators)
+            code = ideal.code
             want = uncached_betti(
-                ideal, lambda m: _interval_dims(code, DEFAULT_CHARS)(code.encode(m))
+                ideal, lambda m: _ReductionMemo(DEFAULT_CHARS)._interval_dims(code, code.encode(m))
             )
             assert betti_gpw(ideal) == want, graph_to_text(G)
         ideal = parking_ideal(G)
-        code = MonomialCode(ideal.variables, ideal.generators)
+        code = ideal.code
         want = uncached_betti(
-            ideal, lambda m: _koszul_dims(code, DEFAULT_CHARS)(code.encode(m))
+            ideal, lambda m: _ReductionMemo(DEFAULT_CHARS)._koszul_dims(code, code.encode(m))
         )
         assert betti_koszul(ideal) == want, graph_to_text(G)
 
@@ -571,18 +589,18 @@ class TestSharedReductionMemo:
         family)."""
         keys = []
         models = []
-        lookup = homology_module._reduced
+        lookup = _ReductionMemo._reduced
         reduce = homology_module.homology_from_faces_multi
 
-        def tagged(model, *rest):
+        def tagged(self, model, *rest):
             models.append(model)
-            return lookup(model, *rest)
+            return lookup(self, model, *rest)
 
         def counted(faces, chars):
             keys.append((models[-1], tuple((d, tuple(fs)) for d, fs in faces.items())))
             return reduce(faces, chars)
 
-        monkeypatch.setattr(homology_module, "_reduced", tagged)
+        monkeypatch.setattr(_ReductionMemo, "_reduced", tagged)
         monkeypatch.setattr(homology_module, "homology_from_faces_multi", counted)
         return keys
 
@@ -647,7 +665,7 @@ class TestSharedReductionMemo:
 def koszul_faces(ideal, m):
     """The relative face family of K^m(ideal) that ``betti_koszul``
     reduces."""
-    code = MonomialCode(ideal.variables, ideal.generators)
+    code = ideal.code
     return relative_faces(_koszul_masks(code, code.encode(m)))
 
 
@@ -655,7 +673,7 @@ def koszul_facets(ideal, m):
     """The generator facets that the masks of K^m(ideal) encode: facet i
     holds the support variables whose mask has bit i, one facet for each
     generator dividing m."""
-    code = MonomialCode(ideal.variables, ideal.generators)
+    code = ideal.code
     top = code.encode(m)
     masks = _koszul_masks(code, top)
     count = sum(not g & ~top for g in code.generators)
@@ -734,7 +752,7 @@ class TestKoszulComplex:
             Monomial.of({"x1": 1, "x2": 1}), Monomial.of({"x1": 1, "x3": 1}),
         ))
         m = Monomial.of({"x1": 1, "x2": 1, "x3": 1})
-        code = MonomialCode(ideal.variables, ideal.generators)
+        code = ideal.code
         assert _koszul_masks(code, code.encode(m))[0] == 0
         faces = koszul_faces(ideal, m)
         assert faces == {0: [(1,)]}

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from parkbetti import (
     Edge,
@@ -21,6 +22,7 @@ from parkbetti import (
     permute_code,
     shared_vertex_substitution,
     variable_symmetries,
+    verify_graph,
 )
 from parkbetti import graphs as graphs_module
 
@@ -150,6 +152,45 @@ class TestMonomialCode:
         variable_symmetries(G.with_sink(0), "x")
         assert variable_symmetries(G, "x") == maps["x"]
         assert len(calls) == 2
+
+    @given(multigraphs(), st.data())
+    def test_tops_are_the_highest_bit_of_each_field(self, G, data):
+        # the field tops against one field at a time, on the lattice
+        # elements and on monomials drawn from the box below the lcm; the
+        # parking fields are wide and lie side by side, so a bit of one
+        # field shifted into the next is seen
+        for build in (parking_ideal, cutset_ideal, oriented_cutset_ideal):
+            code = build(G).code
+            box = list(zip(code.variables, (mask.bit_count() for mask in code.masks)))
+            drawn = [
+                code.encode(Monomial.of({v: data.draw(st.integers(0, w)) for v, w in box}))
+                for _ in range(5)
+            ]
+            for c in lcm_closure(code) + drawn:
+                want = 0
+                for mask in code.masks:
+                    if c & mask:
+                        want |= 1 << ((c & mask).bit_length() - 1)
+                assert code.tops(c) == want, (graph_to_text(G), code.decode(c))
+
+    def test_one_code_per_ideal(self, monkeypatch):
+        builds = []
+        init = MonomialCode.__init__
+
+        def counted(self, *args):
+            builds.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(MonomialCode, "__init__", counted)
+        G = parse_graph("v:4; a 1 2; b 1 3; c 1 4; d 2 3; e 3 4")
+        ideal = parking_ideal(G)
+        assert ideal.code is ideal.code
+        assert len(builds) == 1
+        # lcm(J) and its audit and gpw-J share J's code; gpw-I and koszul-I
+        # share I's at each sink, and gpw-K reads K's
+        builds.clear()
+        assert verify_graph(G).passed
+        assert len(builds) == 1 + 2 * G.n
 
     def test_field_moves_need_equal_widths(self):
         code = MonomialCode(("x1", "x2"), [Monomial.of({"x1": 2}), Monomial.of({"x2": 1})])

@@ -272,6 +272,16 @@ class TestCli:
         assert exit_info.value.code == 2
         assert "argument --char: invalid int value: 'x'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["wilmes", "mobius"])
+    def test_char_without_homology_is_a_usage_error(self, tmp_path, capsys, method):
+        # these methods compute no homology, so a characteristic would be
+        # ignored, valid or not
+        for char in ("4", "2"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["betti", self.write(tmp_path), "--method", method, "--char", char])
+            assert exit_info.value.code == 2
+            assert f"argument --char: not allowed with --method {method}" in capsys.readouterr().err
+
     def test_lattice_text(self, tmp_path, capsys):
         assert main(["lattice", self.write(tmp_path), "--dual", "--mobius"]) == 0
         out = capsys.readouterr().out
