@@ -23,7 +23,7 @@ from .graphs import (
     parse_graph,
 )
 from .homology import DEFAULT_CHARS, betti_gpw, betti_koszul, betti_mobius, betti_wilmes
-from .ideals import cutset_ideal, oriented_cutset_ideal, parking_ideal
+from .ideals import cutset_ideal, oriented_cutset_ideal, parking_ideal, variable_symmetries
 from .posets import (
     connected_partition_lattice,
     dual_connected_partition_lattice,
@@ -33,6 +33,7 @@ from .posets import (
 from .verify import export_figure, verification_corpus, verify_corpus
 
 IDEAL_BUILDERS = {"I": parking_ideal, "J": cutset_ideal, "K": oriented_cutset_ideal}
+VARIABLE_KINDS = {"I": "x", "J": "y", "K": "z"}
 
 
 def _load_graph(path: str, sink: int | None) -> Multigraph:
@@ -104,7 +105,9 @@ def cmd_betti(args) -> int:
         vec = betti_mobius(dual_connected_partition_lattice(G))
     else:
         ideal = IDEAL_BUILDERS[args.ideal](G)
-        vec = betti_gpw(ideal, chars) if args.method == "gpw" else betti_koszul(ideal, chars)
+        symmetries = variable_symmetries(G, VARIABLE_KINDS[args.ideal])
+        method = betti_gpw if args.method == "gpw" else betti_koszul
+        vec = method(ideal, chars, symmetries=symmetries)
     print(json.dumps(list(vec)))
     return 0
 

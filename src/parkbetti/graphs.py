@@ -337,29 +337,44 @@ def contract(G: Multigraph, partition: ConnectedPartition) -> Multigraph:
 
 
 def sink_fixing_automorphisms(G: Multigraph) -> list[tuple[int, ...]]:
-    """Vertex permutations that fix the sink and preserve the edge multiset,
-    identity included. Brute force over the non-sink vertices; fine at the
-    vertex counts this tool targets."""
-    from itertools import permutations
+    """Vertex permutations that fix the sink and preserve every edge
+    multiplicity, as image tuples: the identity first, then in
+    lexicographic order of the images of the non-sink vertices.
 
-    pair_counts: dict[tuple[int, int], int] = {}
+    Found by backtracking: the sink is placed first, then the non-sink
+    vertices in index order, each trying its free images in ascending
+    order. An image is kept only when its degree matches and its edge
+    multiplicity to every vertex already placed matches, so a partial map
+    that no automorphism extends is cut at the first vertex that breaks it
+    (the plainest form of the individualisation search in McKay–Piperno,
+    "Practical graph isomorphism, II", J. Symbolic Comput. 60, 2014)."""
+    n, degrees = G.n, G.degrees
+    multiplicity = [[0] * n for _ in range(n)]
     for e in G.edges:
-        pair = (min(e.tail, e.head), max(e.tail, e.head))
-        pair_counts[pair] = pair_counts.get(pair, 0) + 1
-    others = [v for v in range(G.n) if v != G.sink]
+        multiplicity[e.tail][e.head] += 1
+        multiplicity[e.head][e.tail] += 1
+    order = G.nonsink_vertices
+    sigma = list(range(n))
+    placed = [G.sink]
     autos = []
-    for image in permutations(others):
-        sigma = list(range(G.n))
-        for v, w in zip(others, image):
-            sigma[v] = w
-        if any(G.degrees[v] != G.degrees[sigma[v]] for v in range(G.n)):
-            continue
-        mapped: dict[tuple[int, int], int] = {}
-        for (a, b), k in pair_counts.items():
-            pair = (min(sigma[a], sigma[b]), max(sigma[a], sigma[b]))
-            mapped[pair] = mapped.get(pair, 0) + k
-        if mapped == pair_counts:
+
+    def extend(i: int, used: int):
+        if i == len(order):
             autos.append(tuple(sigma))
+            return
+        v = order[i]
+        row = multiplicity[v]
+        for w in order:
+            if (used >> w) & 1 or degrees[w] != degrees[v]:
+                continue
+            image_row = multiplicity[w]
+            if all(row[u] == image_row[sigma[u]] for u in placed):
+                sigma[v] = w
+                placed.append(v)
+                extend(i + 1, used | 1 << w)
+                placed.pop()
+
+    extend(0, 0)
     return autos
 
 

@@ -257,14 +257,20 @@ def _verify_job(args):
 def verify_corpus(graphs, chars=DEFAULT_CHARS, jobs: int = 1) -> list[VerificationReport]:
     """Verify a list of graphs, optionally across processes; report order
     always follows input order. No more workers than graphs are started,
-    since the pool may start all of them at once."""
+    since the pool may start all of them at once. The pool gets the graphs
+    by descending edge count, ties in input order, so the heaviest start
+    first instead of last in an edge-ordered corpus."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     workers = min(jobs, len(graphs))
     if workers <= 1:
         return [verify_graph(G, chars) for G in graphs]
+    order = sorted(range(len(graphs)), key=lambda i: -len(graphs[i].edges))
+    reports: list = [None] * len(graphs)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_verify_job, [(G, chars) for G in graphs]))
+        for i, report in zip(order, pool.map(_verify_job, [(graphs[i], chars) for i in order])):
+            reports[i] = report
+    return reports
 
 
 def canonical_form(G: Multigraph) -> tuple:

@@ -10,7 +10,10 @@ expansion on plain vertex collections, the crosscut, lcm-closure and
 Koszul oracles on monomials given as plain {variable: exponent} dicts, and
 the permutation oracle on a monomial's variable names. The canonical-form
 oracle is the first definition of the multigraph key, kept to pin the
-faster one to the same keys, on which corpus order depends.
+faster one to the same keys, on which corpus order depends. The
+automorphism oracle is likewise the first sink-fixing search, trying every
+permutation, kept to pin the backtracking search to the same list in the
+same order, on which the orbits of the lcm-lattice methods depend.
 """
 
 from fractions import Fraction
@@ -373,3 +376,31 @@ def canonical_form_oracle(G: Multigraph) -> tuple:
         if best is None or key < best:
             best = key
     return (n, best)
+
+
+def sink_fixing_automorphisms_oracle(G: Multigraph) -> list[tuple[int, ...]]:
+    """Every permutation of the non-sink vertices, in lexicographic order of
+    their images, kept when it preserves the degrees and the multiset of
+    unordered edge pairs: the first definition of the sink-fixing
+    automorphisms, reading only n, edges and sink."""
+    n, sink = G.n, G.sink
+    pair_counts: dict[tuple[int, int], int] = {}
+    for a, b in pairs_of(G):
+        pair = (min(a, b), max(a, b))
+        pair_counts[pair] = pair_counts.get(pair, 0) + 1
+    degrees = [sum(k for pair, k in pair_counts.items() if v in pair) for v in range(n)]
+    others = [v for v in range(n) if v != sink]
+    autos = []
+    for image in permutations(others):
+        sigma = list(range(n))
+        for v, w in zip(others, image):
+            sigma[v] = w
+        if any(degrees[v] != degrees[sigma[v]] for v in range(n)):
+            continue
+        mapped: dict[tuple[int, int], int] = {}
+        for (a, b), k in pair_counts.items():
+            pair = (min(sigma[a], sigma[b]), max(sigma[a], sigma[b]))
+            mapped[pair] = mapped.get(pair, 0) + k
+        if mapped == pair_counts:
+            autos.append(tuple(sigma))
+    return autos

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given
 
 from parkbetti import (
     ConnectedPartition,
@@ -20,12 +21,14 @@ from parkbetti import (
     is_connected_partition,
     mask_of,
     parse_graph,
+    sink_fixing_automorphisms,
     spanning_tree_count,
+    verification_corpus,
 )
 
-from _oracles import connected_cuts_oracle, tree_count_oracle
+from _oracles import connected_cuts_oracle, sink_fixing_automorphisms_oracle, tree_count_oracle
 
-from conftest import KITE_TEXT, banana
+from conftest import KITE_TEXT, banana, multigraphs
 
 
 def small_corpus():
@@ -260,3 +263,31 @@ class TestTreeCount:
 
     def test_single_vertex(self):
         assert spanning_tree_count(parse_graph("v:1")) == 1
+
+
+class TestSinkAutomorphisms:
+    def test_matches_oracle_at_every_sink_of_the_corpus(self):
+        # the 5-vertex acceptance corpus (multigraphs included) and the 112
+        # connected simple graphs on 6 vertices; order matters, since the
+        # orbit representatives of the lcm-lattice methods follow it
+        six = [G for G in generate_corpus(6, max_edges=15) if G.n == 6]
+        assert len(six) == 112
+        for G in verification_corpus(5) + six:
+            for sink in range(G.n):
+                Gs = G.with_sink(sink)
+                assert sink_fixing_automorphisms(Gs) == sink_fixing_automorphisms_oracle(Gs), graph_to_text(Gs)
+
+    @given(multigraphs())
+    def test_matches_oracle_on_multigraphs(self, G):
+        assert sink_fixing_automorphisms(G) == sink_fixing_automorphisms_oracle(G)
+
+    @given(multigraphs())
+    def test_a_group_with_the_identity_first(self, G):
+        autos = sink_fixing_automorphisms(G)
+        assert autos[0] == tuple(range(G.n))
+        assert len(set(autos)) == len(autos)
+        assert all(sigma[G.sink] == G.sink for sigma in autos)
+        found = set(autos)
+        for sigma in autos:
+            for tau in autos:
+                assert tuple(sigma[tau[v]] for v in range(G.n)) in found

@@ -14,8 +14,10 @@ from parkbetti import (
     parse_graph,
     verification_corpus,
     verify_corpus,
+    variable_symmetries,
     verify_graph,
 )
+from parkbetti import cli as cli_module
 from parkbetti import verify as verify_module
 from parkbetti.verify import CHECK_NAMES
 from parkbetti.cli import main
@@ -130,8 +132,9 @@ class TestVerifyGraph:
         ]
         assert all(r.passed for r in reports)
 
-    def test_verify_corpus_caps_workers_at_graph_count(self, k3, p3, monkeypatch):
+    def test_verify_corpus_caps_workers_at_graph_count(self, k3, p3, banana, monkeypatch):
         pools = []
+        submitted = []
 
         class RecordingPool:
             # runs the jobs in-process, so no worker is ever started
@@ -145,13 +148,21 @@ class TestVerifyGraph:
                 return False
 
             def map(self, fn, items):
+                submitted.append([graph_to_text(G) for G, _ in items])
                 return map(fn, items)
 
         monkeypatch.setattr(verify_module, "ProcessPoolExecutor", RecordingPool)
+        graphs = [p3, k3, banana(2)]  # 2, 3 and 2 edges
+        reports = verify_corpus(graphs, jobs=3)
+        assert pools == [3]
+        # descending edge count, ties in input order; reports in input order
+        assert submitted == [[graph_to_text(G) for G in (k3, p3, banana(2))]]
+        assert [r.graph for r in reports] == [graph_to_text(G) for G in graphs]
+        assert all(r.passed for r in reports)
         assert [r.passed for r in verify_corpus([k3, p3], jobs=3)] == [True, True]
-        assert pools == [2]
+        assert pools == [3, 2]
         assert [r.passed for r in verify_corpus([k3], jobs=3)] == [True]
-        assert pools == [2]
+        assert pools == [3, 2]
 
     @pytest.mark.parametrize("jobs", [0, -4])
     def test_verify_corpus_rejects_fewer_than_one_job(self, k3, jobs):
@@ -257,6 +268,24 @@ class TestCli:
                 args += ["--ideal", "I"]
             assert main(args) == 0
             assert json.loads(capsys.readouterr().out) == [6, 9, 4]
+
+    @pytest.mark.parametrize("method", ["gpw", "koszul"])
+    @pytest.mark.parametrize("which, kind", [("I", "x"), ("J", "y"), ("K", "z")])
+    def test_betti_passes_the_graph_symmetries(self, tmp_path, capsys, monkeypatch, method, which, kind):
+        # swapping v1 and v3 fixes the kite's sink v4, so the call gets one
+        # nonidentity symmetry; the vector is the one found without it
+        seen = []
+        compute = getattr(cli_module, f"betti_{method}")
+
+        def spy(ideal, chars, symmetries=()):
+            seen.append(symmetries)
+            return compute(ideal, chars, symmetries=symmetries)
+
+        monkeypatch.setattr(cli_module, f"betti_{method}", spy)
+        assert main(["betti", self.write(tmp_path), "--method", method, "--ideal", which]) == 0
+        assert json.loads(capsys.readouterr().out) == [6, 9, 4]
+        assert seen == [variable_symmetries(parse_graph(KITE_TEXT), kind)]
+        assert len(seen[0]) == 1
 
     def test_betti_char_zero(self, tmp_path, capsys):
         assert main(["betti", self.write(tmp_path), "--method", "gpw", "--ideal", "J", "--char", "0"]) == 0
