@@ -13,91 +13,104 @@ relative family, such as the ones ``homology.relative_faces`` builds,
 relative to the star of one vertex) spans its relative chain complex,
 because the boundary terms that fall outside the family are the ones that
 vanish in the quotient. The core has one reduction path: the boundary maps
-are assembled and reduced bottom-up, unit pivots first, and the faces that
-were pivot columns of one map are cleared from the rows of the next
-(clearing, as in Bauer-Kerber-Reininghaus and Ripser). What is left is a
-small dense core, ranked by one int64 elimination for every prime
-p < 2^31, or by fraction-free (Bareiss) elimination over the rationals.
+are assembled and reduced bottom-up by one sparse integer elimination that
+pivots on every +-1 entry it can reach, filling in entries as it goes, and
+the faces that were pivot columns of one map, fill-in pivots included, are
+cleared from the rows of the next (clearing, as in Bauer-Kerber-Reininghaus
+and Ripser). A map with no rows or no columns is never assembled. Only the
+entries no unit pivot can remove, such as RP2's 2-torsion, are left; they
+are exact Python ints of any size, reduced mod p before one int64
+elimination for every prime p < 2^31, and ranked by fraction-free
+(Bareiss) elimination on the exact ints over the rationals.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
 
-def _unit_pivot_reduce(rows, cols, signs, n_rows: int, n_cols: int):
-    """Structural rank reduction on a sparse pattern with unit entries.
+def _unit_eliminate(rows: list[dict[int, int]], col_rows: list[set[int]]):
+    """Sparse integer elimination on unit pivots, in place.
 
-    A row or column holding exactly one surviving nonzero (always a unit
-    here) can be pivoted away by deleting its row and column; no other entry
-    changes, so the step is exact over every field. Cascading these pivots
-    returns their columns, in pivot order, plus the dense residual core.
-    Each pivot is alone in its row or its column among the rows and columns
-    still alive, so the pivot block has determinant +-1."""
-    entry_alive = [True] * len(rows)
-    row_entries: list[list[int]] = [[] for _ in range(n_rows)]
-    col_entries: list[list[int]] = [[] for _ in range(n_cols)]
-    for e, (r, c) in enumerate(zip(rows, cols)):
-        row_entries[r].append(e)
-        col_entries[c].append(e)
-    row_count = [len(es) for es in row_entries]
-    col_count = [len(es) for es in col_entries]
-    row_alive = [True] * n_rows
-    col_alive = [True] * n_cols
-    queue = deque()
-    for r in range(n_rows):
-        if row_count[r] == 1:
-            queue.append((0, r))
-    for c in range(n_cols):
-        if col_count[c] == 1:
-            queue.append((1, c))
+    The matrix is given twice: ``rows`` as {column: entry} dicts of nonzero
+    integers, one per row, and ``col_rows`` as the set of rows holding an
+    entry, one per column. Each step takes the shortest live column, from a
+    lazily updated heap of column counts, and in it the shortest row
+    holding a +-1 entry. That entry is cleared from the other rows of its
+    column by integer row operations, which may fill in entries, and its row
+    and column are deleted. A column with no unit entry is passed over until
+    a row operation changes it: deleting a row only removes entries, so it
+    never makes a unit. Singleton rows and columns are the pivots that fill
+    in nothing. No step scans the whole matrix.
+
+    Returns the pivot columns, in pivot order, and the entries no unit pivot
+    can remove, on the rows and columns that hold them, as an object array
+    of exact Python ints (of size 0 when nothing is left). Every pivot is a
+    unit and every row operation has integer factors, so the steps are the
+    same over the integers and every field, the pivot block has determinant
+    +-1, and the rank over any field is the pivot count plus the rank of
+    what is left."""
+    # heap keys are count * stride + column: one int compares faster than a pair
+    stride = len(col_rows)
+    heap = [len(live) * stride + c for c, live in enumerate(col_rows) if live]
+    heapify(heap)
     pivots: list[int] = []
-
-    def kill(r: int, c: int):
-        row_alive[r] = False
-        col_alive[c] = False
-        for e in row_entries[r]:
-            if entry_alive[e]:
-                entry_alive[e] = False
-                cc = cols[e]
-                col_count[cc] -= 1
-                if col_alive[cc] and col_count[cc] == 1:
-                    queue.append((1, cc))
-        for e in col_entries[c]:
-            if entry_alive[e]:
-                entry_alive[e] = False
-                rr = rows[e]
-                row_count[rr] -= 1
-                if row_alive[rr] and row_count[rr] == 1:
-                    queue.append((0, rr))
-
-    while queue:
-        kind, idx = queue.popleft()
-        if kind == 0:
-            if not row_alive[idx] or row_count[idx] != 1:
+    while heap:
+        count, c = divmod(heappop(heap), stride)
+        live = col_rows[c]
+        if live is None:
+            continue
+        if count != len(live):
+            if live:
+                heappush(heap, len(live) * stride + c)
+            continue
+        if count == 1:  # most pivots are singleton columns: no search
+            (r,) = live
+            if rows[r][c] not in (1, -1):
                 continue
-            e = next(e for e in row_entries[idx] if entry_alive[e])
-            pivots.append(cols[e])
-            kill(idx, cols[e])
         else:
-            if not col_alive[idx] or col_count[idx] != 1:
+            r = min(
+                (r for r in live if rows[r][c] in (1, -1)),
+                key=lambda r: len(rows[r]),
+                default=None,
+            )
+            if r is None:
                 continue
-            e = next(e for e in col_entries[idx] if entry_alive[e])
-            pivots.append(idx)
-            kill(rows[e], idx)
-
-    live_rows = [r for r in range(n_rows) if row_alive[r] and row_count[r] > 0]
-    live_cols = [c for c in range(n_cols) if col_alive[c] and col_count[c] > 0]
-    row_pos = {r: i for i, r in enumerate(live_rows)}
-    col_pos = {c: i for i, c in enumerate(live_cols)}
-    core = np.zeros((len(live_rows), len(live_cols)), dtype=np.int64)
-    for e, alive in enumerate(entry_alive):
-        if alive:
-            core[row_pos[rows[e]], col_pos[cols[e]]] = signs[e]
-    return pivots, core
+        pivot_row = rows[r]
+        unit = pivot_row.pop(c)
+        for r2 in live:
+            if r2 == r:
+                continue
+            row = rows[r2]
+            f = row.pop(c) * unit
+            for c2, v in pivot_row.items():
+                new = row.get(c2, 0) - f * v
+                if new:
+                    row[c2] = new
+                    col_rows[c2].add(r2)
+                else:
+                    del row[c2]
+                    col_rows[c2].discard(r2)
+        col_rows[c] = None
+        pivots.append(c)
+        # a count that only fell is fixed when its old key comes up, but a
+        # new singleton is keyed at once; a filled column may have gained
+        # a unit, so it is keyed again too
+        filled = count > 1
+        for c2 in pivot_row:
+            live = col_rows[c2]
+            live.discard(r)
+            n = len(live)
+            if n == 1 or filled and n:
+                heappush(heap, n * stride + c2)
+        rows[r] = {}
+    left = [row for row in rows if row]
+    kept = sorted({c for row in left for c in row})
+    core = np.array([[row.get(c, 0) for c in kept] for row in left], dtype=object)
+    return pivots, core.reshape(len(left), len(kept))
 
 
 def homology_from_faces_multi(
@@ -113,14 +126,16 @@ def homology_from_faces_multi(
     those of the relative homology.
 
     The boundary maps B_0, B_1, ... (B_d takes d-faces to (d-1)-faces; B_0
-    is the augmentation) are assembled and unit-pivot reduced from the
-    bottom up, once for all characteristics; only the dense cores are
-    ranked per characteristic. The d-faces that were pivot columns of B_d
-    are cleared from the rows of B_{d+1}: the pivot block of B_d is
-    invertible over the integers and B_d B_{d+1} = 0, which holds in the
-    quotient complex as in any chain complex, so those rows are
-    combinations of the kept ones and the rank of B_{d+1} is the same over
-    every field."""
+    is the augmentation) are assembled and reduced by unit pivots with
+    fill-in (``_unit_eliminate``) from the bottom up, once for all
+    characteristics; only the entries no unit pivot removes are ranked, per
+    characteristic. A map with no rows or no columns has rank 0 and is not
+    assembled, so a family in one dimension is never assembled at all. The
+    d-faces that were pivot columns of B_d are cleared from the rows of
+    B_{d+1}: the pivot block of B_d is invertible over the integers and
+    B_d B_{d+1} = 0, which holds in the quotient complex as in any chain
+    complex, so those rows are integer combinations of the kept ones and
+    the rank of B_{d+1} is the same over every field."""
     for c in chars:
         _check_char(c)
     if not faces:
@@ -130,15 +145,21 @@ def homology_from_faces_multi(
     row_of = {f: i for i, f in enumerate(faces.get(-1, ()))}
     for d in range(0, top + 1):
         cells = faces.get(d, [])
-        rows_ix, cols_ix, signs = [], [], []
+        if not (cells and row_of):
+            row_of = {f: i for i, f in enumerate(cells)}
+            continue
+        rows: list[dict[int, int]] = [{} for _ in row_of]
+        col_rows = []
+        drops = [(k, -1 if k % 2 else 1) for k in range(d + 1)]
         for j, f in enumerate(cells):
-            for k in range(len(f)):
+            live = set()
+            for k, sign in drops:
                 r = row_of.get(f[:k] + f[k + 1:])
                 if r is not None:
-                    rows_ix.append(r)
-                    cols_ix.append(j)
-                    signs.append(-1 if k % 2 else 1)
-        pivots, core = _unit_pivot_reduce(rows_ix, cols_ix, signs, len(row_of), len(cells))
+                    rows[r][j] = sign
+                    live.add(r)
+            col_rows.append(live)
+        pivots, core = _unit_eliminate(rows, col_rows)
         for c in chars:
             ranks[c][d] = len(pivots) + (rank_over(core, c) if core.size else 0)
         cleared = set(pivots)
@@ -149,22 +170,27 @@ def homology_from_faces_multi(
     }
 
 
-def rank_over(matrix: np.ndarray, char: int) -> int:
+def rank_over(matrix, char: int) -> int:
     """Matrix rank over GF(char) for a prime char < 2^31, or exactly over
-    the rationals for char = 0."""
+    the rationals for char = 0. ``matrix`` is an integer array (an object
+    array of Python ints included) or a list of rows of Python ints, whose
+    entries may be of any size: they are reduced mod char as Python ints
+    before any int64 array is built, and char 0 is ranked by Bareiss
+    elimination on the exact ints."""
     _check_char(char)
-    matrix = np.asarray(matrix, dtype=np.int64)
-    if matrix.size == 0:
+    rows = matrix.tolist() if isinstance(matrix, np.ndarray) else matrix
+    if not rows or not rows[0]:
         return 0
     if char == 0:
-        return bareiss(matrix.tolist())[0]
-    return _rank_mod_p(matrix, char)
+        return bareiss(rows)[0]
+    return _rank_mod_p(rows, char)
 
 
-def _rank_mod_p(matrix: np.ndarray, p: int) -> int:
-    """Row-echelon rank over GF(p) in int64. Entries stay in [0, p), so no
-    product exceeds (p - 1)^2 < 2^62 for p < 2^31."""
-    a = np.mod(matrix, p)
+def _rank_mod_p(rows: list[list[int]], p: int) -> int:
+    """Row-echelon rank over GF(p) in int64. Entries are reduced into
+    [0, p) as Python ints first and stay there, so no product exceeds
+    (p - 1)^2 < 2^62 for p < 2^31."""
+    a = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
     if a.shape[1] > a.shape[0]:
         a = np.ascontiguousarray(a.T)
     rank = 0

@@ -202,18 +202,24 @@ def rank_oracle(rows: list[list[int]], char: int) -> int:
 
 
 def boundary_matrices(faces: dict[int, list[tuple[int, ...]]]) -> dict[int, np.ndarray]:
-    """Integer boundary matrices of the augmented chain complex of a
-    downward-closed face family, one per dimension d >= 0 present; the d = 0
-    matrix is the augmentation row."""
+    """Integer boundary matrices of the augmented chain complex spanned by a
+    face family, one per dimension d from 0 to the top one; the d = 0
+    matrix is the augmentation row. Boundary faces outside the family are
+    dropped, so a relative family (a complex minus a subcomplex) gives the
+    boundary of its quotient complex, and a dimension without faces gives a
+    matrix with no rows or no columns."""
     if not faces:
         return {}
     index = {d: {f: i for i, f in enumerate(fs)} for d, fs in faces.items()}
     mats = {}
     for d in range(0, max(faces) + 1):
-        mat = np.zeros((len(faces[d - 1]), len(faces[d])), dtype=np.int64)
-        for j, f in enumerate(faces[d]):
+        rows, cells = index.get(d - 1, {}), faces.get(d, [])
+        mat = np.zeros((len(rows), len(cells)), dtype=np.int64)
+        for j, f in enumerate(cells):
             for k in range(len(f)):
-                mat[index[d - 1][f[:k] + f[k + 1:]], j] = -1 if k % 2 else 1
+                i = rows.get(f[:k] + f[k + 1:])
+                if i is not None:
+                    mat[i, j] = -1 if k % 2 else 1
         mats[d] = mat
     return mats
 
@@ -296,16 +302,31 @@ def koszul_faces_oracle(generators: list[dict], degree: dict) -> dict[int, list[
     subsets F of the support of degree whose quotient degree / x^F some
     generator divides, as index tuples into the support in the key order of
     ``degree``, keyed by dimension, each dimension in lexicographic order.
-    With no such subset (the void complex) it returns {}."""
+    With no such subset (the void complex) it returns {}.
+
+    The faces are closed downward, since degree / x^F' divides degree / x^F
+    when F is inside F'. So a nonempty face is a face one smaller with one
+    index appended, and only the faces of one size are grown to the next,
+    each grown subset still tested against every generator by the
+    definition."""
     support = [v for v, e in degree.items() if e > 0]
+
+    def is_face(subset):
+        quotient = dict(degree)
+        for k in subset:
+            quotient[support[k]] -= 1
+        return any(all(quotient.get(v, 0) >= e for v, e in g.items()) for g in generators)
+
     faces: dict[int, list[tuple[int, ...]]] = {}
-    for r in range(len(support) + 1):
-        for subset in combinations(range(len(support)), r):
-            quotient = dict(degree)
-            for k in subset:
-                quotient[support[k]] -= 1
-            if any(all(quotient.get(v, 0) >= e for v, e in g.items()) for g in generators):
-                faces.setdefault(r - 1, []).append(subset)
+    level = [()] if is_face(()) else []
+    while level:
+        faces[len(level[0]) - 1] = level
+        level = [
+            f + (k,)
+            for f in level
+            for k in range(f[-1] + 1 if f else 0, len(support))
+            if is_face(f + (k,))
+        ]
     return faces
 
 

@@ -4,7 +4,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from parkbetti import (
     CharacteristicDisagreement,
@@ -39,7 +40,7 @@ from parkbetti.homology import (
     _orbit_representatives,
     relative_faces,
 )
-from parkbetti.simplicial import homology_from_faces_multi
+from parkbetti.simplicial import _unit_eliminate, homology_from_faces_multi
 
 from _oracles import (
     betti_wilmes_oracle,
@@ -227,6 +228,75 @@ class TestRankOver:
                         -bound, bound, size=(inner, cols))
                 assert rank_over(m, char) == rank_oracle(m.tolist(), char), m
         assert rank_over(np.zeros((3, 5), dtype=int), char) == 0
+
+    def test_python_int_rows_beyond_int64(self):
+        # entries past 2^63, as fill-in can make them, are ranked exactly:
+        # reduced mod p as Python ints, and by Bareiss over the rationals
+        big = 2**64
+        rows = [[big + 1, big - 1], [big - 1, big + 1], [2 * big, 2 * big]]
+        for char in (0, 2, 32003):
+            assert rank_over(rows, char) == rank_oracle(rows, char), char
+        assert [rank_over(rows, char) for char in (0, 2)] == [2, 1]
+
+
+def eliminate(matrix):
+    """``_unit_eliminate`` on a matrix given as a list of int rows."""
+    width = len(matrix[0]) if matrix else 0
+    return _unit_eliminate(
+        [{c: x for c, x in enumerate(row) if x} for row in matrix],
+        [{r for r, row in enumerate(matrix) if row[c]} for c in range(width)],
+    )
+
+
+small_matrices = st.integers(0, 7).flatmap(
+    lambda width: st.lists(
+        st.lists(st.integers(-2, 2), min_size=width, max_size=width), max_size=7
+    )
+)
+
+TETRAHEDRON_BOUNDARY = [{0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}]
+
+
+class TestUnitElimination:
+    @given(small_matrices)
+    def test_pivots_plus_leftover_rank(self, matrix):
+        # entries of +-2 leave cores no unit pivot removes; the pivots are
+        # the same over every field, so the leftover rank makes up the rest
+        pivots, core = eliminate(matrix)
+        assert len(set(pivots)) == len(pivots)
+        assert all(x not in (1, -1) for row in core for x in row)
+        for char in (0, 2, 3, 32003):
+            assert len(pivots) + rank_over(core, char) == rank_oracle(matrix, char), char
+
+    @given(
+        st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=5), min_size=1, max_size=6),
+        st.booleans(),
+    )
+    @example(TETRAHEDRON_BOUNDARY, True)  # relative family in dimension 2 alone
+    @example(TETRAHEDRON_BOUNDARY + [{4}], True)  # dimensions 0 and 2, none in 1
+    def test_homology_matches_boundary_ranks(self, facets, relative):
+        # complexes on up to 8 vertices, and their families relative to the
+        # star of vertex 0, against ranks of their whole boundary maps
+        faces = faces_by_dim(facets + [{0}])
+        if relative:
+            faces = relative_to_star(faces)
+        mats = boundary_matrices(faces)
+        for char in (0, 2, 3, 32003):
+            ranks = {d: rank_oracle(m.tolist(), char) for d, m in mats.items()}
+            want = {
+                d: len(faces.get(d, ())) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+                for d in range(-1, max(faces, default=-2) + 1)
+            }
+            assert homology_from_faces_multi(faces, (char,))[char] == want, (faces, char)
+
+    def test_families_in_one_dimension_and_with_a_gap(self):
+        one = relative_to_star(faces_by_dim(TETRAHEDRON_BOUNDARY))
+        assert one == {2: [(1, 2, 3)]}
+        gap = relative_to_star(faces_by_dim(TETRAHEDRON_BOUNDARY + [{4}]))
+        assert gap == {0: [(4,)], 2: [(1, 2, 3)]}
+        for char in (0, 2, 32003):
+            assert reduced_homology_dims(one, char) == {-1: 0, 0: 0, 1: 0, 2: 1}
+            assert reduced_homology_dims(gap, char) == {-1: 0, 0: 1, 1: 0, 2: 1}
 
 
 class TestIntervalMachinery:
