@@ -2,8 +2,9 @@
 
 Vertices are 0-based ints internally and rendered 1-based (``v1``, ``v2``,
 ...) in all user-facing text. Vertex subsets are plain int bitmasks, which
-caps graphs at 32 vertices; every enumeration downstream is super-exponential
-in the vertex count, so the cap never binds at the scales this tool targets.
+set no size limit. Input is capped at ``MAX_VERTICES`` vertices only because
+every enumeration downstream is super-exponential in the vertex count: the
+cap never binds at the scales this tool targets.
 """
 
 from __future__ import annotations

@@ -142,9 +142,7 @@ class CharacteristicDisagreement(ArithmeticError):
         super().__init__(f"homology depends on the field ({summary}){suffix}")
 
 
-def relative_faces(
-    masks: list[int], cap: int | None = None
-) -> dict[int, list[tuple[int, ...]]]:
+def relative_faces(masks: list[int], cap: int) -> dict[int, list[tuple[int, ...]]]:
     """Basis of the relative complex (del a, lk a) of a complex given by
     the facet masks of its vertices, a its first vertex, whose homology is
     the reduced homology of the complex (see the module docstring). The
@@ -166,7 +164,7 @@ def relative_faces(
         return {-1: [()]}
     first = masks[0]
     count = len(masks)
-    limit = count - 1 if cap is None else min(cap, count - 1)
+    limit = min(cap, count - 1)
     faces: dict[int, list[tuple[int, ...]]] = {}
     # the empty face holds every facet, a's among them, so it is never kept
     level: list[tuple[tuple[int, ...], int]] = [((), -1)]
@@ -355,9 +353,10 @@ class _ReductionMemo:
 
     def _koszul_dims(self, code: MonomialCode, top: int) -> dict[int, int]:
         """Reduced homology of K^m(I), I the ideal of ``code``, at the code
-        of m: the one Koszul path, used by ``betti_koszul``."""
+        of m: the one Koszul path, used by ``betti_koszul``. The cap never
+        binds: a relative face has fewer vertices than supp m."""
         return self._reduced(
-            "koszul", relative_faces(_koszul_masks(code, top)),
+            "koszul", relative_faces(_koszul_masks(code, top), len(code.variables)),
             lambda: f"degree {_label(code, top)}",
         )
 

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .graphs import Multigraph, bits, boundary_degree, cut_set, enumerate_connected_cuts
 from .posets import FiniteLattice
 
@@ -87,7 +85,7 @@ class MonomialIdeal:
     """A list of monomial generators over a declared, ordered variable set.
 
     The list need not be minimal; ``minimalize`` makes it so, and
-    ``lcm_lattice`` checks it."""
+    ``lcm_closure`` checks it."""
 
     variables: tuple[str, ...]
     generators: tuple[Monomial, ...]
@@ -176,13 +174,6 @@ class MonomialCode:
         return Monomial(tuple(
             (v, (code & mask).bit_count()) for v, mask in zip(self.variables, self.masks)
         ))
-
-    def exponents(self, codes) -> np.ndarray:
-        """Exponent vectors of the given codes: one int64 row per code, one
-        column per variable, each entry the popcount of that variable's
-        bit field."""
-        rows = [[(c & mask).bit_count() for mask in self.masks] for c in codes]
-        return np.array(rows, dtype=np.int64).reshape(len(rows), len(self.masks))
 
     def permutation(self, mapping: dict) -> tuple[tuple[int, int], ...]:
         """A variable permutation as moves of whole bit fields, for
@@ -290,12 +281,11 @@ def lcm_closure(code: MonomialCode) -> list[int]:
 def lcm_lattice(ideal: MonomialIdeal) -> FiniteLattice:
     """Divisibility lattice on all lcms of generator subsets, with the
     constant monomial adjoined as the bottom: the decoded ``lcm_closure``,
-    in its order, with the exponent vectors as the lattice's vectors
-    (divisibility is the componentwise order on them). No order matrix is
-    built here."""
+    in its order, with the codes as the lattice's codes (divisibility is
+    bit inclusion on them). No up-set is built here."""
     code = ideal.code
     codes = lcm_closure(code)
-    return FiniteLattice([code.decode(c) for c in codes], code.exponents(codes))
+    return FiniteLattice([code.decode(c) for c in codes], codes)
 
 
 @dataclass(frozen=True, eq=False)

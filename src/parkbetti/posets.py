@@ -1,22 +1,23 @@
-"""Explicit finite lattices: integer vectors under the componentwise order.
+"""Explicit finite lattices: non-negative integer codes under bit inclusion.
 
 Both lattice families used here are such orders: the divisibility lattice of
-monomial lcms (exponent vectors) and the connected-partition lattice of a
-multigraph (0/1 vectors over vertex pairs), whose order dual negates them.
-The N x N order matrix is built on first use; it serves covers, ranks,
-Mobius values, joins, meets and the lattice isomorphism. Interval homology
-uses the crosscut model, which needs only the generators dividing each
-element (see ``homology``), so ``betti_gpw`` and ``betti_koszul`` build no
-lattice at all: they run on the integer codes of the lcm-lattice elements
-(``ideals.lcm_closure``).
+monomial lcms (their ``MonomialCode`` codes) and the connected-partition
+lattice of a multigraph (one bit per vertex pair sharing a block), whose
+order dual complements each code inside the top's. Up-sets and down-sets
+are int bitsets over the element indices, built on first use; they serve
+covers, ranks, Mobius values, joins, meets and the lattice isomorphism.
+Interval homology uses the crosscut model, which needs only the generators
+dividing each element (see ``homology``), so ``betti_gpw`` and
+``betti_koszul`` build no lattice at all: they run on the integer codes of
+the lcm-lattice elements (``ideals.lcm_closure``).
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import Callable, Sequence
-
-import numpy as np
+from functools import cached_property, reduce
+from itertools import combinations
+from operator import and_, or_
+from typing import Callable, Iterator, Sequence
 
 from .graphs import (
     ConnectedPartition,
@@ -35,36 +36,31 @@ class NotGradedError(LatticeError):
     """Maximal chains disagree in length where a graded lattice was required."""
 
 
-def _two_step(rel: np.ndarray) -> np.ndarray:
-    """Boolean square of a relation: cell (i, j) is True when rel[i, k] and
-    rel[k, j] hold for some k.
-
-    It runs as a float32 BLAS product followed by ``> 0``; numpy has no BLAS
-    path for bool operands. The result is exact at any size: the entries are
-    0 and 1, so each cell is a sum of nonnegative terms, and rounding can
-    make such a sum inexact but never turns a positive sum into 0. An
-    integer product would wrap instead (uint8 at 256 paths). The float32
-    operand and the product take 4 * N^2 bytes each for N elements."""
-    square = rel.astype(np.float32)
-    return (square @ square) > 0
+def _members(bitset: int) -> Iterator[int]:
+    """The indices of the set bits of ``bitset``, ascending."""
+    while bitset:
+        low = bitset & -bitset
+        yield low.bit_length() - 1
+        bitset ^= low
 
 
 class FiniteLattice:
-    """Elements with one integer vector each, under the componentwise order:
-    x <= y when x's vector is <= y's in every coordinate.
+    """Elements with one non-negative integer code each, under bit
+    inclusion: x <= y when x's code is inside y's (``x & ~y == 0``).
 
     The order is reflexive and transitive by construction, so construction
-    checks only, in O(N * k), distinct elements, distinct vectors
-    (antisymmetry), and that the componentwise minimum and maximum are
-    vectors (unique bottom and top). The order matrix is built when the
-    order is first read, the covers (one exact float32 product, see
-    ``_two_step``) when covers, atoms or ranks are first asked for. Joins and
-    meets check uniqueness, so a merely bounded poset is caught the first
-    time a pair has no least upper bound. Ranks demand gradedness; Mobius
-    values come from the defining recursion in exact integer arithmetic.
+    checks only, in O(N), distinct elements, distinct codes
+    (antisymmetry), and that the AND and the OR of all codes are codes
+    (unique bottom and top). ``leq`` reads the codes alone; the up-sets
+    are built when anything else is first asked for, and the down-sets
+    (the dual's up-sets) when a meet is. Joins and meets check uniqueness,
+    so a merely bounded poset is caught the first time a pair has no least
+    upper bound. Ranks demand gradedness; Mobius values come from the
+    defining recursion in exact integer arithmetic. Both walk the elements
+    in popcount order: a code strictly inside another has fewer bits.
     """
 
-    def __init__(self, elements: Sequence, vectors):
+    def __init__(self, elements: Sequence, codes: Sequence[int]):
         self._elements = list(elements)
         count = len(self._elements)
         if count == 0:
@@ -72,35 +68,58 @@ class FiniteLattice:
         self._index = {x: i for i, x in enumerate(self._elements)}
         if len(self._index) != count:
             raise LatticeError("duplicate element")
-        vectors = np.asarray(vectors, dtype=np.int64)
-        if vectors.ndim != 2 or len(vectors) != count:
-            raise LatticeError("need one vector per element")
-        if len(set(map(tuple, vectors.tolist()))) != count:
-            raise LatticeError("two elements share a vector")
-        # the vectors are distinct, so at most one equals each extreme
-        bottom, top = ((vectors == end).all(axis=1) for end in (vectors.min(axis=0), vectors.max(axis=0)))
-        if not (bottom.any() and top.any()):
+        self._codes = list(codes)
+        if len(self._codes) != count:
+            raise LatticeError("need one code per element")
+        if min(self._codes) < 0:
+            raise LatticeError("codes must be non-negative")
+        position = {c: i for i, c in enumerate(self._codes)}
+        if len(position) != count:
+            raise LatticeError("two elements share a code")
+        bottom, top = reduce(and_, self._codes), reduce(or_, self._codes)
+        if bottom not in position or top not in position:
             raise LatticeError("lattice must have a unique bottom and top")
-        self._vectors = vectors
-        self._bottom, self._top = int(bottom.argmax()), int(top.argmax())
+        self._bottom, self._top = position[bottom], position[top]
 
     @cached_property
-    def _leq(self) -> np.ndarray:
-        # one N x N compare per coordinate: an N x N x k array would not fit
-        # in memory for the larger 6-vertex lattices
-        count = len(self._elements)
-        leq = np.ones((count, count), dtype=bool)
-        for column in self._vectors.T:
-            leq &= column[:, None] <= column[None, :]
-        return leq
+    def _up(self) -> list[int]:
+        """One bitset per element: bit j of entry i is set when code i lies
+        inside code j. It is the AND, over the bits of code i, of the
+        bitsets of the elements holding that bit."""
+        holders = [0] * self._codes[self._top].bit_length()
+        for i, c in enumerate(self._codes):
+            for b in _members(c):
+                holders[b] |= 1 << i
+        ups = []
+        for c in self._codes:
+            up = (1 << len(self._codes)) - 1
+            for b in _members(c):
+                up &= holders[b]
+            ups.append(up)
+        return ups
 
     @cached_property
-    def _strict(self) -> np.ndarray:
-        return self._leq & ~np.eye(len(self._elements), dtype=bool)
+    def _down(self) -> list[int]:
+        return self.dual()._up
 
     @cached_property
-    def _covers(self) -> np.ndarray:
-        return self._strict & ~_two_step(self._strict)
+    def _covers(self) -> list[int]:
+        # each strict up-set minus its members' strict up-sets; a member
+        # already inside that union brings nothing new, so it is skipped
+        strict = [up & ~(1 << i) for i, up in enumerate(self._up)]
+        covers = []
+        for above in strict:
+            beyond, rest = 0, above
+            while rest:
+                low = rest & -rest
+                beyond |= strict[low.bit_length() - 1]
+                rest = (rest ^ low) & ~beyond
+            covers.append(above & ~beyond)
+        return covers
+
+    @cached_property
+    def _popcount_order(self) -> list[int]:
+        return sorted(range(len(self._codes)), key=lambda i: self._codes[i].bit_count())
 
     def __len__(self) -> int:
         return len(self._elements)
@@ -112,7 +131,7 @@ class FiniteLattice:
         return (
             isinstance(other, FiniteLattice)
             and self._elements == other._elements
-            and np.array_equal(self._leq, other._leq)
+            and self._up == other._up
         )
 
     @property
@@ -134,66 +153,59 @@ class FiniteLattice:
             raise LatticeError(f"{x!r} is not a lattice element") from None
 
     def leq(self, x, y) -> bool:
-        return bool(self._leq[self.index_of(x), self.index_of(y)])
+        return not self._codes[self.index_of(x)] & ~self._codes[self.index_of(y)]
 
     def upper_covers(self, x) -> list:
-        i = self.index_of(x)
-        return [self._elements[j] for j in np.flatnonzero(self._covers[i])]
+        return [self._elements[j] for j in _members(self._covers[self.index_of(x)])]
 
     def cover_pairs(self) -> list[tuple[int, int]]:
         """Index pairs (i, j) with element j covering element i."""
-        ii, jj = np.nonzero(self._covers)
-        return list(zip(ii.tolist(), jj.tolist()))
+        return [(i, j) for i, covers in enumerate(self._covers) for j in _members(covers)]
 
     def atoms(self) -> list:
         return self.upper_covers(self.bottom)
 
-    def join(self, x, y):
-        i, j = self.index_of(x), self.index_of(y)
-        ub = self._leq[i] & self._leq[j]
-        least = [int(k) for k in np.flatnonzero(ub) if self._leq[k][ub].all()]
+    def _least_bound(self, up: list[int], x, y, name: str):
+        bounds = up[self.index_of(x)] & up[self.index_of(y)]
+        least = [k for k in _members(bounds) if not bounds & ~up[k]]
         if len(least) != 1:
-            raise LatticeError(f"no unique join for {x!r} and {y!r}")
+            raise LatticeError(f"no unique {name} for {x!r} and {y!r}")
         return self._elements[least[0]]
 
-    def meet(self, x, y):
-        i, j = self.index_of(x), self.index_of(y)
-        lb = self._leq[:, i] & self._leq[:, j]
-        greatest = [int(k) for k in np.flatnonzero(lb) if self._leq[lb, k].all()]
-        if len(greatest) != 1:
-            raise LatticeError(f"no unique meet for {x!r} and {y!r}")
-        return self._elements[greatest[0]]
+    def join(self, x, y):
+        return self._least_bound(self._up, x, y, "join")
 
-    def _topological_order(self) -> np.ndarray:
-        # a strictly larger vector has a strictly larger coordinate sum
-        return np.argsort(self._vectors.sum(axis=1), kind="stable")
+    def meet(self, x, y):
+        return self._least_bound(self._down, x, y, "meet")
 
     @cached_property
-    def _ranks(self) -> np.ndarray:
-        rank = np.zeros(len(self._elements), dtype=np.int64)
-        for k in self._topological_order():
-            rank[k] = rank[self._covers[:, k]].max(initial=-1) + 1
-        ii, jj = np.nonzero(self._covers)
-        if np.any(rank[jj] != rank[ii] + 1):
+    def _ranks(self) -> list[int]:
+        rank = [0] * len(self._elements)
+        for i in self._popcount_order:
+            for j in _members(self._covers[i]):
+                rank[j] = max(rank[j], rank[i] + 1)
+        if any(rank[j] != rank[i] + 1 for i, j in self.cover_pairs()):
             raise NotGradedError("lattice is not graded")
         return rank
 
     def rank(self, x) -> int:
         """Length of a maximal chain from the bottom to x (graded lattices)."""
-        return int(self._ranks[self.index_of(x)])
+        return self._ranks[self.index_of(x)]
 
     def rank_profile(self) -> tuple[int, ...]:
         """Element counts per rank, bottom upward."""
-        return tuple(np.bincount(self._ranks).tolist())
+        return tuple(self._ranks.count(r) for r in range(max(self._ranks) + 1))
 
     @cached_property
     def _mobius(self) -> list[int]:
+        # below[k] sums mu over the strict down-set of k, complete by the
+        # time k comes up in popcount order
         mu = [0] * len(self._elements)
-        mu[self._bottom] = 1
-        for k in self._topological_order():
-            k = int(k)
-            if k != self._bottom:
-                mu[k] = -sum(mu[int(b)] for b in np.flatnonzero(self._strict[:, k]))
+        below = [0] * len(self._elements)
+        for k in self._popcount_order:
+            mu[k] = 1 if k == self._bottom else -below[k]
+            for j in _members(self._up[k] & ~(1 << k)):
+                below[j] += mu[k]
         return mu
 
     def mobius(self) -> dict:
@@ -201,23 +213,24 @@ class FiniteLattice:
         return dict(zip(self._elements, self._mobius))
 
     def dual(self) -> "FiniteLattice":
-        """Same elements, reversed order: the vectors negated."""
-        return FiniteLattice(self._elements, -self._vectors)
+        """Same elements, reversed order: each code complemented inside the
+        top's."""
+        top = self._codes[self._top]
+        return FiniteLattice(self._elements, [top ^ c for c in self._codes])
 
 
 def connected_partition_lattice(G: Multigraph) -> FiniteLattice:
     """Lattice of connected partitions under refinement: finer partitions lie
     lower, the all-singletons partition is the bottom, the one-block
-    partition the top. A partition's vector reads 1 at each vertex pair
-    u < v sharing a block: p refines q exactly when every pair together in p
-    is together in q."""
+    partition the top. A partition's code sets bit u * n + v for each vertex
+    pair u < v sharing a block: p refines q exactly when every pair together
+    in p is together in q."""
     partitions = connected_partitions(G)
-    labels = np.zeros((len(partitions), G.n), dtype=np.int64)
-    for i, p in enumerate(partitions):
-        for b, block in enumerate(p.blocks):
-            labels[i, list(bits(block))] = b
-    u, v = np.triu_indices(G.n, k=1)
-    return FiniteLattice(partitions, labels[:, u] == labels[:, v])
+    codes = [
+        sum(1 << (u * G.n + v) for block in p.blocks for u, v in combinations(bits(block), 2))
+        for p in partitions
+    ]
+    return FiniteLattice(partitions, codes)
 
 
 def dual_connected_partition_lattice(G: Multigraph) -> FiniteLattice:
@@ -253,10 +266,11 @@ def lattice_isomorphism_failure(L1: FiniteLattice, L2: FiniteLattice, mapping) -
             raise ValueError(f"image {y!r} is not an element of the codomain lattice")
     if len(set(images)) != len(images) or len(images) != len(L2):
         return "not-bijective"
-    perm = np.array([L2.index_of(y) for y in images])
-    if np.array_equal(L2._leq[np.ix_(perm, perm)], L1._leq):
-        return None
-    return "order-violation"
+    perm = [L2.index_of(y) for y in images]
+    for i, up in enumerate(L1._up):
+        if sum(1 << perm[j] for j in _members(up)) != L2._up[perm[i]]:
+            return "order-violation"
+    return None
 
 
 def lattice_to_json(L: FiniteLattice) -> dict:

@@ -19,17 +19,15 @@ the faces that were pivot columns of one map, fill-in pivots included, are
 cleared from the rows of the next (clearing, as in Bauer-Kerber-Reininghaus
 and Ripser). A map with no rows or no columns is never assembled. Only the
 entries no unit pivot can remove, such as RP2's 2-torsion, are left; they
-are exact Python ints of any size, reduced mod p before one int64
-elimination for every prime p < 2^31, and ranked by fraction-free
-(Bareiss) elimination on the exact ints over the rationals.
+are exact Python ints of any size, ranked on Python ints, which never wrap:
+by row echelon elimination mod p for every prime p < 2^31, and by
+fraction-free (Bareiss) elimination over the rationals.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-
-import numpy as np
 
 
 def _unit_eliminate(rows: list[dict[int, int]], col_rows: list[set[int]]):
@@ -47,8 +45,8 @@ def _unit_eliminate(rows: list[dict[int, int]], col_rows: list[set[int]]):
     in nothing. No step scans the whole matrix.
 
     Returns the pivot columns, in pivot order, and the entries no unit pivot
-    can remove, on the rows and columns that hold them, as an object array
-    of exact Python ints (of size 0 when nothing is left). Every pivot is a
+    can remove, on the rows and columns that hold them, as a list of rows of
+    exact Python ints (empty when nothing is left). Every pivot is a
     unit and every row operation has integer factors, so the steps are the
     same over the integers and every field, the pivot block has determinant
     +-1, and the rank over any field is the pivot count plus the rank of
@@ -109,8 +107,7 @@ def _unit_eliminate(rows: list[dict[int, int]], col_rows: list[set[int]]):
         rows[r] = {}
     left = [row for row in rows if row]
     kept = sorted({c for row in left for c in row})
-    core = np.array([[row.get(c, 0) for c in kept] for row in left], dtype=object)
-    return pivots, core.reshape(len(left), len(kept))
+    return pivots, [[row.get(c, 0) for c in kept] for row in left]
 
 
 def homology_from_faces_multi(
@@ -161,7 +158,7 @@ def homology_from_faces_multi(
             col_rows.append(live)
         pivots, core = _unit_eliminate(rows, col_rows)
         for c in chars:
-            ranks[c][d] = len(pivots) + (rank_over(core, c) if core.size else 0)
+            ranks[c][d] = len(pivots) + (rank_over(core, c) if core else 0)
         cleared = set(pivots)
         row_of = {f: i for i, f in enumerate(f for j, f in enumerate(cells) if j not in cleared)}
     return {
@@ -172,39 +169,28 @@ def homology_from_faces_multi(
 
 def rank_over(matrix, char: int) -> int:
     """Matrix rank over GF(char) for a prime char < 2^31, or exactly over
-    the rationals for char = 0. ``matrix`` is an integer array (an object
-    array of Python ints included) or a list of rows of Python ints, whose
-    entries may be of any size: they are reduced mod char as Python ints
-    before any int64 array is built, and char 0 is ranked by Bareiss
-    elimination on the exact ints."""
+    the rationals for char = 0. ``matrix`` is any sequence of integer rows,
+    whose entries may be of any size: it is ranked on Python ints, by row
+    echelon elimination mod char, or by Bareiss elimination for char 0."""
     _check_char(char)
-    rows = matrix.tolist() if isinstance(matrix, np.ndarray) else matrix
-    if not rows or not rows[0]:
-        return 0
-    if char == 0:
-        return bareiss(rows)[0]
-    return _rank_mod_p(rows, char)
+    return bareiss(matrix)[0] if char == 0 else _rank_mod_p(matrix, char)
 
 
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    """Row-echelon rank over GF(p) in int64. Entries are reduced into
-    [0, p) as Python ints first and stay there, so no product exceeds
-    (p - 1)^2 < 2^62 for p < 2^31."""
-    a = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
-    if a.shape[1] > a.shape[0]:
-        a = np.ascontiguousarray(a.T)
+def _rank_mod_p(rows, p: int) -> int:
+    """Row-echelon rank over GF(p), on Python ints reduced into [0, p)."""
+    a = [[int(x) % p for x in row] for row in rows]
     rank = 0
-    for col in range(a.shape[1]):
-        nz = np.flatnonzero(a[rank:, col])
-        if nz.size == 0:
+    for col in range(len(a[0]) if a else 0):
+        piv = next((r for r in range(rank, len(a)) if a[r][col]), None)
+        if piv is None:
             continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        a[rank, col:] = a[rank, col:] * pow(int(a[rank, col]), -1, p) % p
-        below = rank + 1 + np.flatnonzero(a[rank + 1:, col])
-        if below.size:
-            a[below, col:] = (a[below, col:] - np.outer(a[below, col], a[rank, col:])) % p
+        a[rank], a[piv] = a[piv], a[rank]
+        top = a[rank]
+        lead = top[col]
+        for i in range(rank + 1, len(a)):
+            f = a[i][col]
+            if f:
+                a[i] = [(x * lead - f * y) % p for x, y in zip(a[i], top)]
         rank += 1
     return rank
 
@@ -236,6 +222,7 @@ def bareiss(rows: list[list[int]]) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def _check_char(char: int) -> None:
+    # the bound also keeps the trial division of _is_prime short
     if char != 0 and not (char < 1 << 31 and _is_prime(char)):
         raise ValueError(f"characteristic must be 0 or a prime below 2^31, got {char}")
 

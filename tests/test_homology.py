@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from collections import defaultdict
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,7 +57,7 @@ from _oracles import (
     rank_oracle,
     relative_to_star,
 )
-from conftest import multigraphs
+from conftest import KITE_TEXT, multigraphs
 
 RP2_FACETS = (
     (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
@@ -117,6 +121,12 @@ def crosscut_masks(atoms, top):
     """The facet masks of the crosscut complex of [1, top] on ``atoms``:
     the bits of top outside each atom."""
     return [top & ~a for a in atoms]
+
+
+def all_relative_faces(masks):
+    """``relative_faces`` with a cap that never binds: a relative face has
+    fewer vertices than there are masks."""
+    return relative_faces(masks, len(masks))
 
 
 def chain_homology(lat, y):
@@ -239,6 +249,39 @@ class TestRankOver:
         assert [rank_over(rows, char) for char in (0, 2)] == [2, 1]
 
 
+NO_NUMPY_SCRIPT = """
+import ast
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from parkbetti import CharacteristicDisagreement, parse_graph, rank_over, verify_graph
+from parkbetti.homology import DEFAULT_CHARS, _ReductionMemo
+
+assert verify_graph(parse_graph(sys.argv[1])).passed
+big = 2**64
+assert rank_over([[big + 1, big - 1], [big - 1, big + 1], [2 * big, 2 * big]], 0) == 2
+try:
+    _ReductionMemo(DEFAULT_CHARS)._reduced("crosscut", ast.literal_eval(sys.argv[2]), str)
+except CharacteristicDisagreement as exc:
+    print(exc)
+"""
+
+
+class TestWithoutNumpy:
+    def test_engine_runs_without_numpy(self):
+        # numpy is a test dependency only: the package from src/ verifies a
+        # graph, ranks big integers and reports RP2's torsion without it
+        with pytest.raises(CharacteristicDisagreement) as want:
+            _ReductionMemo(DEFAULT_CHARS)._reduced("crosscut", RP2, str)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run(
+            [sys.executable, "-c", NO_NUMPY_SCRIPT, KITE_TEXT, repr(RP2)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == str(want.value) + "\n"
+
+
 def eliminate(matrix):
     """``_unit_eliminate`` on a matrix given as a list of int rows."""
     width = len(matrix[0]) if matrix else 0
@@ -311,7 +354,7 @@ class TestIntervalMachinery:
                     continue
                 top = code.encode(y)
                 atoms = [a for a in code.generators if not a & ~top]
-                by_char = homology_from_faces_multi(relative_faces(crosscut_masks(atoms, top)), (32003, 2))
+                by_char = homology_from_faces_multi(all_relative_faces(crosscut_masks(atoms, top)), (32003, 2))
                 assert by_char[32003] == by_char[2]
                 assert nonzero(by_char[2]) == nonzero(chain_homology(lat, y))
 
@@ -392,8 +435,8 @@ class TestDominatedAtoms:
                 if build is not parking_ideal:
                     assert kept == crosscut_masks(atoms, top)
                     continue
-                want = homology_from_faces_multi(relative_faces(crosscut_masks(atoms, top)), (32003, 2))
-                got = homology_from_faces_multi(relative_faces(kept), (32003, 2))
+                want = homology_from_faces_multi(all_relative_faces(crosscut_masks(atoms, top)), (32003, 2))
+                got = homology_from_faces_multi(all_relative_faces(kept), (32003, 2))
                 for char in (32003, 2):
                     assert nonzero(got[char]) == nonzero(want[char]), (
                         graph_to_text(G), _label(code, top)
@@ -736,7 +779,7 @@ def koszul_faces(ideal, m):
     """The relative face family of K^m(ideal) that ``betti_koszul``
     reduces."""
     code = ideal.code
-    return relative_faces(_koszul_masks(code, code.encode(m)))
+    return relative_faces(_koszul_masks(code, code.encode(m)), len(code.variables))
 
 
 def koszul_facets(ideal, m):

@@ -3,6 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from parkbetti import (
     ConnectedPartition,
@@ -27,20 +28,19 @@ from parkbetti import (
     parse_graph,
     separating_edges,
 )
-from parkbetti.posets import _two_step
 
 from _oracles import interval_chain_faces
 from conftest import multigraphs
 
 
 def chain(n):
-    return FiniteLattice(range(n), [[i] for i in range(n)])
+    return FiniteLattice(range(n), [(1 << i) - 1 for i in range(n)])
 
 
 class TestFiniteLattice:
     def test_divisors_of_six(self):
-        # divisors of 6 by their exponent vectors over the primes 2 and 3
-        L = FiniteLattice([1, 2, 3, 6], [[0, 0], [1, 0], [0, 1], [1, 1]])
+        # divisors of 6 by their codes: one bit for each of the primes 2 and 3
+        L = FiniteLattice([1, 2, 3, 6], [0b00, 0b10, 0b01, 0b11])
         assert L.bottom == 1 and L.top == 6
         assert L.join(2, 3) == 6 and L.meet(2, 3) == 1
         assert L.rank_profile() == (1, 2, 1)
@@ -53,21 +53,21 @@ class TestFiniteLattice:
 
     def test_poset_without_top_rejected(self):
         with pytest.raises(LatticeError):
-            FiniteLattice(["bot", "x", "y"], [[0, 0], [1, 0], [0, 1]])
+            FiniteLattice(["bot", "x", "y"], [0b00, 0b10, 0b01])
 
     def test_shared_vector_rejected(self):
-        # equal vectors would make two elements below each other
-        with pytest.raises(LatticeError, match="share a vector"):
-            FiniteLattice(["a", "b", "c"], [[0], [1], [1]])
+        # equal codes would make two elements below each other
+        with pytest.raises(LatticeError, match="share a code"):
+            FiniteLattice(["a", "b", "c"], [0, 1, 1])
 
     def test_duplicate_element_and_empty_rejected(self):
         with pytest.raises(LatticeError, match="duplicate"):
-            FiniteLattice(["a", "a"], [[0], [1]])
+            FiniteLattice(["a", "a"], [0, 1])
         with pytest.raises(LatticeError):
             FiniteLattice([], [])
 
     def test_long_chain_covers_and_rank(self):
-        # 258 elements: path counts pass 255, where 8-bit products wrap
+        # 258 elements, with codes up to 257 bits wide
         n = 258
         L = chain(n)
         assert L.upper_covers(0) == [1]
@@ -75,7 +75,7 @@ class TestFiniteLattice:
 
     def test_not_graded_detected(self):
         # the pentagon: 0 < a < 1 and 0 < b < c < 1, a beside b and c
-        L = FiniteLattice(["0", "a", "b", "c", "1"], [[0, 0], [1, 0], [0, 1], [0, 2], [1, 2]])
+        L = FiniteLattice(["0", "a", "b", "c", "1"], [0b000, 0b100, 0b001, 0b011, 0b111])
         with pytest.raises(NotGradedError):
             L.rank("1")
 
@@ -104,29 +104,6 @@ def brute_force_covers(L):
 
 
 class TestOrderProducts:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_two_step_equals_integer_product(self, seed):
-        rng = np.random.default_rng(seed)
-        size = rng.integers(1, 160)
-        for density in (0.01, 0.1, 0.5, 0.9):
-            rel = rng.random((size, size)) < density
-            want = (rel.astype(np.int64) @ rel.astype(np.int64)) > 0
-            assert np.array_equal(_two_step(rel), want)
-
-    def test_two_step_all_ones(self):
-        # every cell is a sum of 300 ones
-        assert _two_step(np.ones((300, 300), dtype=bool)).all()
-
-    @pytest.mark.parametrize("paths", [256, 512])
-    def test_two_step_path_counts_that_wrap_in_uint8(self, paths):
-        # exactly `paths` two-step paths lead from 0 to paths + 1, none elsewhere
-        rel = np.zeros((paths + 2, paths + 2), dtype=bool)
-        rel[0, 1:-1] = True
-        rel[1:-1, -1] = True
-        want = np.zeros_like(rel)
-        want[0, -1] = True
-        assert np.array_equal(_two_step(rel), want)
-
     @given(multigraphs())
     def test_covers_match_brute_force(self, G):
         lattices = [lcm_lattice(build(G)) for build in (parking_ideal, cutset_ideal, oriented_cutset_ideal)]
@@ -134,6 +111,32 @@ class TestOrderProducts:
         for L in lattices:
             assert "_covers" not in vars(L)  # made on first use, not on construction
             assert set(L.cover_pairs()) == brute_force_covers(L)
+
+    @given(st.lists(st.integers(1, 2**100 - 1), min_size=1, max_size=5), st.randoms())
+    def test_wide_codes_against_brute_force(self, gens, rng):
+        # the OR-closure of up to 5 generators of up to 100 bits, plus 0,
+        # in a random element order, against pairwise tests on the codes
+        codes = {0}
+        for g in gens:
+            codes |= {c | g for c in codes}
+        codes = sorted(codes)
+        rng.shuffle(codes)
+        L = FiniteLattice(codes, codes)
+        strict = {(a, b) for a in codes for b in codes if a != b and not a & ~b}
+        for a in codes:
+            for b in codes:
+                assert L.leq(a, b) == (a == b or (a, b) in strict)
+        covers = {
+            (a, b) for a, b in strict
+            if not any((a, c) in strict and (c, b) in strict for c in codes)
+        }
+        assert {(codes[i], codes[j]) for i, j in L.cover_pairs()} == covers
+        mu = L.mobius()
+        assert mu[0] == 1
+        for x in codes:
+            if x:
+                assert sum(mu[y] for y in codes if not y & ~x) == 0
+        assert L.dual().dual() == L
 
 
 class TestLazyOrder:
@@ -150,7 +153,7 @@ class TestLazyOrder:
         # betti_gpw and betti_koszul build no lattice at all (test_homology)
         L = lcm_lattice(parking_ideal(kite))
         assert L.elements[0] == L.bottom and len(L) == 33
-        assert "_leq" not in vars(L)
+        assert "_up" not in vars(L) and "_down" not in vars(L)
 
 
 class TestPartitionLattices:
