@@ -130,9 +130,26 @@ class Multigraph:
         instance: every variable kind reads the same search."""
         return tuple(sink_fixing_automorphisms(self))
 
+    @cached_property
+    def _components(self) -> dict[int, tuple[int, ...]]:
+        """Component masks of each vertex mask asked for so far, filled
+        lazily by ``connected_components``: at most one search per mask and
+        instance. Nothing is allocated up front, so a few queries on a
+        32-vertex graph store a few masks; but cut enumeration asks for
+        every sink-free mask and its complement, so after the cut-set or
+        parking ideal (or ``verify.verify_graph``) the dict holds almost
+        all 2^n masks. It lives as long as the graph object;
+        ``dataclasses.replace`` starts a new one."""
+        return {}
+
     def with_sink(self, sink: int) -> "Multigraph":
-        """Same graph, same orientation, different sink (0-based index)."""
-        return replace(self, sink=sink)
+        """Same graph, same orientation, different sink (0-based index).
+        Components do not depend on the sink, so the copy shares this
+        graph's component cache: a mask searched at one sink is not
+        searched again at another."""
+        G = replace(self, sink=sink)
+        object.__setattr__(G, "_components", self._components)
+        return G
 
 
 def _reach_within(adjacency_masks, start: int, within: int) -> int:
@@ -150,22 +167,30 @@ def _reach_within(adjacency_masks, start: int, within: int) -> int:
 
 
 def is_connected_induced(G: Multigraph, subset: int) -> bool:
-    """True iff the subgraph induced on the bitmask ``subset`` is connected."""
+    """True iff the subgraph induced on the non-empty bitmask ``subset`` is
+    connected; read from the graph's component cache
+    (``connected_components``)."""
     if subset == 0:
         raise ValueError("subset must be non-empty")
-    if subset & ~G.full_mask:
+    return len(connected_components(G, subset)) == 1
+
+
+def connected_components(G: Multigraph, mask: int) -> tuple[int, ...]:
+    """Vertex masks of the connected components of the subgraph induced on
+    ``mask``, ascending by lowest vertex; () for the empty mask. Each mask
+    is searched once per graph and kept in its component cache, which its
+    ``with_sink`` copies share."""
+    if mask & ~G.full_mask:
         raise ValueError("subset contains vertices outside the graph")
-    return _reach_within(G.adjacency_masks, subset & -subset, subset) == subset
-
-
-def connected_components(G: Multigraph, mask: int) -> list[int]:
-    """Vertex masks of the connected components of the induced subgraph."""
-    components = []
-    remaining = mask
-    while remaining:
-        component = _reach_within(G.adjacency_masks, remaining & -remaining, mask)
-        components.append(component)
-        remaining &= ~component
+    components = G._components.get(mask)
+    if components is None:
+        found = []
+        remaining = mask
+        while remaining:
+            component = _reach_within(G.adjacency_masks, remaining & -remaining, mask)
+            found.append(component)
+            remaining &= ~component
+        components = G._components[mask] = tuple(found)
     return components
 
 

@@ -195,10 +195,18 @@ def betti_wilmes(G: Multigraph) -> tuple[int, ...]:
     of the contractions to connected partitions with i+1 parts."""
     if G.n < 2:
         raise ValueError("needs at least two vertices")
+    return _wilmes_sum(connected_partitions(G), lambda p: mpf_count(contract(G, p)))
+
+
+def _wilmes_sum(partitions, contraction_mpf: Callable) -> tuple[int, ...]:
+    """The sum of ``betti_wilmes`` over the given connected partitions, with
+    ``contraction_mpf(p)`` the mpf count of the contraction to p: one
+    sum for ``betti_wilmes`` and for ``verify.verify_graph``, which reads
+    the counts its Mobius check already took."""
     betti: dict[int, int] = defaultdict(int)
-    for p in connected_partitions(G):
+    for p in partitions:
         if p.part_count >= 2:
-            betti[p.part_count - 1] += mpf_count(contract(G, p))
+            betti[p.part_count - 1] += contraction_mpf(p)
     return _as_vector(betti)
 
 

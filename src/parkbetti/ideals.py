@@ -138,11 +138,16 @@ class MonomialCode:
 
     def __init__(self, variables: tuple[str, ...], generators):
         self.variables = tuple(variables)
-        widths = [max((g.exponent(v) for g in generators), default=0) for v in self.variables]
+        # an undeclared variable gets no field: encoding a generator with it raises
+        widths = dict.fromkeys(self.variables, 0)
+        for g in generators:
+            for v, e in g.exps:
+                if v in widths and e > widths[v]:
+                    widths[v] = e
         self._fields: dict[str, list[int]] = {}
         self._offsets: dict[str, int] = {}
-        offset = sum(widths)
-        for v, width in zip(self.variables, widths):
+        offset = sum(widths.values())
+        for v, width in widths.items():
             offset -= width
             self._offsets[v] = offset
             self._fields[v] = [((1 << e) - 1) << offset for e in range(width + 1)]

@@ -7,6 +7,27 @@ check timings and the per-interval homology-concentration audit;
 ``to_json_dict`` includes either only on request. ``generate_corpus``
 produces the deterministic universes of small connected graphs the
 acceptance suite sweeps.
+
+One ``verify_graph`` call computes each per-graph quantity once and shares
+it between its checks:
+- the reduction memo (``homology._ReductionMemo``), read by every Betti
+  check at every sink and by the concentration audit;
+- the mpf count of the contraction to each connected partition, taken on
+  first use; mobius-vs-mpf and the Wilmes sum of betti-methods-agree read
+  the same counts;
+- the graph's component cache (``graphs.connected_components``), which
+  its sink copies share, so cut enumeration at every sink, the connected
+  partitions, contraction validation and the duality joins search each
+  vertex set once.
+The memo and the counts are dropped on return. The component cache fills
+lazily, but cut enumeration asks for nearly every vertex mask, so after
+one call it holds almost all 2^n masks; it belongs to the graph object and
+lives as long as it does, and a ``dataclasses.replace`` copy starts with
+an empty one.
+What depends on the sink stays independent at each sink: its parking and
+oriented cut-set ideals and their Betti vectors, its parking-function
+enumeration and spanning-tree count, and its own mpf count, which
+mpf-sink-invariance takes afresh rather than from a contraction.
 """
 
 from __future__ import annotations
@@ -32,8 +53,8 @@ from .homology import (
     DEFAULT_CHARS,
     CharacteristicDisagreement,
     _ReductionMemo,
+    _wilmes_sum,
     betti_mobius,
-    betti_wilmes,
 )
 from .ideals import (
     Monomial,
@@ -129,6 +150,15 @@ def verify_graph(G: Multigraph, chars=DEFAULT_CHARS) -> VerificationReport:
     oriented = {s: oriented_cutset_ideal(Gs) for s, Gs in per_sink.items()}
     # one memo for every lcm-lattice computation below, dropped on return
     reductions = _ReductionMemo(chars)
+    # mpf count of the contraction to each connected partition, taken on
+    # first use: the Mobius check and the Wilmes sum read the same counts
+    contraction_mpfs: dict = {}
+
+    def contraction_mpf(p):
+        count = contraction_mpfs.get(p)
+        if count is None:
+            count = contraction_mpfs[p] = mpf_count(contract(G, p))
+        return count
 
     def check_cuts_vs_atoms():
         atom_blocks = {p.blocks for p in lattice_dual.atoms()}
@@ -157,7 +187,7 @@ def verify_graph(G: Multigraph, chars=DEFAULT_CHARS) -> VerificationReport:
     def check_mobius_vs_mpf():
         mu = lattice_dual.mobius()
         for p in lattice_dual.elements:
-            expected = (-1) ** (p.part_count - 1) * mpf_count(contract(G, p))
+            expected = (-1) ** (p.part_count - 1) * contraction_mpf(p)
             if mu[p] != expected:
                 return f"{p}: mu={mu[p]} but signed mpf of the contraction is {expected}"
         return None
@@ -198,7 +228,7 @@ def verify_graph(G: Multigraph, chars=DEFAULT_CHARS) -> VerificationReport:
 
     def check_betti_agreement():
         results: dict[str, tuple[int, ...]] = {
-            "wilmes": betti_wilmes(G),
+            "wilmes": _wilmes_sum(lattice_dual.elements, contraction_mpf),
             "mobius": betti_mobius(lattice_dual),
             "gpw-J": reductions.betti_gpw(ideal_j, variable_symmetries(G, "y")),
         }

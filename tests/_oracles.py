@@ -45,6 +45,29 @@ def subset_connected(n: int, pairs, subset: frozenset) -> bool:
     return seen == set(subset)
 
 
+def components_oracle(G: Multigraph, mask: int) -> tuple[int, ...]:
+    """Component masks of the subgraph induced on ``mask``, by breadth-first
+    search over the edge list, ascending by lowest vertex."""
+    pairs = pairs_of(G)
+    left = [v for v in range(G.n) if (mask >> v) & 1]
+    out = []
+    while left:
+        seen = {left[0]}
+        frontier = [left[0]]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for a, b in pairs:
+                    w = b if a == v else a if b == v else None
+                    if w is not None and (mask >> w) & 1 and w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+            frontier = nxt
+        out.append(sum(1 << v for v in seen))
+        left = [v for v in left if v not in seen]
+    return tuple(out)
+
+
 def all_partitions(items):
     items = list(items)
     if not items:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -5,10 +6,13 @@ from hypothesis import given
 
 from parkbetti import (
     ConnectedPartition,
+    Edge,
     GraphParseError,
     GraphValidationError,
+    Multigraph,
     bits,
     boundary_degree,
+    connected_components,
     connected_partitions,
     contract,
     cut_set,
@@ -26,7 +30,12 @@ from parkbetti import (
     verification_corpus,
 )
 
-from _oracles import connected_cuts_oracle, sink_fixing_automorphisms_oracle, tree_count_oracle
+from _oracles import (
+    components_oracle,
+    connected_cuts_oracle,
+    sink_fixing_automorphisms_oracle,
+    tree_count_oracle,
+)
 
 from conftest import KITE_TEXT, banana, multigraphs
 
@@ -159,6 +168,69 @@ class TestConnectivity:
     def test_empty_subset_rejected(self, kite):
         with pytest.raises(ValueError):
             is_connected_induced(kite, 0)
+
+
+def path_graph(n: int) -> Multigraph:
+    return Multigraph(n, tuple(Edge(f"e{v + 1}", v, v + 1) for v in range(n - 1)))
+
+
+class TestComponentCache:
+    @given(multigraphs())
+    def test_every_mask_matches_the_oracle(self, G):
+        cold = dataclasses.replace(G)
+        masks = range(1, 1 << G.n)
+        want = {m: components_oracle(G, m) for m in masks}
+        for _ in range(2):  # cold, then read back from the cache
+            for m in masks:
+                assert connected_components(cold, m) == want[m], (graph_to_text(G), m)
+                assert is_connected_induced(cold, m) == (len(want[m]) == 1)
+        assert set(cold._components) == set(masks)
+        # sink copies share the cache, and answer the same from it
+        for sink in range(G.n):
+            Gs = cold.with_sink(sink)
+            assert Gs.sink == sink and Gs._components is cold._components
+            for m in masks:
+                assert connected_components(Gs, m) == want[m]
+                assert is_connected_induced(Gs, m) == (len(want[m]) == 1)
+        # a sink copy of a cold graph fills the cache its source reads
+        fresh = dataclasses.replace(G)
+        for m in masks:
+            assert connected_components(fresh.with_sink(G.sink), m) == want[m]
+        assert set(fresh._components) == set(masks)
+        assert all(connected_components(fresh, m) == want[m] for m in masks)
+
+    def test_stores_only_the_masks_asked_for(self):
+        G = path_graph(32)
+        asked = [G.full_mask, 0b1011, (1 << 31) | 1, 0b111 << 20]
+        assert is_connected_induced(G, asked[0])
+        assert connected_components(G, asked[1]) == (0b11, 0b1000)
+        assert connected_components(G, asked[2]) == (1, 1 << 31)
+        assert is_connected_induced(G, asked[3])
+        assert is_connected_induced(G, asked[3])
+        assert set(G._components) == set(asked)
+
+    def test_replace_starts_an_empty_cache(self, kite):
+        enumerate_connected_cuts(kite)
+        assert kite._components
+        copy = dataclasses.replace(kite)
+        assert copy == kite
+        assert copy._components == {} and copy._components is not kite._components
+
+    def test_bad_masks_raise_before_the_lookup(self, kite):
+        outside = 1 << kite.n | 1
+        # a poisoned entry would answer if the lookup came first
+        kite._components.update({0: (1,), outside: (outside,)})
+        with pytest.raises(ValueError):
+            is_connected_induced(kite, 0)
+        with pytest.raises(ValueError):
+            is_connected_induced(kite, outside)
+        with pytest.raises(ValueError):
+            connected_components(kite, outside)
+        fresh = dataclasses.replace(kite)
+        for mask in (0, outside):
+            with pytest.raises(ValueError):
+                is_connected_induced(fresh, mask)
+        assert fresh._components == {}
 
 
 class TestCuts:

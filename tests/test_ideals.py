@@ -192,6 +192,27 @@ class TestMonomialCode:
         assert verify_graph(G).passed
         assert len(builds) == 1 + 2 * G.n
 
+    @given(st.data())
+    def test_field_widths_are_the_largest_exponents(self, data):
+        # declared variables that no generator uses get width 0, so every
+        # variable's field is as wide as its largest generator exponent
+        variables = tuple(f"x{i}" for i in range(data.draw(st.integers(1, 6))))
+        exponents = st.dictionaries(st.sampled_from(variables), st.integers(0, 9), max_size=len(variables))
+        gens = [Monomial.of(d) for d in data.draw(st.lists(exponents, max_size=5))]
+        code = MonomialCode(variables, gens)
+        want = {v: max((g.exponent(v) for g in gens), default=0) for v in variables}
+        assert {v: mask.bit_count() for v, mask in zip(variables, code.masks)} == want
+        assert [code.decode(c) for c in code.generators] == gens
+        v = data.draw(st.sampled_from(variables))
+        with pytest.raises(ValueError):
+            code.encode(Monomial.of({v: want[v] + 1}))
+        with pytest.raises(ValueError):
+            code.encode(Monomial.of({"undeclared": 1}))
+
+    def test_generator_with_an_undeclared_variable_rejected(self):
+        with pytest.raises(ValueError):
+            MonomialCode(("x1",), [Monomial.of({"x1": 1, "x2": 1})])
+
     def test_field_moves_need_equal_widths(self):
         code = MonomialCode(("x1", "x2"), [Monomial.of({"x1": 2}), Monomial.of({"x2": 1})])
         with pytest.raises(ValueError):

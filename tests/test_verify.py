@@ -7,7 +7,9 @@ from parkbetti import (
     CheckResult,
     ConnectedPartition,
     VerificationReport,
+    betti_wilmes,
     canonical_form,
+    connected_partitions,
     export_figure,
     generate_corpus,
     graph_to_text,
@@ -18,6 +20,7 @@ from parkbetti import (
     verify_graph,
 )
 from parkbetti import cli as cli_module
+from parkbetti import homology as homology_module
 from parkbetti import verify as verify_module
 from parkbetti.verify import CHECK_NAMES
 from parkbetti.cli import main
@@ -114,6 +117,27 @@ class TestVerifyGraph:
         assert not duality.passed
         assert duality.witness.startswith("the join {v2 | v1 v3} of ")
         assert duality.witness.endswith(" is not an element of the dual lattice")
+
+    def test_one_mpf_count_per_contraction(self, kite, monkeypatch):
+        # the Mobius check and the Wilmes sum read one count per partition
+        contracted, counted = [], []
+
+        def logged(f, calls):
+            def wrapped(*args):
+                calls.append(args[-1])
+                return f(*args)
+            return wrapped
+
+        for module in (verify_module, homology_module):
+            monkeypatch.setattr(module, "contract", logged(module.contract, contracted))
+            monkeypatch.setattr(module, "mpf_count", logged(module.mpf_count, counted))
+        report = verify_graph(kite)
+        assert report.passed
+        partitions = connected_partitions(kite)
+        assert sorted(contracted, key=lambda p: p.blocks) == sorted(partitions, key=lambda p: p.blocks)
+        # one per contraction, and one per sink for mpf-sink-invariance
+        assert len(counted) == len(partitions) + kite.n
+        assert list(betti_wilmes(kite)) == report.betti["wilmes"]
 
     def test_report_failure_shape(self):
         report = VerificationReport(
