@@ -46,10 +46,15 @@ dominated vertex is a strong collapse, which keeps the homotopy type
 inclusion-maximal distinct mask, and faces depend on the masks alone.
 When T = y, as at every element of a squarefree ideal (J and K), each
 atom is its own reach; minimal generators form an antichain, so no atom
-is dominated, and every atom is kept, in generator order. When the kept
-reaches miss a bit of T, every kept atom holds that bit in its mask, so
-the pruned complex is a simplex and has no homology; below a generator y
-the one atom is y itself, whose mask is 0, and the complex is {()}.
+is dominated, and every atom is kept, in generator order. An atom whose
+reach is empty (its exponent is below y's in every variable of y) has the
+mask T, which holds every other mask: it lies in every facet, it alone is
+kept, and the complex is a simplex with no homology, so no other mask is
+compared. Otherwise each mask, largest first, is compared with the kept
+ones until one holds it. When the kept reaches miss a bit of T, every kept
+atom holds that bit in its mask, so the pruned complex is a simplex and
+has no homology; below a generator y the one atom is y itself, whose mask
+is 0, and the complex is {()}.
 
 Degrees of an interval are bounded by #variables - 2 before anything is
 assembled: higher degrees vanish because the quotient's projective
@@ -88,9 +93,11 @@ field, so the lcm of two monomials is the OR of their codes and "a divides
 b" is ``a & ~b == 0``. The lattice elements are the codes ``lcm_closure``
 returns, in the order of ``lcm_lattice``; no ``FiniteLattice`` and no
 ``Monomial`` is built for them. A symmetry moves whole bit fields
-(``MonomialCode.permutation``), so orbits are found on codes too. The
-atoms below an element and every vertex mask come from mask tests on
-codes. Variable names come back only to label a characteristic
+(``MonomialCode.permutation``), so orbits are found on codes too, from the
+maps a caller passes: ``verify`` and the CLI pass a generating set of the
+sink-fixing group (``variable_symmetries``), which gives the orbits of the
+whole group. The atoms below an element and every vertex mask come from
+mask tests on codes. Variable names come back only to label a characteristic
 disagreement. The audit walks the elements of the lattice it is given and
 encodes each once.
 
@@ -239,8 +246,10 @@ def _orbit_representatives(codes, permutations) -> list[tuple[int, int]]:
     OR, and every proper element is the OR of a nonempty set of
     generators, so its image is the OR of their images, again a nonempty
     set of generators. The search applies every map to every orbit
-    element, because ``symmetries`` is caller input that need not be
-    closed under composition."""
+    element until the orbit is closed, because ``symmetries`` is caller
+    input that need not be closed under composition. So a generating set
+    of a group gives the same orbits, representatives and sizes as the
+    whole group, as ``variable_symmetries`` relies on."""
     if not permutations:
         return [(c, 1) for c in codes]
     seen: set[int] = set()
@@ -291,16 +300,24 @@ def _crosscut_masks(code: MonomialCode, top: int) -> list[int]:
     When T is y itself the reach of every atom is the atom, no atom is
     dominated, and every atom below y has its mask, in generator order.
     Otherwise one mask is kept for each inclusion-maximal distinct mask,
-    in (descending popcount, first appearance) order."""
+    in (descending popcount, first appearance) order. When an atom reaches
+    no bit of T its mask is T, the one maximal mask, and ``[T]`` is
+    returned before any mask is compared; else each mask is compared with
+    the kept ones only until one holds it."""
     tops = code.tops(top)
     masks = [tops & ~a for a in code.generators if not a & ~top]
     if tops == top:
         return masks
+    if tops in masks:
+        return [tops]
     kept: list[int] = []
     # a mask inside a larger one is inside a maximal one, which comes first
     # in popcount order and is kept: the kept ones are all to test
     for mask in sorted(dict.fromkeys(masks), key=int.bit_count, reverse=True):
-        if all(mask & ~k for k in kept):
+        for k in kept:
+            if not mask & ~k:
+                break
+        else:
             kept.append(mask)
     return kept
 

@@ -266,20 +266,18 @@ def lcm_closure(code: MonomialCode) -> list[int]:
     ``ValueError`` is raised when one generator divides another, duplicates
     included.
 
-    lcm is bitwise OR, and every lcm of a generator subset is reached by
-    adding one generator at a time, so each new code is OR-ed with the
-    generator codes only."""
+    lcm is bitwise OR, and a subset of the first k generators either leaves
+    out the k-th or takes it, so the lcms over the first k are those over
+    the first k - 1, each kept as is and each OR-ed with the k-th: one pass
+    per generator, starting from {0}, the lcm of the empty subset."""
     gens = code.generators
     if not gens:
         raise ValueError("the zero ideal has no lcm-lattice")
     if any(i != j and g & ~h == 0 for i, g in enumerate(gens) for j, h in enumerate(gens)):
         raise ValueError("lcm-lattice requires a minimal generating set")
-    found = set(gens)
-    frontier = found
-    while frontier:
-        frontier = {f | g for f in frontier for g in gens} - found
-        found |= frontier
-    found.add(0)
+    found = {0}
+    for g in gens:
+        found.update([f | g for f in found])
     return sorted(found, key=lambda c: (c.bit_count(), c))
 
 
@@ -344,10 +342,15 @@ def apply_substitution(ideal: MonomialIdeal, sub: Substitution) -> MonomialIdeal
 
 
 def variable_symmetries(G: Multigraph, kind: str) -> tuple[dict, ...]:
-    """Variable permutations induced by the sink-fixing graph automorphisms,
-    for the parking ('x'), cut-set ('y'), or oriented ('z') variable set.
-    The identity is omitted. Parallel edges are matched class-to-class in
-    label order; an orientation flip swaps an edge's z1/z2 variables."""
+    """Variable permutations induced by a generating set of the sink-fixing
+    graph automorphisms (``Multigraph.sink_automorphisms``, the greedy one),
+    for the parking ('x'), cut-set ('y'), or oriented ('z') variable set:
+    4 maps on K6 at a sink, where the group has 119 besides the identity.
+    The identity is never among them. Parallel edges are matched
+    class-to-class in label order; an orientation flip swaps an edge's z1/z2
+    variables. Each kind's induced map respects composition, so the maps
+    generate the group induced on the variables and give the same orbits
+    of monomials as the whole group."""
     if kind not in ("x", "y", "z"):
         raise ValueError(f"unknown variable kind {kind!r}")
     by_pair: dict[tuple[int, int], list] = {}
@@ -357,8 +360,6 @@ def variable_symmetries(G: Multigraph, kind: str) -> tuple[dict, ...]:
         edges.sort(key=lambda e: e.label)
     maps = []
     for sigma in G.sink_automorphisms:
-        if sigma == tuple(range(G.n)):
-            continue
         mapping: dict[str, str] = {}
         if kind == "x":
             for v in G.nonsink_vertices:

@@ -7,7 +7,8 @@ The matrix oracle likewise works on plain lists of integers, the boundary
 and relative-to-star oracles on plain face lists, the order-complex oracle
 on a lattice's elements and pairwise order test only, the facet
 expansion on plain vertex collections, the crosscut, lcm-closure and
-Koszul oracles on monomials given as plain {variable: exponent} dicts, and
+Koszul oracles on monomials given as plain {variable: exponent} dicts, the
+maximal-mask oracle on plain ints, the group oracle on image tuples, and
 the permutation oracle on a monomial's variable names. The canonical-form
 oracle is the first definition of the multigraph key, kept to pin the
 faster one to the same keys, on which corpus order depends. The
@@ -296,6 +297,40 @@ def lcm_closure_oracle(generators: list[dict]) -> set[frozenset]:
     for g in generators:
         found |= {frozenset(_dict_lcm(dict(m), g).items()) for m in found}
     return found
+
+
+def lcm_closure_subsets_oracle(variables, generators: list[dict]) -> list[tuple[int, ...]]:
+    """Exponent vectors of the lcms of every nonempty generator subset,
+    each subset joined on its own, plus the vector of 1, distinct and
+    sorted by (degree, exponent vector)."""
+    found = {tuple(0 for _ in variables)}
+    for size in range(1, len(generators) + 1):
+        for subset in combinations(generators, size):
+            found.add(tuple(max(g.get(v, 0) for g in subset) for v in variables))
+    return sorted(found, key=lambda vec: (sum(vec), vec))
+
+
+def maximal_masks_oracle(masks: list[int]) -> list[int]:
+    """The distinct masks inside no other mask, by pairwise test, in
+    (descending popcount, first appearance) order."""
+    distinct = []
+    for m in masks:
+        if m not in distinct:
+            distinct.append(m)
+    maximal = [m for m in distinct if not any(m != k and m | k == k for k in distinct)]
+    return sorted(maximal, key=lambda m: -bin(m).count("1"))
+
+
+def generated_group(generators, degree: int) -> set[tuple[int, ...]]:
+    """The group generated by permutations of range(degree), given as image
+    tuples: every product of generators, the empty product (the identity)
+    included, found by composing on the left until nothing new appears."""
+    group = {tuple(range(degree))}
+    while True:
+        grown = group | {tuple(g[x[i]] for i in range(degree)) for g in generators for x in group}
+        if grown == group:
+            return group
+        group = grown
 
 
 def crosscut_faces_oracle(atoms: list[dict], top: dict, cap=None) -> dict[int, list[tuple[int, ...]]]:

@@ -33,6 +33,7 @@ from parkbetti import (
 from _oracles import (
     components_oracle,
     connected_cuts_oracle,
+    generated_group,
     sink_fixing_automorphisms_oracle,
     tree_count_oracle,
 )
@@ -352,6 +353,21 @@ class TestSinkAutomorphisms:
     @given(multigraphs())
     def test_matches_oracle_on_multigraphs(self, G):
         assert sink_fixing_automorphisms(G) == sink_fixing_automorphisms_oracle(G)
+
+    @given(multigraphs())
+    def test_greedy_generating_set_at_every_sink(self, G):
+        # each kept map is the first one that the maps kept before it do
+        # not generate, and together they generate every automorphism
+        for sink in range(G.n):
+            Gs = G.with_sink(sink)
+            group = sink_fixing_automorphisms(Gs)
+            gens = Gs.sink_automorphisms
+            for i, sigma in enumerate(gens):
+                before = generated_group(gens[:i], G.n)
+                assert sigma not in before, graph_to_text(Gs)
+                assert all(tau in before for tau in group[:group.index(sigma)]), graph_to_text(Gs)
+            assert generated_group(gens, G.n) == set(group), graph_to_text(Gs)
+            assert 2 ** len(gens) <= len(group)
 
     @given(multigraphs())
     def test_a_group_with_the_identity_first(self, G):

@@ -31,6 +31,7 @@ from parkbetti import (
     parking_ideal,
     parse_graph,
     rank_over,
+    sink_fixing_automorphisms,
     variable_symmetries,
     verify_graph,
 )
@@ -51,9 +52,11 @@ from _oracles import (
     boundary_matrices,
     crosscut_faces_oracle,
     faces_by_dim,
+    generated_group,
     interval_chain_faces,
     koszul_facets_oracle,
     koszul_faces_oracle,
+    maximal_masks_oracle,
     rank_oracle,
     relative_to_star,
 )
@@ -456,6 +459,33 @@ class TestDominatedAtoms:
         assert all(m & ~k for m in kept for k in kept if m != k)
         assert nonzero(_ReductionMemo(DEFAULT_CHARS)._interval_dims(code, top)) == {1: 1}
 
+    def test_an_atom_that_reaches_no_top_bit_makes_a_cone(self, k3):
+        # below x1^2*x2^2 the atom x1*x2 has neither top bit, so it lies in
+        # every facet: the one mask kept is T, and the interval is a cone
+        code = parking_ideal(k3).code
+        top = code.encode(Monomial.of({"x1": 2, "x2": 2}))
+        tops = code.tops(top)
+        assert tops != top
+        assert tops in [tops & ~a for a in code.generators if not a & ~top]
+        assert _crosscut_masks(code, top) == [tops]
+        assert nonzero(_ReductionMemo(DEFAULT_CHARS)._interval_dims(code, top)) == {}
+
+    @given(multigraphs())
+    def test_kept_masks_are_the_maximal_distinct_ones(self, G):
+        code = parking_ideal(G).code
+        reductions = _ReductionMemo(DEFAULT_CHARS)
+        for top in lcm_closure(code)[1:]:
+            tops = code.tops(top)
+            masks = [tops & ~a for a in code.generators if not a & ~top]
+            kept = _crosscut_masks(code, top)
+            if tops == top:
+                assert kept == masks, (graph_to_text(G), _label(code, top))
+                continue
+            assert kept == maximal_masks_oracle(masks), (graph_to_text(G), _label(code, top))
+            if tops in masks:
+                assert kept == [tops]
+                assert nonzero(reductions._interval_dims(code, top)) == {}
+
     def test_generator_keeps_the_empty_face(self, kite):
         # below a generator the only atom is the generator itself, whose
         # reach is every top bit, so its mask is 0: the relative family is
@@ -626,6 +656,72 @@ def face_family_keys(ideal):
         faces = relative_faces(_crosscut_masks(code, code.encode(y)), max_degree + 2)
         keys.add(tuple((d, tuple(fs)) for d, fs in faces.items()))
     return keys
+
+
+def variable_images(mapping, variables):
+    """A variable permutation as the tuple of its image indices."""
+    index = {v: i for i, v in enumerate(variables)}
+    return tuple(index[mapping[v]] for v in variables)
+
+
+def field_moves(code, images):
+    """``MonomialCode.permutation`` of permutations given as image tuples."""
+    variables = code.variables
+    return [code.permutation({v: variables[t[i]] for i, v in enumerate(variables)}) for t in images]
+
+
+class TestOrbitsFromGenerators:
+    @given(multigraphs(), st.data())
+    def test_any_generating_subset_gives_the_same_orbits(self, G, data):
+        # the whole group against a generating subset taken greedily from a
+        # random order of it, with a few random maps added
+        for kind, build in (("x", parking_ideal), ("y", cutset_ideal), ("z", oriented_cutset_ideal)):
+            code = build(G).code
+            degree = len(code.variables)
+            gens = [variable_images(m, code.variables) for m in variable_symmetries(G, kind)]
+            group = sorted(generated_group(gens, degree))
+            subset: list[tuple[int, ...]] = []
+            for t in data.draw(st.permutations(group)):
+                if t not in generated_group(subset, degree):
+                    subset.append(t)
+            subset += data.draw(st.lists(st.sampled_from(group), max_size=3))
+            proper = lcm_closure(code)[1:]
+            assert _orbit_representatives(proper, field_moves(code, subset)) == _orbit_representatives(
+                proper, field_moves(code, group)
+            ), (graph_to_text(G), kind)
+
+    @given(multigraphs())
+    def test_generators_give_the_orbits_of_every_automorphism(self, G):
+        # on the parking variables, each sink-fixing automorphism induced by
+        # hand, against the maps of the generating set
+        code = parking_ideal(G).code
+        every = [
+            code.permutation({f"x{v + 1}": f"x{sigma[v] + 1}" for v in G.nonsink_vertices})
+            for sigma in sink_fixing_automorphisms(G)
+        ]
+        gens = [code.permutation(m) for m in variable_symmetries(G, "x")]
+        proper = lcm_closure(code)[1:]
+        assert _orbit_representatives(proper, gens) == _orbit_representatives(proper, every)
+
+    def test_k6_orbits_from_four_maps(self, monkeypatch):
+        # 4 maps generate the 120 automorphisms of K6 at sink v1; with all
+        # 119 non-identity maps the orbit search made 420,189 permute_code
+        # calls, with the 4 it makes 14,124
+        K6 = parse_graph("v:6; sink:1; " + "; ".join(
+            f"e{i}{j} {i} {j}" for i in range(1, 7) for j in range(i + 1, 7)
+        ))
+        syms = variable_symmetries(K6, "x")
+        assert len(syms) == 4
+        calls = []
+        permute = homology_module.permute_code
+
+        def counted(c, moves):
+            calls.append(c)
+            return permute(c, moves)
+
+        monkeypatch.setattr(homology_module, "permute_code", counted)
+        assert betti_gpw(parking_ideal(K6), symmetries=syms) == (31, 180, 390, 360, 120)
+        assert len(calls) <= 15_000
 
 
 class TestReductionMemo:

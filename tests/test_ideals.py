@@ -26,8 +26,21 @@ from parkbetti import (
 )
 from parkbetti import graphs as graphs_module
 
-from _oracles import lcm_closure_oracle, permute_monomial
+from _oracles import lcm_closure_oracle, lcm_closure_subsets_oracle, permute_monomial
 from conftest import multigraphs
+
+
+@st.composite
+def monomial_ideals(draw):
+    """Minimal monomial ideals on 1-4 variables with exponents up to 3, so
+    most are not squarefree, from at most 7 drawn monomials."""
+    variables = tuple(f"x{i + 1}" for i in range(draw(st.integers(1, 4))))
+    vectors = draw(st.lists(
+        st.lists(st.integers(0, 3), min_size=len(variables), max_size=len(variables)),
+        min_size=1, max_size=7,
+    ))
+    gens = tuple(Monomial.of(dict(zip(variables, vec))) for vec in vectors)
+    return minimalize(MonomialIdeal(variables, gens))
 
 
 def gens(ideal):
@@ -333,6 +346,26 @@ class TestLcmLattice:
             for a in lat.elements:
                 for b in lat.elements:
                     assert lat.leq(a, b) == a.divides(b), (graph_to_text(G), str(a), str(b))
+
+    @given(monomial_ideals())
+    def test_closure_is_every_subset_lcm_in_order(self, ideal):
+        variables = ideal.variables
+        code = MonomialCode(variables, ideal.generators)
+        got = [code.decode(c).vector(variables) for c in lcm_closure(code)]
+        assert got == lcm_closure_subsets_oracle(variables, [dict(g.exps) for g in ideal.generators])
+
+    @pytest.mark.parametrize("generators", [
+        (),
+        ({"x1": 1, "x2": 2}, {"x1": 1, "x2": 2}),
+        ({"x1": 2}, {"x2": 3}, {"x1": 2, "x2": 1}),
+        ({"x1": 2, "x2": 1}, {"x2": 3}, {"x1": 1}),
+    ])
+    def test_closure_needs_a_minimal_generating_set(self, generators):
+        # empty, a duplicate, and a generator dividing a later or an
+        # earlier one
+        code = MonomialCode(("x1", "x2"), tuple(Monomial.of(g) for g in generators))
+        with pytest.raises(ValueError):
+            lcm_closure(code)
 
     def test_requires_minimalized_nonempty(self):
         with pytest.raises(ValueError):
