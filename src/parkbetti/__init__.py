@@ -62,7 +62,6 @@ from .posets import (
     FiniteLattice,
     LatticeError,
     NotGradedError,
-    connected_common_refinement,
     connected_partition_lattice,
     dual_connected_partition_lattice,
     lattice_isomorphism_failure,

@@ -65,7 +65,7 @@ class Multigraph:
 
     n: int
     edges: tuple[Edge, ...]
-    sink: int = -1
+    sink: int | None = None
 
     def __post_init__(self):
         if not isinstance(self.edges, tuple):
@@ -74,14 +74,14 @@ class Multigraph:
             raise GraphValidationError("graph needs at least one vertex")
         if self.n > MAX_VERTICES:
             raise GraphValidationError(f"at most {MAX_VERTICES} vertices supported")
-        if self.sink == -1:
+        if self.sink is None:
             object.__setattr__(self, "sink", self.n - 1)
         if not 0 <= self.sink < self.n:
-            raise GraphValidationError(f"sink index {self.sink} out of range")
+            raise GraphValidationError(f"sink {self.sink + 1} outside 1..{self.n}")
         seen = set()
         for e in self.edges:
             if not (0 <= e.tail < self.n and 0 <= e.head < self.n):
-                raise GraphValidationError(f"edge {e.label!r} has an endpoint out of range")
+                raise GraphValidationError(f"edge {e.label!r} references a vertex outside 1..{self.n}")
             if e.tail == e.head:
                 raise GraphValidationError(f"edge {e.label!r} is a loop")
             if e.label in seen:
@@ -286,10 +286,6 @@ class ConnectedPartition:
                 return b
         raise ValueError(f"vertex {v} not covered by the partition")
 
-    def refines(self, other: "ConnectedPartition") -> bool:
-        """Every block of self sits inside a single block of other."""
-        return all(b & ~other.block_containing(bits(b)[0]) == 0 for b in self.blocks)
-
     def __str__(self) -> str:
         return "{" + " | ".join(
             " ".join(f"v{v + 1}" for v in bits(b)) for b in self.blocks
@@ -487,17 +483,10 @@ def parse_graph(text: str) -> Multigraph:
 
 def _graph_from_rows(n: int, rows, sink) -> Multigraph:
     """Validated graph from 1-based ``(label, i, j)`` edge rows and an
-    optional 1-based sink, shared by both input formats."""
-    if n < 1:
-        raise GraphValidationError("graph needs at least one vertex")
-    edges = []
-    for label, i, j in rows:
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise GraphValidationError(f"edge {label!r} references a vertex outside 1..{n}")
-        edges.append(Edge(label, min(i, j) - 1, max(i, j) - 1))
-    if sink is not None and not 1 <= sink <= n:
-        raise GraphValidationError(f"sink {sink} outside 1..{n}")
-    return Multigraph(n, tuple(edges), n - 1 if sink is None else sink - 1)
+    optional 1-based sink, shared by both input formats; ``Multigraph``
+    validates them."""
+    edges = tuple(Edge(label, min(i, j) - 1, max(i, j) - 1) for label, i, j in rows)
+    return Multigraph(n, edges, None if sink is None else sink - 1)
 
 
 def _statements(text: str):

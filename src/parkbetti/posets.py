@@ -3,9 +3,9 @@
 Both lattice families used here are such orders: the divisibility lattice of
 monomial lcms (their ``MonomialCode`` codes) and the connected-partition
 lattice of a multigraph (one bit per vertex pair sharing a block), whose
-order dual complements each code inside the top's. Up-sets and down-sets
-are int bitsets over the element indices, built on first use; they serve
-covers, ranks, Mobius values, joins, meets and the lattice isomorphism.
+order dual complements each code inside the top's. Up-sets are int
+bitsets over the element indices, built on first use; they serve covers,
+ranks, Mobius values, joins and the lattice isomorphism.
 Interval homology uses the crosscut model, which needs only the generators
 dividing each element (see ``homology``), so ``betti_gpw`` and
 ``betti_koszul`` build no lattice at all: they run on the integer codes of
@@ -19,13 +19,7 @@ from itertools import combinations
 from operator import and_, or_
 from typing import Callable, Iterator, Sequence
 
-from .graphs import (
-    ConnectedPartition,
-    Multigraph,
-    bits,
-    connected_components,
-    connected_partitions,
-)
+from .graphs import Multigraph, bits, connected_partitions
 
 
 class LatticeError(ValueError):
@@ -52,12 +46,12 @@ class FiniteLattice:
     checks only, in O(N), distinct elements, distinct codes
     (antisymmetry), and that the AND and the OR of all codes are codes
     (unique bottom and top). ``leq`` reads the codes alone; the up-sets
-    are built when anything else is first asked for, and the down-sets
-    (the dual's up-sets) when a meet is. Joins and meets check uniqueness,
-    so a merely bounded poset is caught the first time a pair has no least
-    upper bound. Ranks demand gradedness; Mobius values come from the
-    defining recursion in exact integer arithmetic. Both walk the elements
-    in popcount order: a code strictly inside another has fewer bits.
+    are built when anything else is first asked for. A join checks
+    uniqueness, so a merely bounded poset is caught the first time a pair
+    has no least upper bound. Ranks demand gradedness; Mobius values come
+    from the defining recursion in exact integer arithmetic. Both walk the
+    elements in popcount order: a code strictly inside another has fewer
+    bits.
     """
 
     def __init__(self, elements: Sequence, codes: Sequence[int]):
@@ -97,10 +91,6 @@ class FiniteLattice:
                 up &= holders[b]
             ups.append(up)
         return ups
-
-    @cached_property
-    def _down(self) -> list[int]:
-        return self.dual()._up
 
     @cached_property
     def _covers(self) -> list[int]:
@@ -165,18 +155,13 @@ class FiniteLattice:
     def atoms(self) -> list:
         return self.upper_covers(self.bottom)
 
-    def _least_bound(self, up: list[int], x, y, name: str):
+    def join(self, x, y):
+        up = self._up
         bounds = up[self.index_of(x)] & up[self.index_of(y)]
         least = [k for k in _members(bounds) if not bounds & ~up[k]]
         if len(least) != 1:
-            raise LatticeError(f"no unique {name} for {x!r} and {y!r}")
+            raise LatticeError(f"no unique join for {x!r} and {y!r}")
         return self._elements[least[0]]
-
-    def join(self, x, y):
-        return self._least_bound(self._up, x, y, "join")
-
-    def meet(self, x, y):
-        return self._least_bound(self._down, x, y, "meet")
 
     @cached_property
     def _ranks(self) -> list[int]:
@@ -237,20 +222,6 @@ def dual_connected_partition_lattice(G: Multigraph) -> FiniteLattice:
     """Order dual of the connected-partition lattice; its atoms are exactly
     the connected cuts."""
     return connected_partition_lattice(G).dual()
-
-
-def connected_common_refinement(
-    G: Multigraph, p: ConnectedPartition, q: ConnectedPartition
-) -> ConnectedPartition:
-    """Join in the dual lattice: intersect blocks pairwise, then split each
-    intersection into connected components."""
-    blocks: list[int] = []
-    for b1 in p.blocks:
-        for b2 in q.blocks:
-            inter = b1 & b2
-            if inter:
-                blocks.extend(connected_components(G, inter))
-    return ConnectedPartition(tuple(blocks))
 
 
 def lattice_isomorphism_failure(L1: FiniteLattice, L2: FiniteLattice, mapping) -> str | None:

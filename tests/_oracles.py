@@ -14,7 +14,10 @@ oracle is the first definition of the multigraph key, kept to pin the
 faster one to the same keys, on which corpus order depends. The
 automorphism oracle is likewise the first sink-fixing search, trying every
 permutation, kept to pin the backtracking search to the same list in the
-same order, on which the orbits of the lcm-lattice methods depend.
+same order, on which the orbits of the lcm-lattice methods depend. The
+refinement and common-refinement oracles read partitions as plain block
+masks; the latter is the dual connected-partition lattice's join written
+as the paper's procedure, kept to pin ``FiniteLattice.join`` to it.
 """
 
 from fractions import Fraction
@@ -22,7 +25,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from parkbetti import Monomial, Multigraph
+from parkbetti import ConnectedPartition, Monomial, Multigraph
 
 
 def pairs_of(G: Multigraph) -> list[tuple[int, int]]:
@@ -67,6 +70,22 @@ def components_oracle(G: Multigraph, mask: int) -> tuple[int, ...]:
         out.append(sum(1 << v for v in seen))
         left = [v for v in left if v not in seen]
     return tuple(out)
+
+
+def partition_refines(p: ConnectedPartition, q: ConnectedPartition) -> bool:
+    """Every block of p sits inside a single block of q."""
+    return all(any(not b & ~c for c in q.blocks) for b in p.blocks)
+
+
+def connected_common_refinement(G: Multigraph, p: ConnectedPartition, q: ConnectedPartition) -> ConnectedPartition:
+    """Join in the dual connected-partition lattice: intersect the blocks
+    pairwise, then split each intersection into connected components."""
+    blocks: list[int] = []
+    for b1 in p.blocks:
+        for b2 in q.blocks:
+            if b1 & b2:
+                blocks.extend(components_oracle(G, b1 & b2))
+    return ConnectedPartition(tuple(blocks))
 
 
 def all_partitions(items):

@@ -98,6 +98,18 @@ class TestParsing:
         with pytest.raises(GraphValidationError):
             parse_graph("v:2; a 1 2; sink:5")
 
+    def test_bad_sink_and_endpoint_messages_are_one_based(self, p3):
+        # -1 is not a default that picks the last vertex
+        for sink in (-1, p3.n):
+            with pytest.raises(GraphValidationError, match=rf"^sink {sink + 1} outside 1\.\.3$"):
+                p3.with_sink(sink)
+        with pytest.raises(GraphValidationError, match=r"^sink 6 outside 1\.\.3$"):
+            Multigraph(3, p3.edges, sink=5)
+        with pytest.raises(GraphValidationError, match=r"^edge 'x' references a vertex outside 1\.\.3$"):
+            Multigraph(3, p3.edges + (Edge("x", 0, 3),))
+        with pytest.raises(GraphValidationError, match=r"^sink 0 outside 1\.\.2$"):
+            parse_graph("v:2; a 1 2; sink:0")
+
     def test_empty_graph_rejected(self):
         with pytest.raises(GraphValidationError):
             parse_graph("v:0")
