@@ -329,15 +329,29 @@ def lcm_closure_subsets_oracle(variables, generators: list[dict]) -> list[tuple[
     return sorted(found, key=lambda vec: (sum(vec), vec))
 
 
-def maximal_masks_oracle(masks: list[int]) -> list[int]:
-    """The distinct masks inside no other mask, by pairwise test, in
-    (descending popcount, first appearance) order."""
-    distinct = []
-    for m in masks:
-        if m not in distinct:
-            distinct.append(m)
-    maximal = [m for m in distinct if not any(m != k and m | k == k for k in distinct)]
-    return sorted(maximal, key=lambda m: -bin(m).count("1"))
+def strong_core_oracle(masks: list[int]) -> tuple[list[int], list[int]]:
+    """The strong-collapse core of the complex in which vertex i lies in
+    facet t exactly when bit t of masks[i] is set, found on explicit sets by
+    deleting one dominated vertex (its facets all hold another vertex) or
+    one facet inside another at a time. Returns the vertex degrees and the
+    facet sizes of the core, each sorted: the core is unique up to
+    isomorphism (Barmak-Minian), so these do not depend on the order of the
+    deletions. With no vertex the complex is {()}, whose one facet is
+    empty."""
+    bits = {t for m in masks for t in range(m.bit_length()) if m >> t & 1}
+    facets = {frozenset(i for i, m in enumerate(masks) if m >> t & 1) for t in bits} or {frozenset()}
+    while True:
+        vertices = sorted(set().union(*facets))
+        star = {v: {f for f in facets if v in f} for v in vertices}
+        dominated = [v for v in vertices if any(w != v and star[v] <= star[w] for w in vertices)]
+        if dominated:
+            facets = {f - {dominated[0]} for f in facets}
+            continue
+        inside = [f for f in facets if any(f < g for g in facets)]
+        if inside:
+            facets.discard(inside[0])
+            continue
+        return sorted(len(star[v]) for v in vertices), sorted(len(f) for f in facets)
 
 
 def generated_group(generators, degree: int) -> set[tuple[int, ...]]:

@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 from collections import defaultdict
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +43,8 @@ from parkbetti.homology import (
     _koszul_masks,
     _label,
     _orbit_representatives,
+    _strong_core,
+    _transpose,
     relative_faces,
 )
 from parkbetti.simplicial import _unit_eliminate, homology_from_faces_multi
@@ -56,9 +58,9 @@ from _oracles import (
     interval_chain_faces,
     koszul_facets_oracle,
     koszul_faces_oracle,
-    maximal_masks_oracle,
     rank_oracle,
     relative_to_star,
+    strong_core_oracle,
 )
 from conftest import KITE_TEXT, multigraphs
 
@@ -67,6 +69,8 @@ RP2_FACETS = (
     (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
 )
 RP2 = faces_by_dim(RP2_FACETS)
+# vertex v's mask has bit i when the i-th facet holds v
+RP2_MASKS = [sum(1 << i for i, f in enumerate(RP2_FACETS) if v in f) for v in range(6)]
 
 
 def seeded_complexes():
@@ -107,8 +111,8 @@ def rp2_koszul_disagreement():
     """The message ``betti_koszul`` raises on the RP2 Stanley-Reisner ideal
     over the default characteristics."""
     return (
-        "homology depends on the field (char 32003: {-1: 0, 0: 0, 1: 0, 2: 0}; "
-        "char 2: {-1: 0, 0: 0, 1: 1, 2: 1}) [degree x1*x2*x3*x4*x5*x6]"
+        "homology depends on the field (char 32003: {-1: 0, 0: 0, 1: 0, 2: 0, 3: 0, 4: 0}; "
+        "char 2: {-1: 0, 0: 0, 1: 1, 2: 1, 3: 0, 4: 0}) [degree x1*x2*x3*x4*x5*x6]"
     )
 
 
@@ -186,7 +190,7 @@ class TestReducedHomology:
         assert nonzero(reduced_homology_dims(RP2, 32003)) == {}
         assert nonzero(reduced_homology_dims(RP2, 0)) == {}
         with pytest.raises(CharacteristicDisagreement):
-            _ReductionMemo(DEFAULT_CHARS)._reduced("crosscut", RP2, str)
+            _ReductionMemo(DEFAULT_CHARS)._reduced("crosscut", RP2_MASKS, 6, str)
 
     def test_boundary_matrices_compose_to_zero(self):
         mats = boundary_matrices(RP2)
@@ -263,7 +267,7 @@ assert verify_graph(parse_graph(sys.argv[1])).passed
 big = 2**64
 assert rank_over([[big + 1, big - 1], [big - 1, big + 1], [2 * big, 2 * big]], 0) == 2
 try:
-    _ReductionMemo(DEFAULT_CHARS)._reduced("crosscut", ast.literal_eval(sys.argv[2]), str)
+    _ReductionMemo(DEFAULT_CHARS)._reduced("crosscut", ast.literal_eval(sys.argv[2]), 6, str)
 except CharacteristicDisagreement as exc:
     print(exc)
 """
@@ -274,11 +278,11 @@ class TestWithoutNumpy:
         # numpy is a test dependency only: the package from src/ verifies a
         # graph, ranks big integers and reports RP2's torsion without it
         with pytest.raises(CharacteristicDisagreement) as want:
-            _ReductionMemo(DEFAULT_CHARS)._reduced("crosscut", RP2, str)
+            _ReductionMemo(DEFAULT_CHARS)._reduced("crosscut", RP2_MASKS, 6, str)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         run = subprocess.run(
-            [sys.executable, "-c", NO_NUMPY_SCRIPT, KITE_TEXT, repr(RP2)],
+            [sys.executable, "-c", NO_NUMPY_SCRIPT, KITE_TEXT, repr(RP2_MASKS)],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert run.returncode == 0, run.stderr
@@ -423,27 +427,53 @@ class TestIntegerCodedCrosscut:
         assert vectors == {betti_koszul(parking_ideal(G))}, graph_to_text(G)
 
 
+def core_sides(masks):
+    """The vertex masks of both sides of the strong-collapse core of the
+    complex on ``masks``: one vertex for each row, and, on the transposed
+    side, one for each column."""
+    _, cols = _strong_core(masks)
+    return _transpose(cols), list(cols)
+
+
+def core_shape(masks):
+    """The row degrees and column sizes of the core, each sorted, as
+    ``strong_core_oracle`` reports them."""
+    rows, cols = core_sides(masks)
+    return sorted(r.bit_count() for r in rows), sorted(c.bit_count() for c in cols)
+
+
+def dims_of(masks):
+    """Reduced homology over 32003 and 2, without a degree cap, of the
+    complex on ``masks``, nonzero entries only."""
+    by_char = homology_from_faces_multi(all_relative_faces(masks), (32003, 2))
+    return {c: nonzero(d) for c, d in by_char.items()}
+
+
 class TestDominatedAtoms:
     @given(multigraphs())
     def test_pruned_family_keeps_the_homology(self, G):
-        # at every proper element of lcm(I), lcm(J) and lcm(K) the kept
-        # atoms span a complex with the homology of the one on every atom;
-        # J and K are squarefree, so there they keep every atom in order
+        # at every proper element of lcm(I), lcm(J) and lcm(K), both sides
+        # of the core of each model against the unpruned complex: every
+        # atom for the crosscut, the subset definition for Koszul
         for build in (parking_ideal, cutset_ideal, oriented_cutset_ideal):
             ideal = build(G)
             code = ideal.code
-            for top in lcm_closure(code)[1:]:
-                atoms = [a for a in code.generators if not a & ~top]
-                kept = _crosscut_masks(code, top)
-                if build is not parking_ideal:
-                    assert kept == crosscut_masks(atoms, top)
+            plain = [dict(g.exps) for g in ideal.generators]
+            lat = lcm_lattice(ideal)
+            for m in lat.elements:
+                if m == lat.bottom:
                     continue
-                want = homology_from_faces_multi(all_relative_faces(crosscut_masks(atoms, top)), (32003, 2))
-                got = homology_from_faces_multi(all_relative_faces(kept), (32003, 2))
-                for char in (32003, 2):
-                    assert nonzero(got[char]) == nonzero(want[char]), (
-                        graph_to_text(G), _label(code, top)
-                    )
+                top = code.encode(m)
+                atoms = [a for a in code.generators if not a & ~top]
+                full = homology_from_faces_multi(
+                    koszul_faces_oracle(plain, support_degree(ideal, m)), (32003, 2)
+                )
+                for masks, want in (
+                    (_crosscut_masks(code, top), dims_of(crosscut_masks(atoms, top))),
+                    (_koszul_masks(code, top), {c: nonzero(d) for c, d in full.items()}),
+                ):
+                    for side in core_sides(masks):
+                        assert dims_of(side) == want, (graph_to_text(G), str(m))
 
     def test_dominated_atom_dropped(self, c4):
         # below x1*x2*x3^2 the atom x1*x2 reaches the top bits of x1 and x2,
@@ -452,51 +482,171 @@ class TestDominatedAtoms:
         ideal = parking_ideal(c4)
         code = ideal.code
         top = code.encode(Monomial.of({"x1": 1, "x2": 1, "x3": 2}))
-        kept = _crosscut_masks(code, top)
-        assert len([a for a in code.generators if not a & ~top]) == 4
-        assert len(kept) == 3
-        # no kept mask lies inside another
-        assert all(m & ~k for m in kept for k in kept if m != k)
+        assert len(_crosscut_masks(code, top)) == 4
+        assert _strong_core(_crosscut_masks(code, top)) == (3, (3, 5, 6))
         assert nonzero(_ReductionMemo(DEFAULT_CHARS)._interval_dims(code, top)) == {1: 1}
 
     def test_an_atom_that_reaches_no_top_bit_makes_a_cone(self, k3):
         # below x1^2*x2^2 the atom x1*x2 has neither top bit, so it lies in
-        # every facet: the one mask kept is T, and the interval is a cone
+        # every facet and dominates every other atom: the core is a point
         code = parking_ideal(k3).code
         top = code.encode(Monomial.of({"x1": 2, "x2": 2}))
         tops = code.tops(top)
         assert tops != top
-        assert tops in [tops & ~a for a in code.generators if not a & ~top]
-        assert _crosscut_masks(code, top) == [tops]
+        assert tops in _crosscut_masks(code, top)
+        assert _strong_core(_crosscut_masks(code, top)) == (1, (1,))
         assert nonzero(_ReductionMemo(DEFAULT_CHARS)._interval_dims(code, top)) == {}
 
     @given(multigraphs())
     def test_kept_masks_are_the_maximal_distinct_ones(self, G):
-        code = parking_ideal(G).code
-        reductions = _ReductionMemo(DEFAULT_CHARS)
-        for top in lcm_closure(code)[1:]:
-            tops = code.tops(top)
-            masks = [tops & ~a for a in code.generators if not a & ~top]
-            kept = _crosscut_masks(code, top)
-            if tops == top:
-                assert kept == masks, (graph_to_text(G), _label(code, top))
-                continue
-            assert kept == maximal_masks_oracle(masks), (graph_to_text(G), _label(code, top))
-            if tops in masks:
-                assert kept == [tops]
-                assert nonzero(reductions._interval_dims(code, top)) == {}
+        # no row of the core lies inside another row, nor a column inside
+        # another column, and the core has the shape of the one found by
+        # deleting one dominated vertex or facet at a time
+        for build in (parking_ideal, cutset_ideal, oriented_cutset_ideal):
+            code = build(G).code
+            for top in lcm_closure(code)[1:]:
+                for masks in (_crosscut_masks(code, top), _koszul_masks(code, top)):
+                    for side in core_sides(masks):
+                        assert all(m & ~k for m in side for k in side if m != k)
+                        assert len(set(side)) == len(side)
+                    assert core_shape(masks) == strong_core_oracle(masks), (
+                        graph_to_text(G), _label(code, top)
+                    )
 
     def test_generator_keeps_the_empty_face(self, kite):
         # below a generator the only atom is the generator itself, whose
-        # reach is every top bit, so its mask is 0: the relative family is
-        # {()} alone
+        # reach is every top bit, so its mask is 0: the core has no row and
+        # one empty column, the complex {()}
         ideal = parking_ideal(kite)
         code = ideal.code
         reductions = _ReductionMemo(DEFAULT_CHARS)
         for g in code.generators:
             assert _crosscut_masks(code, g) == [0]
-            assert relative_faces(_crosscut_masks(code, g), 1) == {-1: [()]}
-            assert reductions._interval_dims(code, g) == {-1: 1}
+            assert _strong_core(_crosscut_masks(code, g)) == (0, (0,))
+            assert nonzero(reductions._interval_dims(code, g)) == {-1: 1}
+
+
+# every 2-subset of 4 facets: 6 rows and 4 columns, no row or column inside
+# another, the complex of 4 triangles with the homotopy type of the
+# 1-skeleton of a tetrahedron
+PAIRS_OF_FOUR = [(1 << i) | (1 << j) for i, j in combinations(range(4), 2)]
+
+
+class TestStrongCore:
+    @pytest.fixture
+    def enumerated(self, monkeypatch):
+        """The vertex masks ``relative_faces`` is called on."""
+        calls = []
+        enumerate_faces = homology_module.relative_faces
+
+        def recording(masks, cap):
+            calls.append(list(masks))
+            return enumerate_faces(masks, cap)
+
+        monkeypatch.setattr(homology_module, "relative_faces", recording)
+        return calls
+
+    def dims(self, masks, cap=4):
+        return _ReductionMemo(DEFAULT_CHARS)._reduced("crosscut", masks, cap, str)
+
+    def test_generator_has_no_vertex(self):
+        # no vertex in a facet: the complex {()}, one unit in degree -1
+        for masks in ([], [0], [0, 0]):
+            assert _strong_core(masks) == (0, (0,))
+            assert self.dims(masks) == {-1: 1, 0: 0, 1: 0, 2: 0}
+
+    def test_cone_is_a_point(self):
+        assert _strong_core([0b101]) == (1, (1,))
+        # a vertex in every facet makes a cone, whatever else is there
+        assert _strong_core([0b111, 0b011, 0b110, 0b101]) == (1, (1,))
+        assert nonzero(self.dims([0b111, 0b011, 0b110, 0b101])) == {}
+
+    def test_two_rows(self):
+        assert _strong_core([0b01, 0b10]) == (2, (1, 2))
+        assert nonzero(self.dims([0b01, 0b10])) == {0: 1}
+        assert _strong_core([0b011, 0b110]) == (1, (1,))
+
+    def test_every_small_incidence_matches_the_oracle(self):
+        # up to three rows on four columns, zero rows included: the rows
+        # settled at once and the general alternation against deleting one
+        # dominated vertex or facet at a time
+        for count in range(4):
+            for masks in product(range(16), repeat=count):
+                assert core_shape(list(masks)) == strong_core_oracle(list(masks)), masks
+        assert core_shape(PAIRS_OF_FOUR) == strong_core_oracle(PAIRS_OF_FOUR)
+
+    def test_hollow_triangle_stays_whole(self):
+        # three edges: no vertex dominated, no facet inside another
+        masks = [0b101, 0b011, 0b110]
+        assert _strong_core(masks) == (3, (3, 5, 6))
+        assert nonzero(self.dims(masks)) == {1: 1}
+
+    def test_column_prune_makes_a_row_prunable(self):
+        # a hollow triangle on vertices 0, 1, 2 with the facet {0, 1, 3} for
+        # its edge {0, 1}, and vertex 3 also alone in the facet {3}. No row
+        # lies inside another until the facet {3}, inside {0, 1, 3}, is
+        # dropped; then vertex 3 is dominated by 0, and the triangle is left
+        masks = [0b0110, 0b0101, 0b0011, 0b1100]
+        assert all(m & ~k for m in masks for k in masks if m != k)
+        assert _strong_core(masks) == (3, (3, 5, 6))
+        assert core_shape(masks) == strong_core_oracle(masks)
+        assert nonzero(self.dims(masks)) == {1: 1}
+
+    def test_transposed_side_is_enumerated_when_smaller(self, c4, enumerated):
+        rows, cols = _strong_core(PAIRS_OF_FOUR)
+        assert (rows, len(cols)) == (6, 4)
+        assert nonzero(self.dims(PAIRS_OF_FOUR)) == {1: 3}
+        assert enumerated == [list(cols)]
+        # the top element of lcm(J(C4)): its atoms are the 6 pairs of the
+        # 4 edges, and the interval has the homology of the order complex
+        ideal = cutset_ideal(c4)
+        lat = lcm_lattice(ideal)
+        code = ideal.code
+        masks = _crosscut_masks(code, code.encode(lat.top))
+        assert len(masks) == 6
+        assert core_shape(masks) == core_shape(PAIRS_OF_FOUR) == ([2] * 6, [3] * 4)
+        enumerated.clear()
+        dims = _ReductionMemo(DEFAULT_CHARS)._interval_dims(code, code.encode(lat.top))
+        assert nonzero(dims) == nonzero(chain_homology(lat, lat.top)) == {1: 3}
+        assert [len(masks) for masks in enumerated] == [4]
+
+    def test_the_cap_binds_on_either_side(self):
+        # degrees above cap - 2 are dropped after the reduction and listed
+        # as far as cap - 2 below it; the key holds the cap
+        memo = _ReductionMemo(DEFAULT_CHARS)
+        assert memo._reduced("crosscut", PAIRS_OF_FOUR, 3, str) == {-1: 0, 0: 0, 1: 3}
+        assert memo._reduced("crosscut", PAIRS_OF_FOUR, 2, str) == {-1: 0, 0: 0}
+        assert sorted(key[1] for key in memo.memo) == [2, 3]
+
+
+K6_SCRIPT = """
+import resource
+import sys
+limit = int(sys.argv[1]) << 20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from parkbetti import cutset_ideal, oriented_cutset_ideal, parse_graph, variable_symmetries
+from parkbetti import betti_gpw
+K6 = parse_graph("v:6; sink:1; " + "; ".join(
+    f"e{i}{j} {i} {j}" for i in range(1, 7) for j in range(i + 1, 7)
+))
+print(betti_gpw(oriented_cutset_ideal(K6), symmetries=variable_symmetries(K6, "z")))
+print(betti_gpw(cutset_ideal(K6), symmetries=variable_symmetries(K6, "y")))
+"""
+
+
+class TestK6InBoundedMemory:
+    def test_k6_gpw_k_and_gpw_j_under_an_address_space_limit(self):
+        # the squarefree lattices of K6 at sink v1, in a child process
+        # capped at 300 MB of address space: enumerating every crosscut face
+        # of gpw-K needs gigabytes and raises MemoryError there
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run(
+            [sys.executable, "-c", K6_SCRIPT, "300"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr[-2000:]
+        assert run.stdout.split("\n")[:2] == ["(31, 180, 390, 360, 120)"] * 2
 
 
 class TestBettiPipelines:
@@ -642,20 +792,15 @@ def uncached_betti(ideal, dims_at):
     return tuple(betti[i] for i in range(1, top + 1))
 
 
-def face_family_keys(ideal):
-    """The distinct relative crosscut face families of the proper elements
-    of lcm(ideal), as ``_interval_dims`` builds them: on the masks that
-    ``_crosscut_masks`` keeps."""
+def core_keys(ideal):
+    """The distinct memo keys of the crosscut cores of the proper elements
+    of lcm(ideal), as ``_interval_dims`` looks them up."""
     code = ideal.code
-    max_degree = len(ideal.variables) - 2
-    lat = lcm_lattice(ideal)
-    keys = set()
-    for y in lat.elements:
-        if y == lat.bottom:
-            continue
-        faces = relative_faces(_crosscut_masks(code, code.encode(y)), max_degree + 2)
-        keys.add(tuple((d, tuple(fs)) for d, fs in faces.items()))
-    return keys
+    cap = len(ideal.variables)
+    return {
+        ("crosscut", cap, *_strong_core(_crosscut_masks(code, top)))
+        for top in lcm_closure(code)[1:]
+    }
 
 
 def variable_images(mapping, variables):
@@ -745,7 +890,7 @@ class TestReductionMemo:
         orbits = _orbit_representatives(proper, moves)
         assert betti_gpw(ideal) == (6, 9, 4)
         first = len(reductions)
-        assert first == len(face_family_keys(ideal))
+        assert first == len(core_keys(ideal))
         assert first < len(orbits) < len(proper)
         # nothing survives the call: the second one reduces as much again
         assert betti_gpw(ideal) == (6, 9, 4)
@@ -773,6 +918,23 @@ class TestReductionMemo:
                 betti_gpw(ideal)
             assert str(gpw.value) == rp2_disagreement()
 
+    def test_cap_is_part_of_the_key(self, kite):
+        # I has 3 variables and K 10, so one memo serves two caps: in either
+        # order each sum equals its fresh-memo sum, and every dims read back
+        # lists exactly the degrees -1 to #variables - 2 of its own ideal
+        parking, oriented = parking_ideal(kite), oriented_cutset_ideal(kite)
+        fresh = {ideal: betti_gpw(ideal) for ideal in (parking, oriented)}
+        for order in ((parking, oriented), (oriented, parking)):
+            shared = _ReductionMemo(DEFAULT_CHARS)
+            assert [shared.betti_gpw(ideal) for ideal in order] == [fresh[i] for i in order]
+            for ideal in order:
+                code = ideal.code
+                degrees = list(range(-1, len(ideal.variables) - 1))
+                for top in lcm_closure(code)[1:]:
+                    assert list(shared._interval_dims(code, top)) == degrees
+                    assert list(shared._koszul_dims(code, top)) == degrees
+            assert {key[1] for key in shared.memo} == {3, 10}
+
     @given(multigraphs())
     def test_matches_uncached_sum_over_every_element(self, G):
         # a fresh memo per element, so no reduction is shared between elements
@@ -794,22 +956,27 @@ class TestReductionMemo:
 class TestSharedReductionMemo:
     @pytest.fixture
     def reduced(self, monkeypatch):
-        """The face families reduced, in the key form of the memo: (model,
-        family)."""
+        """The complexes reduced, in order, each by the key the memo stores
+        it under: (model, cap, row count, column masks)."""
         keys = []
-        models = []
-        lookup = _ReductionMemo._reduced
+        init = _ReductionMemo.__init__
         reduce = homology_module.homology_from_faces_multi
 
-        def tagged(self, model, *rest):
-            models.append(model)
-            return lookup(self, model, *rest)
+        class Recording(dict):
+            def __setitem__(self, key, value):
+                assert keys[-1] is None  # one store per reduction
+                keys[-1] = key
+                super().__setitem__(key, value)
+
+        def recording(self, chars):
+            init(self, chars)
+            self.memo = Recording()
 
         def counted(faces, chars):
-            keys.append((models[-1], tuple((d, tuple(fs)) for d, fs in faces.items())))
+            keys.append(None)
             return reduce(faces, chars)
 
-        monkeypatch.setattr(_ReductionMemo, "_reduced", tagged)
+        monkeypatch.setattr(_ReductionMemo, "__init__", recording)
         monkeypatch.setattr(homology_module, "homology_from_faces_multi", counted)
         return keys
 
@@ -849,8 +1016,8 @@ class TestSharedReductionMemo:
         for name in ("betti_gpw", "betti_koszul"):
             reduced.clear()
             assert getattr(_ReductionMemo(DEFAULT_CHARS), name)(ideal) == (6, 9, 4)
-            fresh[name] = {family for _, family in reduced}
-        # the one-point complex {()} of a generator is built by both
+            fresh[name] = {key[1:] for key in reduced}
+        # the core {()} of a generator, at one cap, is reached by both
         assert fresh["betti_gpw"] & fresh["betti_koszul"]
         for before, after in (("betti_gpw", "betti_koszul"), ("betti_koszul", "betti_gpw")):
             shared = _ReductionMemo(DEFAULT_CHARS)
