@@ -126,16 +126,19 @@ def cmd_verify(args) -> int:
                     print(f"    {c.name}: {status}")
         print(f"{sum(r.passed for r in reports)}/{len(reports)} graphs passed")
     else:
-        doc = {
-            "graphs": len(reports),
-            "all_passed": ok,
-            "reports": [
-                r.to_json_dict(include_timings=args.timings, include_audit=args.audit)
-                for r in reports
-            ],
-        }
-        print(json.dumps(doc, sort_keys=True))
+        print(verify_json(reports, timings=args.timings, audit=args.audit))
     return 0 if ok else 1
+
+
+def verify_json(reports, timings: bool = False, audit: bool = False) -> str:
+    """The JSON document ``verify`` prints for ``reports``, without its
+    trailing newline."""
+    doc = {
+        "graphs": len(reports),
+        "all_passed": all(r.passed for r in reports),
+        "reports": [r.to_json_dict(include_timings=timings, include_audit=audit) for r in reports],
+    }
+    return json.dumps(doc, sort_keys=True)
 
 
 def cmd_figure(args) -> int:

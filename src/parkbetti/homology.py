@@ -62,12 +62,12 @@ reaches no bit of T has the mask T and makes a cone; for J and K, where
 T = y, the atoms form an antichain, so no row is dropped until a column
 is.
 
-Degrees are bounded by #variables - 2 in both models: higher degrees
-vanish because the quotient's projective dimension is at most the variable
-count, and each side of a core has the homotopy type of the complex, so
-the bound holds on either. Faces are grown up to #variables vertices, one
-dimension more, which truncation (below) shows to be exact, and the dims
-are listed in the degrees -1 to #variables - 2.
+The core bounds every degree. For the crosscut model its columns are bits
+of T, one for each variable of supp y; for the Koszul model (below) its
+rows are the variables of supp m. So the side enumerated has at most
+#variables vertices, its relative faces (below) at most #variables - 1,
+and no degree above #variables - 2, the projective-dimension bound, can
+occur: every face is grown and nothing is truncated.
 
 The Koszul model reads the upper Koszul complex K^m(I), the family of
 subsets F of supp m with m / x^F in I (Miller-Sturmfels, Thm 1.34), its
@@ -89,11 +89,7 @@ so the reduced homology is H_i(del a, lk a) for every i, over the integers
 and every field. The basis of this relative complex is every subset F of
 the other vertices whose masks share a bit and share none of a's. The
 empty face is among them exactly when no vertex is left: then the complex
-is {()}, the star and the link are void, and H~_{-1} = 1. Truncation is
-exact too: the relative chains up to dimension d + 1 are those of the
-(d + 1)-skeleta (skeleta commute with deletion, link and star), and
-homology in degree d reads only degrees d - 1, d and d + 1, so faces of
-at most cap vertices give every degree up to cap - 2.
+is {()}, the star and the link are void, and H~_{-1} = 1.
 
 The whole lattice loop of ``betti_gpw`` and ``betti_koszul`` runs on
 integer-coded monomials (``MonomialCode``): each variable owns a unary bit
@@ -113,26 +109,27 @@ Most complexes repeat, inside one lattice and across the lattices of one
 graph, so every distinct core is reduced once per ``_ReductionMemo``: the
 one object the lattice methods run on. It checks the characteristics once
 (at least one) and holds them with a plain dict of the dims computed over
-them. Its keys are exact: (model, cap, row count, sorted column masks),
-the columns as masks over the rows numbered 0, 1, ..., which fix the
-complex on either side, and the cap, which fixes the truncation, so one
-memo serves I, J and K, whose variable counts differ. The model's name
-keeps two key spaces: a Koszul lookup never reads a crosscut reduction,
-nor the reverse. At an element of lcm(I) the two cores are nearly always
-one: over every sink of the 401-graph acceptance corpus the keys agree but
-for the name at 78,033 of 78,184 elements. ``betti_koszul`` stays an
-oracle independent of ``betti_gpw`` on a shared memo because each model
-reduces its own core from its own masks: the Koszul masks come from the
-gaps m & ~g of the generators dividing m, not from the reaches of the
-atoms, so a fault in either mask path shows as two vectors that differ.
-Each call of ``betti_gpw``, ``betti_koszul`` and
-``interval_homology_audit`` builds its own ``_ReductionMemo`` and drops it
-on return; ``verify.verify_graph`` builds one for its whole graph, shared
-by every Betti check at every sink and by the audit, and drops it on
-return. Nothing is shared between calls, so every call does the same work
-whatever ran before it. A characteristic disagreement propagates and is
-never stored, so it is raised at the same element, with the same message,
-as if there were no memo.
+them, only the nonzero degrees. Its keys are exact: (model, row count,
+sorted column masks), the columns as masks over the rows numbered 0, 1,
+..., which fix the complex on either side. Nothing else enters the dims,
+so a core that I, J and K share, whose variable counts differ, is reduced
+once on one memo. The model's name keeps two key spaces: a Koszul lookup
+never reads a crosscut reduction, nor the reverse. At an element of
+lcm(I) the two cores are nearly always one: over every sink of the
+401-graph acceptance corpus the keys agree but for the name at 78,033 of
+78,184 elements. ``betti_koszul`` stays an oracle independent of
+``betti_gpw`` on a shared memo because each model reduces its own core
+from its own masks: the Koszul masks come from the gaps m & ~g of the
+generators dividing m, not from the reaches of the atoms, so a fault in
+either mask path shows as two vectors that differ. Each call of
+``betti_gpw``, ``betti_koszul`` and ``interval_homology_audit`` builds
+its own ``_ReductionMemo`` and drops it on return; ``verify.verify_graph``
+builds one for its whole graph, shared by every Betti check at every sink
+and by the audit, and drops it on return. Nothing is shared between
+calls, so every call does the same work whatever ran before it. A
+characteristic disagreement propagates and is never stored, so it is
+raised at the same element, with the same message, as if there were no
+memo.
 """
 
 from __future__ import annotations
@@ -161,7 +158,7 @@ class CharacteristicDisagreement(ArithmeticError):
         super().__init__(f"homology depends on the field ({summary}){suffix}")
 
 
-def relative_faces(masks: list[int], cap: int) -> dict[int, list[tuple[int, ...]]]:
+def relative_faces(masks: list[int]) -> dict[int, list[tuple[int, ...]]]:
     """Basis of the relative complex (del a, lk a) of a complex given by
     the facet masks of its vertices, a its first vertex, whose homology is
     the reduced homology of the complex (see the module docstring). The
@@ -170,24 +167,23 @@ def relative_faces(masks: list[int], cap: int) -> dict[int, list[tuple[int, ...]
     vertex 0.
 
     Returns the subsets F of the vertices after a, as index tuples (all
-    >= 1), of at most ``cap`` elements, whose masks AND to a nonzero value
-    that shares no bit with a's mask, keyed by dimension, each dimension in
-    lexicographic order; dimensions without a face are left out. With no
-    vertex left the complex is {()}, and so is the result. The deletion
-    del(a) is downward closed, because ANDs only shrink, so prefix
-    extension over the vertices after a enumerates it exactly, and each
-    grown face is kept when it lies outside the link."""
+    >= 1), whose masks AND to a nonzero value that shares no bit with a's
+    mask, keyed by dimension, each dimension in lexicographic order;
+    dimensions without a face are left out. With no vertex left the
+    complex is {()}, and so is the result. The deletion del(a) is downward
+    closed, because ANDs only shrink, so prefix extension over the
+    vertices after a enumerates it exactly, and each grown face is kept
+    when it lies outside the link."""
     if 0 in masks:
         masks = [m for m in masks if m]
     if not masks:
         return {-1: [()]}
     first = masks[0]
     count = len(masks)
-    limit = min(cap, count - 1)
     faces: dict[int, list[tuple[int, ...]]] = {}
     # the empty face holds every facet, a's among them, so it is never kept
     level: list[tuple[tuple[int, ...], int]] = [((), -1)]
-    for size in range(1, limit + 1):
+    for size in range(1, count):
         grown: list[tuple[tuple[int, ...], int]] = []
         for face, shared in level:
             start = face[-1] + 1 if face else 1
@@ -294,8 +290,7 @@ def _lattice_betti(code: MonomialCode, symmetries, dims_at) -> tuple[int, ...]:
     # codes[0] is the bottom, 0
     for top, weight in _orbit_representatives(codes[1:], permutations):
         for degree, dim in dims_at(top).items():
-            if dim:
-                betti[degree + 2] += weight * dim
+            betti[degree + 2] += weight * dim
     return _as_vector(betti)
 
 
@@ -409,24 +404,24 @@ class _ReductionMemo:
         self.memo: dict = {}
 
     def _reduced(
-        self, model: str, masks: list[int], cap: int, context: Callable[[], str]
+        self, model: str, masks: list[int], context: Callable[[], str]
     ) -> dict[int, int]:
-        """Reduced homology dims, in degrees -1 to cap - 2, of the complex
+        """Reduced homology dims, nonzero degrees only, of the complex
         whose vertices have the facet masks ``masks``, over every
         characteristic, required to agree. The masks are cut to their
         strong-collapse core (``_strong_core``) before the memo lookup,
-        and the key is (model, cap, row count, column masks). Only on a
-        miss is the side of the core with fewer vertices enumerated, as
-        faces of at most ``cap`` vertices, and reduced. ``context`` builds
-        the label of a disagreement; it is called only when one is raised,
-        and a disagreement is never stored."""
+        and the key is (model, row count, column masks). Only on a miss is
+        the side of the core with fewer vertices enumerated, as relative
+        faces, and reduced. ``context`` builds the label of a disagreement;
+        it is called only when one is raised, and a disagreement is never
+        stored."""
         rows, cols = _strong_core(masks)
-        key = (model, cap, rows, cols)
+        key = (model, rows, cols)
         dims = self.memo.get(key)
         if dims is None:
             vertices = list(cols) if len(cols) < rows else _transpose(cols)
-            by_char = homology_from_faces_multi(relative_faces(vertices, cap), self.chars)
-            by_char = {c: {d: got.get(d, 0) for d in range(-1, cap - 1)} for c, got in by_char.items()}
+            by_char = homology_from_faces_multi(relative_faces(vertices), self.chars)
+            by_char = {c: {d: v for d, v in got.items() if v} for c, got in by_char.items()}
             dims = by_char[self.chars[0]]
             if any(d != dims for d in by_char.values()):
                 raise CharacteristicDisagreement(by_char, context())
@@ -435,20 +430,15 @@ class _ReductionMemo:
 
     def _interval_dims(self, code: MonomialCode, top: int) -> dict[int, int]:
         """Reduced homology of the open interval (1, y) of lcm(I), I the
-        ideal of ``code``, at the code of y, in the degrees up to the
-        projective-dimension bound: the one interval path, shared by
-        ``betti_gpw`` and the audit."""
-        return self._reduced(
-            "crosscut", _crosscut_masks(code, top), len(code.variables), partial(_label, code, top)
-        )
+        ideal of ``code``, at the code of y: the one interval path, shared
+        by ``betti_gpw`` and the audit."""
+        return self._reduced("crosscut", _crosscut_masks(code, top), partial(_label, code, top))
 
     def _koszul_dims(self, code: MonomialCode, top: int) -> dict[int, int]:
         """Reduced homology of K^m(I), I the ideal of ``code``, at the code
-        of m, in the degrees up to the projective-dimension bound: the one
-        Koszul path, used by ``betti_koszul``."""
+        of m: the one Koszul path, used by ``betti_koszul``."""
         return self._reduced(
-            "koszul", _koszul_masks(code, top), len(code.variables),
-            lambda: f"degree {_label(code, top)}",
+            "koszul", _koszul_masks(code, top), lambda: f"degree {_label(code, top)}"
         )
 
     def betti_gpw(self, ideal: MonomialIdeal, symmetries=()) -> tuple[int, ...]:
@@ -470,9 +460,7 @@ class _ReductionMemo:
                 "element": x.to_str(ideal.variables),
                 "rank": lattice.rank(x),
                 "mobius": mu[x],
-                "homology": {
-                    d: v for d, v in self._interval_dims(code, code.encode(x)).items() if v
-                },
+                "homology": self._interval_dims(code, code.encode(x)),
             })
         return rows
 

@@ -119,7 +119,8 @@ class VerificationReport:
 
 def verify_graph(G: Multigraph, chars=DEFAULT_CHARS) -> VerificationReport:
     """Run every check on one graph. Failures become report entries carrying
-    a minimal witness, never exceptions."""
+    a minimal witness, never exceptions: a check that runs out of memory or
+    recursion depth fails, its witness naming the exception."""
     if G.n < 2:
         raise ValueError("verification needs at least two vertices")
     checks: list[CheckResult] = []
@@ -133,6 +134,8 @@ def verify_graph(G: Multigraph, chars=DEFAULT_CHARS) -> VerificationReport:
             witness = fn()
         except CharacteristicDisagreement as exc:
             witness = str(exc)
+        except (MemoryError, RecursionError) as exc:
+            witness = f"{name} raised {exc!r}"
         timings[name] = time.perf_counter() - start
         checks.append(CheckResult(name, witness is None, witness))
 

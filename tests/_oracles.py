@@ -366,15 +366,14 @@ def generated_group(generators, degree: int) -> set[tuple[int, ...]]:
         group = grown
 
 
-def crosscut_faces_oracle(atoms: list[dict], top: dict, cap=None) -> dict[int, list[tuple[int, ...]]]:
+def crosscut_faces_oracle(atoms: list[dict], top: dict) -> dict[int, list[tuple[int, ...]]]:
     """Crosscut faces of [1, top] by prefix extension on exponent dicts:
-    atom index subsets, at most ``cap`` of them, whose lcm differs from top,
-    keyed by dimension, each dimension in lexicographic order. Exponent
-    dicts carry no zero entries, so equal dicts mean equal monomials."""
+    atom index subsets whose lcm differs from top, keyed by dimension, each
+    dimension in lexicographic order. Exponent dicts carry no zero entries,
+    so equal dicts mean equal monomials."""
     faces = {-1: [()]}
-    limit = len(atoms) if cap is None else min(cap, len(atoms))
     level = [((), {})]
-    for size in range(1, limit + 1):
+    for size in range(1, len(atoms) + 1):
         grown = []
         for face, joined in level:
             for j in range(face[-1] + 1 if face else 0, len(atoms)):

@@ -6,6 +6,7 @@ on up to 5 vertices plus parallel-edge variants (per-edge multiplicity up to
 3 within an 8-edge budget), with every check swept over all sink choices.
 """
 
+import hashlib
 import time
 from itertools import product
 
@@ -30,11 +31,15 @@ from parkbetti import (
     verification_corpus,
     verify_graph,
 )
+from parkbetti.cli import verify_json
 
 from _oracles import boundary_matrices, interval_chain_faces, is_pf_oracle
 from conftest import KITE_TEXT
 
 CORPUS_TIME_BUDGET = 600.0  # seconds, single-threaded
+# sha256 of the stdout of ``parkbetti verify --corpus 5``, and with --audit
+CORPUS_SHA256 = "b5fa900141bad54e8ebd04d732a5853ad2f3e89c3a1b7ebcb0c211c2b927858e"
+CORPUS_AUDIT_SHA256 = "5e9ac244e0d42949b97ab54d121545da15d9d84c2ccd6e9ed15ad89679602664"
 
 
 def report_line(criterion: str, passed: bool, detail: str = ""):
@@ -110,6 +115,17 @@ def test_criterion_2_betti_method_equality(corpus_reports):
     if not within_budget:
         detail += " over time budget"
     report_line("2 betti-equality-corpus", not bad and within_budget, detail)
+
+
+@pytest.mark.parametrize(
+    "audit, want", [(False, CORPUS_SHA256), (True, CORPUS_AUDIT_SHA256)], ids=["default", "audit"]
+)
+def test_criterion_2_corpus_output_is_pinned(corpus_reports, audit, want):
+    # the document `verify --corpus 5` prints, trailing newline included
+    _, reports, _ = corpus_reports
+    printed = verify_json(reports, audit=audit) + "\n"
+    got = hashlib.sha256(printed.encode()).hexdigest()
+    report_line("2 corpus-output-pinned", got == want, f"(audit={audit}, sha256 {got[:12]})")
 
 
 def test_criterion_3_mobius_formula(corpus_reports):

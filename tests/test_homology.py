@@ -102,8 +102,8 @@ def rp2_disagreement():
     """The message ``betti_gpw`` raises on the RP2 Stanley-Reisner ideal
     over the default characteristics."""
     return (
-        "homology depends on the field (char 32003: {-1: 0, 0: 0, 1: 0, 2: 0, 3: 0, 4: 0}; "
-        "char 2: {-1: 0, 0: 0, 1: 1, 2: 1, 3: 0, 4: 0}) [x1*x2*x3*x4*x5*x6]"
+        "homology depends on the field (char 32003: {}; char 2: {1: 1, 2: 1}) "
+        "[x1*x2*x3*x4*x5*x6]"
     )
 
 
@@ -111,8 +111,8 @@ def rp2_koszul_disagreement():
     """The message ``betti_koszul`` raises on the RP2 Stanley-Reisner ideal
     over the default characteristics."""
     return (
-        "homology depends on the field (char 32003: {-1: 0, 0: 0, 1: 0, 2: 0, 3: 0, 4: 0}; "
-        "char 2: {-1: 0, 0: 0, 1: 1, 2: 1, 3: 0, 4: 0}) [degree x1*x2*x3*x4*x5*x6]"
+        "homology depends on the field (char 32003: {}; char 2: {1: 1, 2: 1}) "
+        "[degree x1*x2*x3*x4*x5*x6]"
     )
 
 
@@ -128,12 +128,6 @@ def crosscut_masks(atoms, top):
     """The facet masks of the crosscut complex of [1, top] on ``atoms``:
     the bits of top outside each atom."""
     return [top & ~a for a in atoms]
-
-
-def all_relative_faces(masks):
-    """``relative_faces`` with a cap that never binds: a relative face has
-    fewer vertices than there are masks."""
-    return relative_faces(masks, len(masks))
 
 
 def chain_homology(lat, y):
@@ -190,7 +184,7 @@ class TestReducedHomology:
         assert nonzero(reduced_homology_dims(RP2, 32003)) == {}
         assert nonzero(reduced_homology_dims(RP2, 0)) == {}
         with pytest.raises(CharacteristicDisagreement):
-            _ReductionMemo(DEFAULT_CHARS)._reduced("crosscut", RP2_MASKS, 6, str)
+            _ReductionMemo(DEFAULT_CHARS)._reduced("crosscut", RP2_MASKS, str)
 
     def test_boundary_matrices_compose_to_zero(self):
         mats = boundary_matrices(RP2)
@@ -267,7 +261,7 @@ assert verify_graph(parse_graph(sys.argv[1])).passed
 big = 2**64
 assert rank_over([[big + 1, big - 1], [big - 1, big + 1], [2 * big, 2 * big]], 0) == 2
 try:
-    _ReductionMemo(DEFAULT_CHARS)._reduced("crosscut", ast.literal_eval(sys.argv[2]), 6, str)
+    _ReductionMemo(DEFAULT_CHARS)._reduced("crosscut", ast.literal_eval(sys.argv[2]), str)
 except CharacteristicDisagreement as exc:
     print(exc)
 """
@@ -278,7 +272,7 @@ class TestWithoutNumpy:
         # numpy is a test dependency only: the package from src/ verifies a
         # graph, ranks big integers and reports RP2's torsion without it
         with pytest.raises(CharacteristicDisagreement) as want:
-            _ReductionMemo(DEFAULT_CHARS)._reduced("crosscut", RP2_MASKS, 6, str)
+            _ReductionMemo(DEFAULT_CHARS)._reduced("crosscut", RP2_MASKS, str)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         run = subprocess.run(
@@ -361,14 +355,14 @@ class TestIntervalMachinery:
                     continue
                 top = code.encode(y)
                 atoms = [a for a in code.generators if not a & ~top]
-                by_char = homology_from_faces_multi(all_relative_faces(crosscut_masks(atoms, top)), (32003, 2))
+                by_char = homology_from_faces_multi(relative_faces(crosscut_masks(atoms, top)), (32003, 2))
                 assert by_char[32003] == by_char[2]
                 assert nonzero(by_char[2]) == nonzero(chain_homology(lat, y))
 
     @given(multigraphs())
     def test_interval_homology_matches_full_computation(self, G):
-        # crosscut with the degree bound against the full order complex, at
-        # every proper element of lcm(I), lcm(J) and lcm(K)
+        # the crosscut core against the full order complex, at every proper
+        # element of lcm(I), lcm(J) and lcm(K)
         for build in (parking_ideal, cutset_ideal, oriented_cutset_ideal):
             ideal = build(G)
             lat = lcm_lattice(ideal)
@@ -380,12 +374,12 @@ class TestIntervalMachinery:
                 dims = reductions._interval_dims(code, code.encode(y))
                 assert nonzero(dims) == nonzero(chain_homology(lat, y)), (graph_to_text(G), str(y))
 
-    def test_faces_grow_one_dimension_past_the_cap(self):
+    def test_faces_grow_one_dimension_past_the_top_degree(self):
         # I = (t) + (every product of two of a, b, c, d). Below tabcd the
         # first atom t leaves every set of the six other atoms whose pairs
         # cover a, b, c, d in the relative family, up to all six, while the
-        # cap is 5 - 2 = 3: degree 3 comes out 0 only when the faces of
-        # dimension 4 are grown too
+        # top degree is 5 - 2 = 3: degree 3 comes out 0 only when the faces
+        # of dimension 4 are grown too
         pairs = [Monomial.of({u: 1, v: 1}) for u, v in combinations("abcd", 2)]
         ideal = MonomialIdeal(("t", "a", "b", "c", "d"), (Monomial.of({"t": 1}), *pairs))
         lat = lcm_lattice(ideal)
@@ -417,12 +411,9 @@ class TestIntegerCodedCrosscut:
                     continue
                 top = code.encode(y)
                 atoms = [a for a in code.generators if not a & ~top]
-                cap = max(min(len(ideal.variables) - 2, len(atoms) - 2), -1) + 2
                 below = [g for g in plain if all(y.exponent(v) >= e for v, e in g.items())]
-                # one size more, so the oracle sees F + a for every face F kept
-                want = relative_to_star(crosscut_faces_oracle(below, dict(y.exps), cap + 1))
-                want = {d: fs for d, fs in want.items() if d < cap}
-                assert relative_faces(crosscut_masks(atoms, top), cap) == want
+                want = relative_to_star(crosscut_faces_oracle(below, dict(y.exps)))
+                assert relative_faces(crosscut_masks(atoms, top)) == want
             vectors.add(betti_gpw(ideal))
         assert vectors == {betti_koszul(parking_ideal(G))}, graph_to_text(G)
 
@@ -443,9 +434,9 @@ def core_shape(masks):
 
 
 def dims_of(masks):
-    """Reduced homology over 32003 and 2, without a degree cap, of the
-    complex on ``masks``, nonzero entries only."""
-    by_char = homology_from_faces_multi(all_relative_faces(masks), (32003, 2))
+    """Reduced homology over 32003 and 2 of the complex on ``masks``,
+    nonzero entries only."""
+    by_char = homology_from_faces_multi(relative_faces(masks), (32003, 2))
     return {c: nonzero(d) for c, d in by_char.items()}
 
 
@@ -472,6 +463,9 @@ class TestDominatedAtoms:
                     (_crosscut_masks(code, top), dims_of(crosscut_masks(atoms, top))),
                     (_koszul_masks(code, top), {c: nonzero(d) for c, d in full.items()}),
                 ):
+                    # the side enumerated has a vertex per variable at most
+                    rows, cols = _strong_core(masks)
+                    assert min(rows, len(cols)) <= len(ideal.variables)
                     for side in core_sides(masks):
                         assert dims_of(side) == want, (graph_to_text(G), str(m))
 
@@ -539,21 +533,21 @@ class TestStrongCore:
         calls = []
         enumerate_faces = homology_module.relative_faces
 
-        def recording(masks, cap):
+        def recording(masks):
             calls.append(list(masks))
-            return enumerate_faces(masks, cap)
+            return enumerate_faces(masks)
 
         monkeypatch.setattr(homology_module, "relative_faces", recording)
         return calls
 
-    def dims(self, masks, cap=4):
-        return _ReductionMemo(DEFAULT_CHARS)._reduced("crosscut", masks, cap, str)
+    def dims(self, masks):
+        return _ReductionMemo(DEFAULT_CHARS)._reduced("crosscut", masks, str)
 
     def test_generator_has_no_vertex(self):
         # no vertex in a facet: the complex {()}, one unit in degree -1
         for masks in ([], [0], [0, 0]):
             assert _strong_core(masks) == (0, (0,))
-            assert self.dims(masks) == {-1: 1, 0: 0, 1: 0, 2: 0}
+            assert self.dims(masks) == {-1: 1}
 
     def test_cone_is_a_point(self):
         assert _strong_core([0b101]) == (1, (1,))
@@ -609,14 +603,6 @@ class TestStrongCore:
         dims = _ReductionMemo(DEFAULT_CHARS)._interval_dims(code, code.encode(lat.top))
         assert nonzero(dims) == nonzero(chain_homology(lat, lat.top)) == {1: 3}
         assert [len(masks) for masks in enumerated] == [4]
-
-    def test_the_cap_binds_on_either_side(self):
-        # degrees above cap - 2 are dropped after the reduction and listed
-        # as far as cap - 2 below it; the key holds the cap
-        memo = _ReductionMemo(DEFAULT_CHARS)
-        assert memo._reduced("crosscut", PAIRS_OF_FOUR, 3, str) == {-1: 0, 0: 0, 1: 3}
-        assert memo._reduced("crosscut", PAIRS_OF_FOUR, 2, str) == {-1: 0, 0: 0}
-        assert sorted(key[1] for key in memo.memo) == [2, 3]
 
 
 K6_SCRIPT = """
@@ -796,9 +782,8 @@ def core_keys(ideal):
     """The distinct memo keys of the crosscut cores of the proper elements
     of lcm(ideal), as ``_interval_dims`` looks them up."""
     code = ideal.code
-    cap = len(ideal.variables)
     return {
-        ("crosscut", cap, *_strong_core(_crosscut_masks(code, top)))
+        ("crosscut", *_strong_core(_crosscut_masks(code, top)))
         for top in lcm_closure(code)[1:]
     }
 
@@ -918,22 +903,20 @@ class TestReductionMemo:
                 betti_gpw(ideal)
             assert str(gpw.value) == rp2_disagreement()
 
-    def test_cap_is_part_of_the_key(self, kite):
-        # I has 3 variables and K 10, so one memo serves two caps: in either
-        # order each sum equals its fresh-memo sum, and every dims read back
-        # lists exactly the degrees -1 to #variables - 2 of its own ideal
+    def test_a_core_shared_across_variable_counts_is_reduced_once(self, kite, reductions):
+        # I has 3 variables and K 10, and their lattices share cores, the
+        # core {()} of a generator among them: on one memo, in either order,
+        # each shared core is reduced once and each sum equals its
+        # fresh-memo sum
         parking, oriented = parking_ideal(kite), oriented_cutset_ideal(kite)
         fresh = {ideal: betti_gpw(ideal) for ideal in (parking, oriented)}
+        keys = {ideal: core_keys(ideal) for ideal in (parking, oriented)}
+        assert ("crosscut", 0, (0,)) in keys[parking] & keys[oriented]
         for order in ((parking, oriented), (oriented, parking)):
             shared = _ReductionMemo(DEFAULT_CHARS)
+            reductions.clear()
             assert [shared.betti_gpw(ideal) for ideal in order] == [fresh[i] for i in order]
-            for ideal in order:
-                code = ideal.code
-                degrees = list(range(-1, len(ideal.variables) - 1))
-                for top in lcm_closure(code)[1:]:
-                    assert list(shared._interval_dims(code, top)) == degrees
-                    assert list(shared._koszul_dims(code, top)) == degrees
-            assert {key[1] for key in shared.memo} == {3, 10}
+            assert len(reductions) == len(keys[parking] | keys[oriented])
 
     @given(multigraphs())
     def test_matches_uncached_sum_over_every_element(self, G):
@@ -957,7 +940,7 @@ class TestSharedReductionMemo:
     @pytest.fixture
     def reduced(self, monkeypatch):
         """The complexes reduced, in order, each by the key the memo stores
-        it under: (model, cap, row count, column masks)."""
+        it under: (model, row count, column masks)."""
         keys = []
         init = _ReductionMemo.__init__
         reduce = homology_module.homology_from_faces_multi
@@ -1017,7 +1000,7 @@ class TestSharedReductionMemo:
             reduced.clear()
             assert getattr(_ReductionMemo(DEFAULT_CHARS), name)(ideal) == (6, 9, 4)
             fresh[name] = {key[1:] for key in reduced}
-        # the core {()} of a generator, at one cap, is reached by both
+        # the core {()} of a generator is reached by both
         assert fresh["betti_gpw"] & fresh["betti_koszul"]
         for before, after in (("betti_gpw", "betti_koszul"), ("betti_koszul", "betti_gpw")):
             shared = _ReductionMemo(DEFAULT_CHARS)
@@ -1042,7 +1025,7 @@ def koszul_faces(ideal, m):
     """The relative face family of K^m(ideal) that ``betti_koszul``
     reduces."""
     code = ideal.code
-    return relative_faces(_koszul_masks(code, code.encode(m)), len(code.variables))
+    return relative_faces(_koszul_masks(code, code.encode(m)))
 
 
 def koszul_facets(ideal, m):

@@ -128,6 +128,19 @@ class TestVerifyGraph:
         assert len(counted) == len(partitions) + kite.n
         assert list(betti_wilmes(kite)) == report.betti["wilmes"]
 
+    def test_memory_error_fails_one_check(self, kite, monkeypatch):
+        # the check that ran out of memory fails and names the exception;
+        # every other check still runs and passes
+        def out_of_memory(self, ideal, symmetries=()):
+            raise MemoryError
+
+        monkeypatch.setattr(homology_module._ReductionMemo, "betti_koszul", out_of_memory)
+        report = verify_graph(kite)
+        failed = [c for c in report.checks if not c.passed]
+        assert [c.name for c in failed] == ["betti-methods-agree"]
+        assert failed[0].witness == "betti-methods-agree raised MemoryError()"
+        assert len(report.checks) == 9
+
     def test_report_failure_shape(self):
         report = VerificationReport(
             graph="g", checks=[CheckResult("x", False, "bad")], betti={}
