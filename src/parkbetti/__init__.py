@@ -1,5 +1,5 @@
 """Exact Betti numbers of graph parking-function, cut-set, and oriented
-cut-set ideals, cross-checked by four independent methods."""
+cut-set ideals, cross-checked by four methods."""
 
 from .chips import (
     enumerate_parking_functions,

@@ -36,7 +36,7 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 
 def bits(mask: int) -> tuple[int, ...]:
-    """Unpack a bitmask into ascending vertex indices."""
+    """Unpack a bitmask into the indices of its set bits, ascending."""
     out = []
     while mask:
         low = mask & -mask

@@ -105,31 +105,35 @@ mask tests on codes. Variable names come back only to label a characteristic
 disagreement. The audit walks the elements of the lattice it is given and
 encodes each once.
 
-Most complexes repeat, inside one lattice and across the lattices of one
-graph, so every distinct core is reduced once per ``_ReductionMemo``: the
-one object the lattice methods run on. It checks the characteristics once
-(at least one) and holds them with a plain dict of the dims computed over
-them, only the nonzero degrees. Its keys are exact: (model, row count,
-sorted column masks), the columns as masks over the rows numbered 0, 1,
-..., which fix the complex on either side. Nothing else enters the dims,
-so a core that I, J and K share, whose variable counts differ, is reduced
-once on one memo. The model's name keeps two key spaces: a Koszul lookup
-never reads a crosscut reduction, nor the reverse. At an element of
-lcm(I) the two cores are nearly always one: over every sink of the
-401-graph acceptance corpus the keys agree but for the name at 78,033 of
-78,184 elements. ``betti_koszul`` stays an oracle independent of
-``betti_gpw`` on a shared memo because each model reduces its own core
-from its own masks: the Koszul masks come from the gaps m & ~g of the
-generators dividing m, not from the reaches of the atoms, so a fault in
-either mask path shows as two vectors that differ. Each call of
-``betti_gpw``, ``betti_koszul`` and ``interval_homology_audit`` builds
-its own ``_ReductionMemo`` and drops it on return; ``verify.verify_graph``
-builds one for its whole graph, shared by every Betti check at every sink
-and by the audit, and drops it on return. Nothing is shared between
-calls, so every call does the same work whatever ran before it. A
-characteristic disagreement propagates and is never stored, so it is
-raised at the same element, with the same message, as if there were no
-memo.
+Most complexes repeat, inside one lattice, across the lattices of one
+graph and across the two models, so every distinct core is reduced once
+per ``_ReductionMemo``: the one object the lattice methods run on. It
+checks the characteristics when it is built (at least one, each 0 or a
+prime below 2^31) and holds them with a plain dict of the dims computed
+over them, only the nonzero degrees. Its key is the core itself: (row
+count, sorted column masks), the columns as masks over the rows numbered
+0, 1, ..., which fix the complex on either side. So a hit returns the
+dims of exactly that complex, whichever model or ideal first reached it.
+
+At an element m of lcm(I) the Koszul mask of v holds the atom b exactly
+when b_v < m_v, that is when b's crosscut mask holds v's top bit, so the
+nonzero Koszul masks are the crosscut masks transposed, and over every
+sink of the 401-graph acceptance corpus the two keys agree at 78,033 of
+78,184 elements. So ``betti_koszul`` checks the mask builders, not the
+reduction: a fault in either builder (the gaps m & ~g, the reaches of the
+atoms) shows as two vectors that differ, while a fault in the core, the
+enumeration or the ranks gives both models the same wrong dims wherever
+their keys agree, and is caught by ``betti_wilmes``, ``betti_mobius`` and
+the concentration audit.
+
+Each call of ``betti_gpw``, ``betti_koszul`` and
+``interval_homology_audit`` builds its own ``_ReductionMemo`` and drops it
+on return; ``verify.verify_graph`` builds one for its whole graph, shared
+by every Betti check at every sink and by the audit, and drops it on
+return. Nothing is shared between calls, so every call does the same work
+whatever ran before it. A characteristic disagreement propagates and is
+never stored, so it is raised at the same element, with the same message,
+as if there were no memo.
 """
 
 from __future__ import annotations
@@ -142,7 +146,7 @@ from .chips import mpf_count
 from .graphs import Multigraph, connected_partitions, contract
 from .ideals import MonomialCode, MonomialIdeal, lcm_closure, permute_code
 from .posets import FiniteLattice
-from .simplicial import homology_from_faces_multi
+from .simplicial import _check_char, homology_from_faces_multi
 
 DEFAULT_CHARS = (32003, 2)
 
@@ -401,24 +405,24 @@ class _ReductionMemo:
         self.chars = tuple(chars)
         if not self.chars:
             raise ValueError("need at least one characteristic")
+        for c in self.chars:
+            _check_char(c)
         self.memo: dict = {}
 
-    def _reduced(
-        self, model: str, masks: list[int], context: Callable[[], str]
-    ) -> dict[int, int]:
+    def _reduced(self, masks: list[int], context: Callable[[], str]) -> dict[int, int]:
         """Reduced homology dims, nonzero degrees only, of the complex
         whose vertices have the facet masks ``masks``, over every
         characteristic, required to agree. The masks are cut to their
         strong-collapse core (``_strong_core``) before the memo lookup,
-        and the key is (model, row count, column masks). Only on a miss is
-        the side of the core with fewer vertices enumerated, as relative
-        faces, and reduced. ``context`` builds the label of a disagreement;
-        it is called only when one is raised, and a disagreement is never
-        stored."""
-        rows, cols = _strong_core(masks)
-        key = (model, rows, cols)
+        and the key is the core, (row count, column masks), whichever
+        model built the masks. Only on a miss is the side of the core with
+        fewer vertices enumerated, as relative faces, and reduced.
+        ``context`` builds the label of a disagreement; it is called only
+        when one is raised, and a disagreement is never stored."""
+        key = _strong_core(masks)
         dims = self.memo.get(key)
         if dims is None:
+            rows, cols = key
             vertices = list(cols) if len(cols) < rows else _transpose(cols)
             by_char = homology_from_faces_multi(relative_faces(vertices), self.chars)
             by_char = {c: {d: v for d, v in got.items() if v} for c, got in by_char.items()}
@@ -432,14 +436,12 @@ class _ReductionMemo:
         """Reduced homology of the open interval (1, y) of lcm(I), I the
         ideal of ``code``, at the code of y: the one interval path, shared
         by ``betti_gpw`` and the audit."""
-        return self._reduced("crosscut", _crosscut_masks(code, top), partial(_label, code, top))
+        return self._reduced(_crosscut_masks(code, top), partial(_label, code, top))
 
     def _koszul_dims(self, code: MonomialCode, top: int) -> dict[int, int]:
         """Reduced homology of K^m(I), I the ideal of ``code``, at the code
         of m: the one Koszul path, used by ``betti_koszul``."""
-        return self._reduced(
-            "koszul", _koszul_masks(code, top), lambda: f"degree {_label(code, top)}"
-        )
+        return self._reduced(_koszul_masks(code, top), lambda: f"degree {_label(code, top)}")
 
     def betti_gpw(self, ideal: MonomialIdeal, symmetries=()) -> tuple[int, ...]:
         code = ideal.code
@@ -477,10 +479,13 @@ def betti_gpw(ideal: MonomialIdeal, chars=DEFAULT_CHARS, symmetries=()) -> tuple
 
 
 def betti_koszul(ideal: MonomialIdeal, chars=DEFAULT_CHARS, symmetries=()) -> tuple[int, ...]:
-    """Independent oracle: multigraded Betti numbers of the ideal from the
-    upper Koszul complexes at the lcm-lattice elements, totaled coarsely and
-    shifted to quotient-ring indexing (quotient beta_i = ideal beta_{i-1},
-    so homology in degree d counts toward beta_{d+2})."""
+    """Multigraded Betti numbers of the ideal from the upper Koszul
+    complexes at the lcm-lattice elements, totaled coarsely and shifted to
+    quotient-ring indexing (quotient beta_i = ideal beta_{i-1}, so homology
+    in degree d counts toward beta_{d+2}). Its masks are built apart from
+    ``betti_gpw``'s, as theirs transposed, and go through the same core and
+    reduction, so it checks the mask builders, not the reduction (see the
+    module docstring)."""
     return _ReductionMemo(chars).betti_koszul(ideal, symmetries)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import cached_property, reduce
 from itertools import combinations
 from operator import and_, or_
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .graphs import Multigraph, bits, connected_partitions
 
@@ -28,14 +28,6 @@ class LatticeError(ValueError):
 
 class NotGradedError(LatticeError):
     """Maximal chains disagree in length where a graded lattice was required."""
-
-
-def _members(bitset: int) -> Iterator[int]:
-    """The indices of the set bits of ``bitset``, ascending."""
-    while bitset:
-        low = bitset & -bitset
-        yield low.bit_length() - 1
-        bitset ^= low
 
 
 class FiniteLattice:
@@ -82,12 +74,12 @@ class FiniteLattice:
         bitsets of the elements holding that bit."""
         holders = [0] * self._codes[self._top].bit_length()
         for i, c in enumerate(self._codes):
-            for b in _members(c):
+            for b in bits(c):
                 holders[b] |= 1 << i
         ups = []
         for c in self._codes:
             up = (1 << len(self._codes)) - 1
-            for b in _members(c):
+            for b in bits(c):
                 up &= holders[b]
             ups.append(up)
         return ups
@@ -146,11 +138,11 @@ class FiniteLattice:
         return not self._codes[self.index_of(x)] & ~self._codes[self.index_of(y)]
 
     def upper_covers(self, x) -> list:
-        return [self._elements[j] for j in _members(self._covers[self.index_of(x)])]
+        return [self._elements[j] for j in bits(self._covers[self.index_of(x)])]
 
     def cover_pairs(self) -> list[tuple[int, int]]:
         """Index pairs (i, j) with element j covering element i."""
-        return [(i, j) for i, covers in enumerate(self._covers) for j in _members(covers)]
+        return [(i, j) for i, covers in enumerate(self._covers) for j in bits(covers)]
 
     def atoms(self) -> list:
         return self.upper_covers(self.bottom)
@@ -158,7 +150,7 @@ class FiniteLattice:
     def join(self, x, y):
         up = self._up
         bounds = up[self.index_of(x)] & up[self.index_of(y)]
-        least = [k for k in _members(bounds) if not bounds & ~up[k]]
+        least = [k for k in bits(bounds) if not bounds & ~up[k]]
         if len(least) != 1:
             raise LatticeError(f"no unique join for {x!r} and {y!r}")
         return self._elements[least[0]]
@@ -167,7 +159,7 @@ class FiniteLattice:
     def _ranks(self) -> list[int]:
         rank = [0] * len(self._elements)
         for i in self._popcount_order:
-            for j in _members(self._covers[i]):
+            for j in bits(self._covers[i]):
                 rank[j] = max(rank[j], rank[i] + 1)
         if any(rank[j] != rank[i] + 1 for i, j in self.cover_pairs()):
             raise NotGradedError("lattice is not graded")
@@ -189,7 +181,7 @@ class FiniteLattice:
         below = [0] * len(self._elements)
         for k in self._popcount_order:
             mu[k] = 1 if k == self._bottom else -below[k]
-            for j in _members(self._up[k] & ~(1 << k)):
+            for j in bits(self._up[k] & ~(1 << k)):
                 below[j] += mu[k]
         return mu
 
@@ -239,7 +231,7 @@ def lattice_isomorphism_failure(L1: FiniteLattice, L2: FiniteLattice, mapping) -
         return "not-bijective"
     perm = [L2.index_of(y) for y in images]
     for i, up in enumerate(L1._up):
-        if sum(1 << perm[j] for j in _members(up)) != L2._up[perm[i]]:
+        if sum(1 << perm[j] for j in bits(up)) != L2._up[perm[i]]:
             return "order-violation"
     return None
 

@@ -184,7 +184,7 @@ class TestReducedHomology:
         assert nonzero(reduced_homology_dims(RP2, 32003)) == {}
         assert nonzero(reduced_homology_dims(RP2, 0)) == {}
         with pytest.raises(CharacteristicDisagreement):
-            _ReductionMemo(DEFAULT_CHARS)._reduced("crosscut", RP2_MASKS, str)
+            _ReductionMemo(DEFAULT_CHARS)._reduced(RP2_MASKS, str)
 
     def test_boundary_matrices_compose_to_zero(self):
         mats = boundary_matrices(RP2)
@@ -261,7 +261,7 @@ assert verify_graph(parse_graph(sys.argv[1])).passed
 big = 2**64
 assert rank_over([[big + 1, big - 1], [big - 1, big + 1], [2 * big, 2 * big]], 0) == 2
 try:
-    _ReductionMemo(DEFAULT_CHARS)._reduced("crosscut", ast.literal_eval(sys.argv[2]), str)
+    _ReductionMemo(DEFAULT_CHARS)._reduced(ast.literal_eval(sys.argv[2]), str)
 except CharacteristicDisagreement as exc:
     print(exc)
 """
@@ -272,7 +272,7 @@ class TestWithoutNumpy:
         # numpy is a test dependency only: the package from src/ verifies a
         # graph, ranks big integers and reports RP2's torsion without it
         with pytest.raises(CharacteristicDisagreement) as want:
-            _ReductionMemo(DEFAULT_CHARS)._reduced("crosscut", RP2_MASKS, str)
+            _ReductionMemo(DEFAULT_CHARS)._reduced(RP2_MASKS, str)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         run = subprocess.run(
@@ -541,7 +541,7 @@ class TestStrongCore:
         return calls
 
     def dims(self, masks):
-        return _ReductionMemo(DEFAULT_CHARS)._reduced("crosscut", masks, str)
+        return _ReductionMemo(DEFAULT_CHARS)._reduced(masks, str)
 
     def test_generator_has_no_vertex(self):
         # no vertex in a facet: the complex {()}, one unit in degree -1
@@ -783,7 +783,7 @@ def core_keys(ideal):
     of lcm(ideal), as ``_interval_dims`` looks them up."""
     code = ideal.code
     return {
-        ("crosscut", *_strong_core(_crosscut_masks(code, top)))
+        _strong_core(_crosscut_masks(code, top))
         for top in lcm_closure(code)[1:]
     }
 
@@ -896,6 +896,15 @@ class TestReductionMemo:
             assert compute() == want
             assert len(reductions) == 2 * first
 
+    def test_bad_characteristic_rejected_before_the_lattice_walk(self, kite, monkeypatch):
+        def walked(code):
+            raise AssertionError("the lattice was walked")
+
+        monkeypatch.setattr(homology_module, "lcm_closure", walked)
+        for chars in ((4,), (2, 4), (2**31 + 11,)):
+            with pytest.raises(ValueError, match="characteristic must be"):
+                betti_gpw(parking_ideal(kite), chars=chars)
+
     def test_disagreement_raised_again_on_every_call(self):
         ideal = rp2_stanley_reisner_ideal()
         for _ in range(2):
@@ -911,7 +920,7 @@ class TestReductionMemo:
         parking, oriented = parking_ideal(kite), oriented_cutset_ideal(kite)
         fresh = {ideal: betti_gpw(ideal) for ideal in (parking, oriented)}
         keys = {ideal: core_keys(ideal) for ideal in (parking, oriented)}
-        assert ("crosscut", 0, (0,)) in keys[parking] & keys[oriented]
+        assert (0, (0,)) in keys[parking] & keys[oriented]
         for order in ((parking, oriented), (oriented, parking)):
             shared = _ReductionMemo(DEFAULT_CHARS)
             reductions.clear()
@@ -940,7 +949,7 @@ class TestSharedReductionMemo:
     @pytest.fixture
     def reduced(self, monkeypatch):
         """The complexes reduced, in order, each by the key the memo stores
-        it under: (model, row count, column masks)."""
+        it under: (row count, column masks)."""
         keys = []
         init = _ReductionMemo.__init__
         reduce = homology_module.homology_from_faces_multi
@@ -966,7 +975,8 @@ class TestSharedReductionMemo:
     def test_verify_graph_reduces_each_face_family_once(self, kite, reduced):
         report = verify_graph(kite)
         first = list(reduced)
-        # once per model: a family both models build is reduced by each
+        # once in all: a core both models or several ideals build is
+        # reduced by whichever reaches it first
         assert first and len(set(first)) == len(first)
         # nothing survives the call: the second one reduces as much again
         assert verify_graph(kite).to_json_dict(include_audit=True) == report.to_json_dict(
@@ -990,24 +1000,18 @@ class TestSharedReductionMemo:
         # separate public calls share nothing, so they reduce more
         assert len(reduced) > len(first)
 
-    def test_models_keep_separate_key_spaces(self, kite, reduced):
-        # a Koszul lookup never reads a crosscut reduction, nor the reverse:
-        # after the other model has run on one memo, each reduces as much as
-        # on a fresh memo
+    def test_models_share_one_key_space(self, kite, reduced):
+        # the Koszul masks of I are its crosscut masks transposed, so on one
+        # memo, in either order, the second model reduces no core of its own
         ideal = parking_ideal(kite)
-        fresh = {}
-        for name in ("betti_gpw", "betti_koszul"):
-            reduced.clear()
-            assert getattr(_ReductionMemo(DEFAULT_CHARS), name)(ideal) == (6, 9, 4)
-            fresh[name] = {key[1:] for key in reduced}
-        # the core {()} of a generator is reached by both
-        assert fresh["betti_gpw"] & fresh["betti_koszul"]
         for before, after in (("betti_gpw", "betti_koszul"), ("betti_koszul", "betti_gpw")):
             shared = _ReductionMemo(DEFAULT_CHARS)
-            getattr(shared, before)(ideal)
+            reduced.clear()
+            assert getattr(shared, before)(ideal) == (6, 9, 4)
+            assert reduced
             reduced.clear()
             assert getattr(shared, after)(ideal) == (6, 9, 4)
-            assert len(reduced) == len(fresh[after])
+            assert reduced == []
 
     def test_disagreement_is_never_stored(self):
         ideal = rp2_stanley_reisner_ideal()

@@ -141,6 +141,32 @@ class TestVerifyGraph:
         assert failed[0].witness == "betti-methods-agree raised MemoryError()"
         assert len(report.checks) == 9
 
+    def test_koszul_checks_its_own_mask_builder(self, kite, monkeypatch):
+        # koszul-I builds its masks apart from gpw-I, so a fault in the
+        # Koszul builder shows as koszul-I differing from gpw-I at every sink
+        koszul_masks = homology_module._koszul_masks
+        monkeypatch.setattr(
+            homology_module, "_koszul_masks", lambda code, top: koszul_masks(code, top)[1:]
+        )
+        report = verify_graph(kite)
+        assert [c.name for c in report.checks if not c.passed] == ["betti-methods-agree"]
+        assert report.betti["koszul-I/sink-v1"] == [6, 3]
+        for s in range(1, kite.n + 1):
+            assert report.betti[f"gpw-I/sink-v{s}"] == [6, 9, 4]
+            assert report.betti[f"koszul-I/sink-v{s}"] != [6, 9, 4]
+
+    def test_a_fault_in_the_shared_core_is_caught_by_wilmes_and_mobius(self, kite, monkeypatch):
+        # koszul-I and gpw-I reduce one core, so a fault there gives both the
+        # same wrong vector: only the methods without a core tell it apart.
+        # The hollow triangle is settled as a point, losing its 1-cycle.
+        three_rows = homology_module._THREE_ROWS
+        monkeypatch.setattr(homology_module, "_THREE_ROWS", three_rows[:3] + ((1, (1,)),))
+        report = verify_graph(kite)
+        assert not {c.name: c.passed for c in report.checks}["betti-methods-agree"]
+        assert report.betti["wilmes"] == report.betti["mobius"] == [6, 9, 4]
+        for s in range(1, kite.n + 1):
+            assert report.betti[f"koszul-I/sink-v{s}"] == report.betti[f"gpw-I/sink-v{s}"] == [6, 9]
+
     def test_report_failure_shape(self):
         report = VerificationReport(
             graph="g", checks=[CheckResult("x", False, "bad")], betti={}
