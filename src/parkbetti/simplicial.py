@@ -14,20 +14,19 @@ relative to the star of one vertex) spans its relative chain complex,
 because the boundary terms that fall outside the family are the ones that
 vanish in the quotient. The core has one reduction path: the boundary maps
 are assembled and reduced bottom-up by one sparse integer elimination that
-pivots on every +-1 entry it can reach, filling in entries as it goes, and
-the faces that were pivot columns of one map, fill-in pivots included, are
-cleared from the rows of the next (clearing, as in Bauer-Kerber-Reininghaus
-and Ripser). A map with no rows or no columns is never assembled. Only the
-entries no unit pivot can remove, such as RP2's 2-torsion, are left; they
-are exact Python ints of any size, ranked on Python ints, which never wrap:
-by row echelon elimination mod p for every prime p < 2^31, and by
-fraction-free (Bareiss) elimination over the rationals.
+takes the columns in index order and pivots each on its shortest row with
+a +-1 entry, filling in entries as it goes, and the faces that were pivot
+columns of one map are cleared from the rows of the next (clearing, as in
+Bauer-Kerber-Reininghaus and Ripser). A map with no rows or no columns is
+never assembled. Only the entries no unit pivot removed, such as RP2's
+2-torsion, are left; they are exact Python ints of any size, ranked on
+Python ints, which never wrap, by one fraction-free (Bareiss) elimination:
+over GF(p) for every prime p < 2^31, and exactly over the rationals.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from heapq import heapify, heappop, heappush
 
 
 def _unit_eliminate(rows: list[dict[int, int]], col_rows: list[set[int]]):
@@ -35,76 +34,69 @@ def _unit_eliminate(rows: list[dict[int, int]], col_rows: list[set[int]]):
 
     The matrix is given twice: ``rows`` as {column: entry} dicts of nonzero
     integers, one per row, and ``col_rows`` as the set of rows holding an
-    entry, one per column. Each step takes the shortest live column, from a
-    lazily updated heap of column counts, and in it the shortest row
-    holding a +-1 entry. That entry is cleared from the other rows of its
-    column by integer row operations, which may fill in entries, and its row
-    and column are deleted. A column with no unit entry is passed over until
-    a row operation changes it: deleting a row only removes entries, so it
-    never makes a unit. Singleton rows and columns are the pivots that fill
-    in nothing. No step scans the whole matrix.
+    entry, one per column. The columns are taken in index order. In each,
+    the shortest row holding a +-1 entry is the pivot: that entry is
+    cleared from the other rows of its column by integer row operations,
+    which may fill in entries, and the pivot row is deleted from the row
+    sets of its other columns. A column that holds entries but no +-1 at
+    its turn is passed over; a later pivot's fill-in can make a unit in it
+    (rows [1, 1, 0], [1, -2, 1], [0, -2, 1] do), so the passed columns are
+    taken again, in order, until a pass makes no pivot. What is left holds
+    no +-1 entry and is ranked as the leftover. No step scans the whole
+    matrix.
+
+    The families reduced here come from strong-collapse cores, and on them
+    no column is passed over with entries left: fill-in makes entries of
+    absolute value 2 or more (946 in ``verify_graph`` of K7), but each
+    cancels before its column's turn, over ``verify_graph`` of the 401-graph
+    acceptance corpus, the 112 six-vertex graphs and K7. The shortest unit
+    row and clearing (in ``homology_from_faces_multi``) both pay: on K7's
+    reductions, the first unit row instead of the shortest, or no clearing,
+    each takes more than three times as long (``BENCH_28.json``).
 
     Returns the pivot columns, in pivot order, and the entries no unit pivot
-    can remove, on the rows and columns that hold them, as a list of rows of
+    removed, on the rows and columns that hold them, as a list of rows of
     exact Python ints (empty when nothing is left). Every pivot is a
     unit and every row operation has integer factors, so the steps are the
     same over the integers and every field, the pivot block has determinant
     +-1, and the rank over any field is the pivot count plus the rank of
     what is left."""
-    # heap keys are count * stride + column: one int compares faster than a pair
-    stride = len(col_rows)
-    heap = [len(live) * stride + c for c, live in enumerate(col_rows) if live]
-    heapify(heap)
     pivots: list[int] = []
-    while heap:
-        count, c = divmod(heappop(heap), stride)
-        live = col_rows[c]
-        if live is None:
-            continue
-        if count != len(live):
-            if live:
-                heappush(heap, len(live) * stride + c)
-            continue
-        if count == 1:  # most pivots are singleton columns: no search
-            (r,) = live
-            if rows[r][c] not in (1, -1):
-                continue
-        else:
+    todo = range(len(col_rows))
+    while todo:
+        passed, made = [], len(pivots)
+        for c in todo:
+            live = col_rows[c]
             r = min(
                 (r for r in live if rows[r][c] in (1, -1)),
                 key=lambda r: len(rows[r]),
                 default=None,
             )
             if r is None:
+                if live:
+                    passed.append(c)
                 continue
-        pivot_row = rows[r]
-        unit = pivot_row.pop(c)
-        for r2 in live:
-            if r2 == r:
-                continue
-            row = rows[r2]
-            f = row.pop(c) * unit
-            for c2, v in pivot_row.items():
-                new = row.get(c2, 0) - f * v
-                if new:
-                    row[c2] = new
-                    col_rows[c2].add(r2)
-                else:
-                    del row[c2]
-                    col_rows[c2].discard(r2)
-        col_rows[c] = None
-        pivots.append(c)
-        # a count that only fell is fixed when its old key comes up, but a
-        # new singleton is keyed at once; a filled column may have gained
-        # a unit, so it is keyed again too
-        filled = count > 1
-        for c2 in pivot_row:
-            live = col_rows[c2]
-            live.discard(r)
-            n = len(live)
-            if n == 1 or filled and n:
-                heappush(heap, n * stride + c2)
-        rows[r] = {}
+            pivot_row = rows[r]
+            unit = pivot_row.pop(c)
+            for r2 in live:
+                if r2 == r:
+                    continue
+                row = rows[r2]
+                f = row.pop(c) * unit
+                for c2, v in pivot_row.items():
+                    new = row.get(c2, 0) - f * v
+                    if new:
+                        row[c2] = new
+                        col_rows[c2].add(r2)
+                    else:
+                        del row[c2]
+                        col_rows[c2].discard(r2)
+            for c2 in pivot_row:
+                col_rows[c2].discard(r)
+            pivots.append(c)
+            rows[r] = {}
+        # a later pivot's fill-in may have made a unit in a passed column
+        todo = passed if len(pivots) > made else ()
     left = [row for row in rows if row]
     kept = sorted({c for row in left for c in row})
     return pivots, [[row.get(c, 0) for c in kept] for row in left]
@@ -170,38 +162,25 @@ def homology_from_faces_multi(
 def rank_over(matrix, char: int) -> int:
     """Matrix rank over GF(char) for a prime char < 2^31, or exactly over
     the rationals for char = 0. ``matrix`` is any sequence of integer rows,
-    whose entries may be of any size: it is ranked on Python ints, by row
-    echelon elimination mod char, or by Bareiss elimination for char 0."""
+    whose entries may be of any size: it is ranked on Python ints by
+    ``bareiss``."""
     _check_char(char)
-    return bareiss(matrix)[0] if char == 0 else _rank_mod_p(matrix, char)
+    return bareiss(matrix, char)[0]
 
 
-def _rank_mod_p(rows, p: int) -> int:
-    """Row-echelon rank over GF(p), on Python ints reduced into [0, p)."""
-    a = [[int(x) % p for x in row] for row in rows]
-    rank = 0
-    for col in range(len(a[0]) if a else 0):
-        piv = next((r for r in range(rank, len(a)) if a[r][col]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        top = a[rank]
-        lead = top[col]
-        for i in range(rank + 1, len(a)):
-            f = a[i][col]
-            if f:
-                a[i] = [(x * lead - f * y) % p for x, y in zip(a[i], top)]
-        rank += 1
-    return rank
+def bareiss(rows, p: int = 0) -> tuple[int, int]:
+    """Fraction-free Gaussian elimination (Bareiss), over the integers for
+    p = 0 and over GF(p) for a prime p, with entries kept in [0, p).
 
-
-def bareiss(rows: list[list[int]]) -> tuple[int, int]:
-    """Fraction-free Gaussian elimination over the integers (Bareiss).
-
-    Returns the rank and the last pivot, negated once per row swap. Every
-    division is exact, and for a square matrix of full rank the signed last
-    pivot is its determinant."""
-    a = [[int(x) for x in row] for row in rows]
+    Returns the rank and the last pivot, negated once per row swap. Over
+    the integers each step divides exactly by the previous pivot, and for a
+    square matrix of full rank the signed last pivot is its determinant.
+    Over GF(p) no step divides: each row operation scales a row by a
+    nonzero pivot, which keeps the rank."""
+    if p:
+        a = [[int(x) % p for x in row] for row in rows]
+    else:
+        a = [[int(x) for x in row] for row in rows]
     rank, sign, prev = 0, 1, 1
     for col in range(len(a[0]) if a else 0):
         piv = next((r for r in range(rank, len(a)) if a[r][col]), None)
@@ -214,7 +193,10 @@ def bareiss(rows: list[list[int]]) -> tuple[int, int]:
         lead = top[col]
         for i in range(rank + 1, len(a)):
             f = a[i][col]
-            a[i] = [(x * lead - f * y) // prev for x, y in zip(a[i], top)]
+            if not p:
+                a[i] = [(x * lead - f * y) // prev for x, y in zip(a[i], top)]
+            elif f:
+                a[i] = [(x * lead - f * y) % p for x, y in zip(a[i], top)]
         prev = lead
         rank += 1
     return rank, sign * prev

@@ -36,6 +36,7 @@ from parkbetti import (
     verify_graph,
 )
 from parkbetti import homology as homology_module
+from parkbetti import simplicial
 from parkbetti.homology import (
     DEFAULT_CHARS,
     _ReductionMemo,
@@ -303,6 +304,7 @@ TETRAHEDRON_BOUNDARY = [{0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}]
 
 class TestUnitElimination:
     @given(small_matrices)
+    @example([[1, 1, 0], [1, -2, 1], [0, -2, 1]])  # column 1 gets its unit late
     def test_pivots_plus_leftover_rank(self, matrix):
         # entries of +-2 leave cores no unit pivot removes; the pivots are
         # the same over every field, so the leftover rank makes up the rest
@@ -341,6 +343,19 @@ class TestUnitElimination:
         for char in (0, 2, 32003):
             assert reduced_homology_dims(one, char) == {-1: 0, 0: 0, 1: 0, 2: 1}
             assert reduced_homology_dims(gap, char) == {-1: 0, 0: 1, 1: 0, 2: 1}
+
+    def test_fill_in_leaves_nothing_to_rank_on_k6(self, monkeypatch):
+        # K6's elimination makes the most entries of absolute value 2 or
+        # more among the six-vertex graphs (22), and each cancels before its
+        # column's turn: unit pivots clear every boundary map it meets
+        def no_leftover(matrix, char):
+            raise AssertionError(f"leftover core ranked: {matrix}")
+
+        monkeypatch.setattr(simplicial, "rank_over", no_leftover)
+        K6 = parse_graph("v:6; sink:6; " + "; ".join(
+            f"e{i}{j} {i} {j}" for i in range(1, 7) for j in range(i + 1, 7)
+        ))
+        assert verify_graph(K6).passed
 
 
 class TestIntervalMachinery:
