@@ -139,10 +139,10 @@ class Multigraph:
         """Component masks of each vertex mask asked for so far, filled
         lazily by ``connected_components``: at most one search per mask and
         instance. Nothing is allocated up front, so a few queries on a
-        32-vertex graph store a few masks; but cut enumeration asks for
-        every sink-free mask and its complement, so after the cut-set or
-        parking ideal (or ``verify.verify_graph``) the dict holds almost
-        all 2^n masks. It lives as long as the graph object;
+        32-vertex graph store a few masks; cut enumeration neither reads
+        nor fills it, but ``connected_partitions`` asks for every mask it
+        grows a block from, so after ``verify.verify_graph`` the dict holds
+        almost all 2^n masks. It lives as long as the graph object;
         ``dataclasses.replace`` starts a new one."""
         return {}
 
@@ -208,20 +208,36 @@ class Cut:
 
 def enumerate_connected_cuts(G: Multigraph) -> list[Cut]:
     """All cuts {U, W} with the sink in W and both sides inducing connected
-    subgraphs, ordered by the U bitmask as an integer."""
-    out = []
+    subgraphs, ordered by the U bitmask as an integer.
+
+    Both sides of every sink-free mask are tested, so one pass over all
+    2^n vertex masks, in increasing order, first tells which are connected.
+    A single vertex is; a mask of two or more vertices is connected exactly
+    when some vertex of it is adjacent to the rest and the rest is
+    connected (a leaf of a spanning tree is such a vertex), and the rest is
+    a smaller mask, already decided. The table lives only inside the call;
+    the graph's component cache is neither read nor filled."""
     full = G.full_mask
-    candidates = full & ~(1 << G.sink)
-    subs = []
-    sub = candidates
-    while sub:
-        subs.append(sub)
-        sub = (sub - 1) & candidates
-    for u in sorted(subs):
-        w = full & ~u
-        if is_connected_induced(G, u) and is_connected_induced(G, w):
-            out.append(Cut(u, w))
-    return out
+    adjacency = G.adjacency_masks
+    connected = bytearray(full + 1)
+    for mask in range(1, full + 1):
+        if not mask & (mask - 1):
+            connected[mask] = 1
+            continue
+        left = mask
+        while left:
+            low = left & -left
+            rest = mask ^ low
+            if connected[rest] and adjacency[low.bit_length() - 1] & rest:
+                connected[mask] = 1
+                break
+            left ^= low
+    sink = 1 << G.sink
+    return [
+        Cut(u, full ^ u)
+        for u in range(1, full + 1)
+        if not u & sink and connected[u] and connected[full ^ u]
+    ]
 
 
 def boundary_degree(G: Multigraph, u_side: int, v: int) -> int:

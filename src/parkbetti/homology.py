@@ -57,7 +57,12 @@ fewer left by the first row step are settled before any column is read,
 by which of them share a column: no row is the complex {()}, as below a
 generator in both models; one row, or rows that one column holds, is a
 point. In a seed-1 ``corpus5`` benchmark pass 17,514 of the 20,586 cores
-(85%) are settled so, 5,637 of them with three rows. An atom that
+(85%) are settled so, 5,637 of them with three rows. These five settled
+shapes, {()}, a point, two points, three points and the hollow triangle,
+are the only cores of three rows or fewer, since no row of a core lies in
+another and no column in another. Their reduced homology is fixed and the
+same over every field, so every memo starts out holding it (below), and
+only a core of four or more rows is enumerated and reduced. An atom that
 reaches no bit of T has the mask T and makes a cone; for J and K, where
 T = y, the atoms form an antichain, so no row is dropped until a column
 is.
@@ -106,11 +111,12 @@ disagreement. The audit walks the elements of the lattice it is given and
 encodes each once.
 
 Most complexes repeat, inside one lattice, across the lattices of one
-graph and across the two models, so every distinct core is reduced once
-per ``_ReductionMemo``: the one object the lattice methods run on. It
-checks the characteristics when it is built (at least one, each 0 or a
-prime below 2^31) and holds them with a plain dict of the dims computed
-over them, only the nonzero degrees. Its key is the core itself: (row
+graph and across the two models, so every distinct core of four or more
+rows is reduced once per ``_ReductionMemo``: the one object the lattice
+methods run on. It checks the characteristics when it is built (at least
+one, each 0 or a prime below 2^31) and holds them with a plain dict of the
+dims computed over them, only the nonzero degrees, which starts out
+holding the five settled cores. Its key is the core itself: (row
 count, sorted column masks), the columns as masks over the rows numbered
 0, 1, ..., which fix the complex on either side. So a hit returns the
 dims of exactly that complex, whichever model or ideal first reached it.
@@ -327,12 +333,16 @@ def _koszul_masks(code: MonomialCode, top: int) -> list[int]:
 
 
 def _maximal(masks: list[int]) -> list[int]:
-    """The distinct masks inside no other one, in (descending popcount,
-    first appearance) order. A mask inside a larger one is inside a
-    maximal one, which comes first and is kept, so each mask is compared
-    with the kept ones only, until one holds it."""
+    """The distinct nonzero masks inside no other one, in (descending
+    popcount, first appearance) order. A mask inside a larger one is inside
+    a maximal one, which comes first and is kept, so each mask is compared
+    with the kept ones only, until one holds it. A 0 sorts last, once, and
+    is popped there."""
+    ordered = sorted(dict.fromkeys(masks), key=int.bit_count, reverse=True)
+    if ordered and not ordered[-1]:
+        ordered.pop()
     kept: list[int] = []
-    for mask in sorted(dict.fromkeys(masks), key=int.bit_count, reverse=True):
+    for mask in ordered:
         for k in kept:
             if not mask & ~k:
                 break
@@ -360,6 +370,17 @@ def _transpose(masks) -> list[int]:
 # a point (the row in both pairs holds the others); three, a hollow triangle
 _THREE_ROWS = ((3, (1, 2, 4)), (2, (1, 2)), (1, (1,)), (3, (3, 5, 6)))
 
+# the settled cores, the only ones of three rows or fewer, and their reduced
+# homology, the same over every field: {()}, a point, two points, three
+# points and the hollow triangle
+_SETTLED = {
+    (0, (0,)): {-1: 1},
+    (1, (1,)): {},
+    (2, (1, 2)): {0: 1},
+    (3, (1, 2, 4)): {0: 2},
+    (3, (3, 5, 6)): {1: 1},
+}
+
 
 def _strong_core(masks: list[int]) -> tuple[int, tuple[int, ...]]:
     """The strong-collapse core of the complex whose vertices have the
@@ -371,7 +392,7 @@ def _strong_core(masks: list[int]) -> tuple[int, tuple[int, ...]]:
     of them share a column: no row is the complex {()}, whose one facet is
     empty; one row, or rows that one column holds, is a point; two that
     share none are two points; three go by ``_THREE_ROWS``."""
-    side = _maximal([m for m in masks if m])
+    side = _maximal(masks)
     if len(side) <= 2:
         if not side:
             return 0, (0,)
@@ -399,7 +420,10 @@ def _strong_core(masks: list[int]) -> tuple[int, tuple[int, ...]]:
 class _ReductionMemo:
     """The one object the lcm-lattice computations run on (see the module
     docstring): the characteristics, checked once, and the memo of dims
-    computed over them, whose keys leave the characteristics out."""
+    computed over them, whose keys leave the characteristics out. The memo
+    starts out holding the five settled cores (``_SETTLED``), whose
+    homology no field changes; every other core has four or more rows and
+    is reduced on its first lookup."""
 
     def __init__(self, chars):
         self.chars = tuple(chars)
@@ -407,7 +431,7 @@ class _ReductionMemo:
             raise ValueError("need at least one characteristic")
         for c in self.chars:
             _check_char(c)
-        self.memo: dict = {}
+        self.memo: dict = {key: dict(dims) for key, dims in _SETTLED.items()}
 
     def _reduced(self, masks: list[int], context: Callable[[], str]) -> dict[int, int]:
         """Reduced homology dims, nonzero degrees only, of the complex
@@ -415,10 +439,12 @@ class _ReductionMemo:
         characteristic, required to agree. The masks are cut to their
         strong-collapse core (``_strong_core``) before the memo lookup,
         and the key is the core, (row count, column masks), whichever
-        model built the masks. Only on a miss is the side of the core with
-        fewer vertices enumerated, as relative faces, and reduced.
-        ``context`` builds the label of a disagreement; it is called only
-        when one is raised, and a disagreement is never stored."""
+        model built the masks. The memo starts out holding the five
+        settled cores, so a miss is a core of four or more rows: only then
+        is the side of the core with fewer vertices enumerated, as relative
+        faces, and reduced. ``context`` builds the label of a disagreement;
+        it is called only when one is raised, and a disagreement is never
+        stored."""
         key = _strong_core(masks)
         dims = self.memo.get(key)
         if dims is None:

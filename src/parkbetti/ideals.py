@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import Multigraph, bits, boundary_degree, cut_set, enumerate_connected_cuts
+from .graphs import Multigraph, cut_set, enumerate_connected_cuts
 from .posets import FiniteLattice
 
 
@@ -210,13 +210,20 @@ def permute_code(code: int, moves: tuple[tuple[int, int], ...]) -> int:
 def parking_ideal(G: Multigraph) -> MonomialIdeal:
     """One generator per connected cut: each vertex of the non-sink side
     contributes its boundary degree as the exponent of its x-variable.
-    These generators are already minimal."""
+    These generators are already minimal. The boundary degrees of a cut
+    are read in one pass over the edges: an edge leaving U adds 1 to the
+    exponent of its endpoint in U."""
     variables = tuple(f"x{v + 1}" for v in G.nonsink_vertices)
-    gens = tuple(
-        Monomial.of({f"x{v + 1}": boundary_degree(G, c.u_side, v) for v in bits(c.u_side)})
-        for c in enumerate_connected_cuts(G)
-    )
-    return MonomialIdeal(variables, gens)
+    gens = []
+    for c in enumerate_connected_cuts(G):
+        exps: dict[str, int] = {}
+        for e in G.edges:
+            tail_in = (c.u_side >> e.tail) & 1
+            if tail_in != (c.u_side >> e.head) & 1:
+                name = f"x{(e.tail if tail_in else e.head) + 1}"
+                exps[name] = exps.get(name, 0) + 1
+        gens.append(Monomial.of(exps))
+    return MonomialIdeal(variables, tuple(gens))
 
 
 def cutset_ideal(G: Multigraph) -> MonomialIdeal:

@@ -16,13 +16,15 @@ it between its checks:
   first use; mobius-vs-mpf and the Wilmes sum of betti-methods-agree read
   the same counts;
 - the graph's component cache (``graphs.connected_components``), which
-  its sink copies share, so cut enumeration at every sink, the connected
-  partitions and contraction validation search each vertex set once.
+  its sink copies share, so the connected partitions and contraction
+  validation search each vertex set once. Cut enumeration does not use
+  it: each call decides every vertex mask in one subset pass of its own
+  (``graphs.enumerate_connected_cuts``).
 The memo and the counts are dropped on return. The component cache fills
-lazily, but cut enumeration asks for nearly every vertex mask, so after
-one call it holds almost all 2^n masks; it belongs to the graph object and
-lives as long as it does, and a ``dataclasses.replace`` copy starts with
-an empty one.
+lazily, but the connected partitions ask for nearly every vertex mask, so
+after one call it holds almost all 2^n masks; it belongs to the graph
+object and lives as long as it does, and a ``dataclasses.replace`` copy
+starts with an empty one.
 What depends on the sink stays independent at each sink: its parking and
 oriented cut-set ideals and their Betti vectors, its parking-function
 enumeration and spanning-tree count, and its own mpf count, which
@@ -34,7 +36,6 @@ from __future__ import annotations
 import itertools
 import time
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .chips import enumerate_parking_functions, mpf_count
@@ -281,6 +282,9 @@ def verify_corpus(graphs, chars=DEFAULT_CHARS, jobs: int = 1) -> list[Verificati
     workers = min(jobs, len(graphs))
     if workers <= 1:
         return [verify_graph(G, chars) for G in graphs]
+    # imported only here, so that a run without a pool never pays for it
+    from concurrent.futures import ProcessPoolExecutor
+
     order = sorted(range(len(graphs)), key=lambda i: -len(graphs[i].edges))
     reports: list = [None] * len(graphs)
     ordered = [graphs[i] for i in order]

@@ -15,6 +15,9 @@ faster one to the same keys, on which corpus order depends. The
 automorphism oracle is likewise the first sink-fixing search, trying every
 permutation, kept to pin the backtracking search to the same list in the
 same order, on which the orbits of the lcm-lattice methods depend. The
+cut oracle is likewise the first cut enumerator, testing each sink-free
+mask on its own, kept to pin the one subset pass to the same cuts in the
+same order, on which generator order depends. The
 refinement and common-refinement oracles read partitions as plain block
 masks; the latter is the dual connected-partition lattice's join written
 as the paper's procedure, kept to pin ``FiniteLattice.join`` to it.
@@ -25,7 +28,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from parkbetti import ConnectedPartition, Monomial, Multigraph
+from parkbetti import ConnectedPartition, Cut, Monomial, Multigraph
 
 
 def pairs_of(G: Multigraph) -> list[tuple[int, int]]:
@@ -110,18 +113,22 @@ def connected_partitions_oracle(G: Multigraph) -> list[list[frozenset]]:
     return out
 
 
-def connected_cuts_oracle(G: Multigraph) -> set[frozenset]:
-    """Non-sink sides of all connected cuts."""
-    pairs = pairs_of(G)
-    verts = [v for v in range(G.n) if v != G.sink]
-    found = set()
-    for r in range(1, len(verts) + 1):
-        for u in combinations(verts, r):
-            u_set = frozenset(u)
-            w_set = frozenset(range(G.n)) - u_set
-            if subset_connected(G.n, pairs, u_set) and subset_connected(G.n, pairs, w_set):
-                found.add(u_set)
-    return found
+def connected_cuts_oracle(G: Multigraph) -> list[Cut]:
+    """All connected cuts, ordered by the U bitmask as an integer: every
+    sink-free mask U is tested on its own, U and its complement each by a
+    search over the edge list (``components_oracle``)."""
+    full = (1 << G.n) - 1
+    candidates = full & ~(1 << G.sink)
+    subs = []
+    sub = candidates
+    while sub:
+        subs.append(sub)
+        sub = (sub - 1) & candidates
+    return [
+        Cut(u, full & ~u)
+        for u in sorted(subs)
+        if len(components_oracle(G, u)) == 1 and len(components_oracle(G, full & ~u)) == 1
+    ]
 
 
 def tree_count_oracle(G: Multigraph) -> int:

@@ -223,7 +223,7 @@ class TestComponentCache:
         assert set(G._components) == set(asked)
 
     def test_replace_starts_an_empty_cache(self, kite):
-        enumerate_connected_cuts(kite)
+        connected_components(kite, kite.full_mask)
         assert kite._components
         copy = dataclasses.replace(kite)
         assert copy == kite
@@ -264,8 +264,15 @@ class TestCuts:
         for G in small_corpus():
             for s in range(G.n):
                 Gs = G.with_sink(s)
-                got = {frozenset(bits(c.u_side)) for c in enumerate_connected_cuts(Gs)}
-                assert got == connected_cuts_oracle(Gs), graph_to_text(Gs)
+                assert enumerate_connected_cuts(Gs) == connected_cuts_oracle(Gs), graph_to_text(Gs)
+
+    @given(multigraphs())
+    def test_cuts_match_oracle_on_multigraphs_at_every_sink(self, G):
+        # same list, same order; and the subset pass leaves the cache alone
+        for s in range(G.n):
+            Gs = dataclasses.replace(G, sink=s)
+            assert enumerate_connected_cuts(Gs) == connected_cuts_oracle(Gs), graph_to_text(Gs)
+            assert Gs._components == {}
 
     def test_boundary_degree(self, kite):
         assert boundary_degree(kite, mask_of([0]), 0) == 3

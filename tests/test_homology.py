@@ -39,6 +39,7 @@ from parkbetti import homology as homology_module
 from parkbetti import simplicial
 from parkbetti.homology import (
     DEFAULT_CHARS,
+    _SETTLED,
     _ReductionMemo,
     _crosscut_masks,
     _koszul_masks,
@@ -64,6 +65,9 @@ from _oracles import (
     strong_core_oracle,
 )
 from conftest import KITE_TEXT, multigraphs
+
+C5_TEXT = "v:5; a 1 2; b 2 3; c 3 4; d 4 5; e 1 5"
+C6_TEXT = "v:6; a 1 2; b 2 3; c 3 4; d 4 5; e 5 6; f 1 6"
 
 RP2_FACETS = (
     (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
@@ -584,6 +588,23 @@ class TestStrongCore:
                 assert core_shape(list(masks)) == strong_core_oracle(list(masks)), masks
         assert core_shape(PAIRS_OF_FOUR) == strong_core_oracle(PAIRS_OF_FOUR)
 
+    def test_settled_cores_carry_their_homology(self):
+        # the cores of three rows or fewer are the five settled ones, and a
+        # fresh memo holds each with the homology its rows reduce to over
+        # every field
+        small = {
+            _strong_core(list(masks))
+            for count in range(4)
+            for masks in product(range(16), repeat=count)
+        }
+        assert small == set(_SETTLED)
+        for (rows, cols), dims in _SETTLED.items():
+            masks = _transpose(cols)
+            assert len(masks) == rows
+            by_char = homology_from_faces_multi(relative_faces(masks), (0, 2, 3, 32003))
+            assert all(nonzero(got) == dims for got in by_char.values()), (rows, cols)
+        assert _ReductionMemo(DEFAULT_CHARS).memo == _SETTLED
+
     def test_hollow_triangle_stays_whole(self):
         # three edges: no vertex dominated, no facet inside another
         masks = [0b101, 0b011, 0b110]
@@ -793,14 +814,14 @@ def uncached_betti(ideal, dims_at):
     return tuple(betti[i] for i in range(1, top + 1))
 
 
-def core_keys(ideal):
-    """The distinct memo keys of the crosscut cores of the proper elements
-    of lcm(ideal), as ``_interval_dims`` looks them up."""
+def reduced_core_keys(ideal):
+    """The distinct memo keys that ``_interval_dims`` reduces over
+    lcm(ideal): the crosscut cores of four or more rows at its proper
+    elements. The settled cores, of three rows or fewer, are in every memo
+    from the start."""
     code = ideal.code
-    return {
-        _strong_core(_crosscut_masks(code, top))
-        for top in lcm_closure(code)[1:]
-    }
+    keys = {_strong_core(_crosscut_masks(code, top)) for top in lcm_closure(code)[1:]}
+    return {key for key in keys if key[0] >= 4}
 
 
 def variable_images(mapping, variables):
@@ -882,22 +903,25 @@ class TestReductionMemo:
         monkeypatch.setattr(homology_module, "homology_from_faces_multi", counted)
         return calls
 
-    def test_each_face_family_reduced_once_per_call(self, kite, reductions):
-        ideal = parking_ideal(kite)
+    def test_each_face_family_reduced_once_per_call(self, reductions):
+        # C5, as the kite's 3 variables leave no core of four rows
+        c5 = parse_graph(C5_TEXT)
+        ideal = parking_ideal(c5)
         code = ideal.code
         proper = lcm_closure(code)[1:]
-        moves = [code.permutation(mapping) for mapping in variable_symmetries(kite, "x")]
+        moves = [code.permutation(mapping) for mapping in variable_symmetries(c5, "x")]
         orbits = _orbit_representatives(proper, moves)
-        assert betti_gpw(ideal) == (6, 9, 4)
+        assert betti_gpw(ideal) == (10, 20, 15, 4)
         first = len(reductions)
-        assert first == len(core_keys(ideal))
-        assert first < len(orbits) < len(proper)
+        assert first == len(reduced_core_keys(ideal))
+        assert 0 < first < len(orbits) < len(proper)
         # nothing survives the call: the second one reduces as much again
-        assert betti_gpw(ideal) == (6, 9, 4)
+        assert betti_gpw(ideal) == (10, 20, 15, 4)
         assert len(reductions) == 2 * first
 
-    def test_koszul_and_audit_memos_are_per_call(self, kite, reductions):
-        parking, cutset = parking_ideal(kite), cutset_ideal(kite)
+    def test_koszul_and_audit_memos_are_per_call(self, reductions):
+        c5 = parse_graph(C5_TEXT)
+        parking, cutset = parking_ideal(c5), cutset_ideal(c5)
         dual = lcm_lattice(cutset)  # graded, as the audit needs
         for compute, lat in (
             (lambda: betti_koszul(parking), lcm_lattice(parking)),
@@ -910,6 +934,22 @@ class TestReductionMemo:
             assert 0 < first < len(lat) - 1
             assert compute() == want
             assert len(reductions) == 2 * first
+
+    def test_gpw_of_c6_reduces_only_cores_of_four_or_more_rows(self, reductions, monkeypatch):
+        keys = []
+        core = homology_module._strong_core
+
+        def recording(masks):
+            keys.append(core(masks))
+            return keys[-1]
+
+        monkeypatch.setattr(homology_module, "_strong_core", recording)
+        c6 = parse_graph(C6_TEXT)
+        symmetries = variable_symmetries(c6, "x")
+        assert betti_gpw(parking_ideal(c6), symmetries=symmetries) == (15, 40, 45, 24, 5)
+        looked_up = set(keys)
+        assert looked_up & set(_SETTLED)
+        assert len(reductions) == len({key for key in looked_up if key[0] >= 4}) > 0
 
     def test_bad_characteristic_rejected_before_the_lattice_walk(self, kite, monkeypatch):
         def walked(code):
@@ -927,15 +967,16 @@ class TestReductionMemo:
                 betti_gpw(ideal)
             assert str(gpw.value) == rp2_disagreement()
 
-    def test_a_core_shared_across_variable_counts_is_reduced_once(self, kite, reductions):
-        # I has 3 variables and K 10, and their lattices share cores, the
-        # core {()} of a generator among them: on one memo, in either order,
-        # each shared core is reduced once and each sum equals its
+    def test_a_core_shared_across_variable_counts_is_reduced_once(self, reductions):
+        # on C5, I has 4 variables and K 10, and their lattices share a core
+        # of four rows, the hollow tetrahedron: on one memo, in either
+        # order, each shared core is reduced once and each sum equals its
         # fresh-memo sum
-        parking, oriented = parking_ideal(kite), oriented_cutset_ideal(kite)
+        c5 = parse_graph(C5_TEXT)
+        parking, oriented = parking_ideal(c5), oriented_cutset_ideal(c5)
         fresh = {ideal: betti_gpw(ideal) for ideal in (parking, oriented)}
-        keys = {ideal: core_keys(ideal) for ideal in (parking, oriented)}
-        assert (0, (0,)) in keys[parking] & keys[oriented]
+        keys = {ideal: reduced_core_keys(ideal) for ideal in (parking, oriented)}
+        assert (4, (7, 11, 13, 14)) in keys[parking] & keys[oriented]
         for order in ((parking, oriented), (oriented, parking)):
             shared = _ReductionMemo(DEFAULT_CHARS)
             reductions.clear()
@@ -977,7 +1018,7 @@ class TestSharedReductionMemo:
 
         def recording(self, chars):
             init(self, chars)
-            self.memo = Recording()
+            self.memo = Recording(self.memo)
 
         def counted(faces, chars):
             keys.append(None)
@@ -1015,17 +1056,20 @@ class TestSharedReductionMemo:
         # separate public calls share nothing, so they reduce more
         assert len(reduced) > len(first)
 
-    def test_models_share_one_key_space(self, kite, reduced):
+    def test_models_share_one_key_space(self, reduced):
         # the Koszul masks of I are its crosscut masks transposed, so on one
-        # memo, in either order, the second model reduces no core of its own
-        ideal = parking_ideal(kite)
+        # memo, in either order, the second model reduces no core of its
+        # own; on a 4-cycle with a pendant vertex, as the kite's 3 variables
+        # leave no core of four rows, and C5 has a complex whose two sides
+        # get two keys
+        ideal = parking_ideal(parse_graph("v:5; a 1 2; b 1 3; c 1 4; d 2 5; e 3 5"))
         for before, after in (("betti_gpw", "betti_koszul"), ("betti_koszul", "betti_gpw")):
             shared = _ReductionMemo(DEFAULT_CHARS)
             reduced.clear()
-            assert getattr(shared, before)(ideal) == (6, 9, 4)
+            assert getattr(shared, before)(ideal) == (7, 14, 11, 3)
             assert reduced
             reduced.clear()
-            assert getattr(shared, after)(ideal) == (6, 9, 4)
+            assert getattr(shared, after)(ideal) == (7, 14, 11, 3)
             assert reduced == []
 
     def test_disagreement_is_never_stored(self):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 
 import pytest
@@ -204,7 +205,8 @@ class TestVerifyGraph:
                 submitted.append([graph_to_text(G) for G in graphs])
                 return map(fn, graphs, *rest)
 
-        monkeypatch.setattr(verify_module, "ProcessPoolExecutor", RecordingPool)
+        # verify_corpus imports the pool class from its module when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         graphs = [p3, k3, banana(2)]  # 2, 3 and 2 edges
         reports = verify_corpus(graphs, jobs=3)
         assert pools == [3]
