@@ -146,13 +146,25 @@ class Multigraph:
         ``dataclasses.replace`` starts a new one."""
         return {}
 
+    @cached_property
+    def _connectivity(self) -> list[bytearray]:
+        """Empty until ``enumerate_connected_cuts`` first runs on this
+        graph or a ``with_sink`` copy of it; then it holds the one table
+        of ``_connectivity_table``, which every later call reads. Like the
+        component cache, it lives as long as the graph object, and
+        ``dataclasses.replace`` starts a new one."""
+        return []
+
     def with_sink(self, sink: int) -> "Multigraph":
         """Same graph, same orientation, different sink (0-based index).
-        Components do not depend on the sink, so the copy shares this
-        graph's component cache: a mask searched at one sink is not
-        searched again at another."""
+        Components and connected vertex masks do not depend on the sink, so
+        the copy shares this graph's component cache and its connectivity
+        table: a mask searched at one sink is not searched again at
+        another, and the table is built once for the graph and its sink
+        copies."""
         G = replace(self, sink=sink)
         object.__setattr__(G, "_components", self._components)
+        object.__setattr__(G, "_connectivity", self._connectivity)
         return G
 
 
@@ -206,17 +218,13 @@ class Cut:
     w_side: int
 
 
-def enumerate_connected_cuts(G: Multigraph) -> list[Cut]:
-    """All cuts {U, W} with the sink in W and both sides inducing connected
-    subgraphs, ordered by the U bitmask as an integer.
-
-    Both sides of every sink-free mask are tested, so one pass over all
-    2^n vertex masks, in increasing order, first tells which are connected.
-    A single vertex is; a mask of two or more vertices is connected exactly
-    when some vertex of it is adjacent to the rest and the rest is
-    connected (a leaf of a spanning tree is such a vertex), and the rest is
-    a smaller mask, already decided. The table lives only inside the call;
-    the graph's component cache is neither read nor filled."""
+def _connectivity_table(G: Multigraph) -> bytearray:
+    """Which vertex masks of ``G`` induce connected subgraphs: entry m is 1
+    exactly when mask m does, found in one pass over all 2^n masks in
+    increasing order. A single vertex is connected; a mask of two or more
+    vertices is connected exactly when some vertex of it is adjacent to the
+    rest and the rest is connected (a leaf of a spanning tree is such a
+    vertex), and the rest is a smaller mask, already decided."""
     full = G.full_mask
     adjacency = G.adjacency_masks
     connected = bytearray(full + 1)
@@ -232,6 +240,23 @@ def enumerate_connected_cuts(G: Multigraph) -> list[Cut]:
                 connected[mask] = 1
                 break
             left ^= low
+    return connected
+
+
+def enumerate_connected_cuts(G: Multigraph) -> list[Cut]:
+    """All cuts {U, W} with the sink in W and both sides inducing connected
+    subgraphs, ordered by the U bitmask as an integer.
+
+    Both sides of every sink-free mask are read from the graph's
+    connectivity table (``_connectivity_table``), built on the first call
+    for the graph or any of its ``with_sink`` copies and kept on the graph
+    (``Multigraph._connectivity``); the component cache is neither read
+    nor filled."""
+    slot = G._connectivity
+    if not slot:
+        slot.append(_connectivity_table(G))
+    connected = slot[0]
+    full = G.full_mask
     sink = 1 << G.sink
     return [
         Cut(u, full ^ u)

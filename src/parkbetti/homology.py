@@ -52,20 +52,28 @@ unique up to isomorphism. It has two sides: its rows, and the transposed
 complex, whose vertices are the columns, a set of them a face when some
 row lies in all of them. That is the nerve of the facets, of the same
 homotopy type (Bjorner, "Topological methods", 1995), so a miss enumerates
-whichever side has fewer vertices, the rows on a tie. Three rows or
-fewer left by the first row step are settled before any column is read,
-by which of them share a column: no row is the complex {()}, as below a
-generator in both models; one row, or rows that one column holds, is a
-point. In a seed-1 ``corpus5`` benchmark pass 17,514 of the 20,586 cores
-(85%) are settled so, 5,637 of them with three rows. These five settled
-shapes, {()}, a point, two points, three points and the hollow triangle,
-are the only cores of three rows or fewer, since no row of a core lies in
-another and no column in another. Their reduced homology is fixed and the
-same over every field, so every memo starts out holding it (below), and
-only a core of four or more rows is enumerated and reduced. An atom that
-reaches no bit of T has the mask T and makes a cone; for J and K, where
-T = y, the atoms form an antichain, so no row is dropped until a column
-is.
+whichever side has fewer vertices, the rows on a tie. As soon as either
+side has three or fewer entries, after the first row step or any step
+after it, the core is settled by which of them share a column: no row is
+the complex {()}, as below a generator in both models; one row, or rows
+that one column holds, is a point. These five settled shapes, {()}, a
+point, two points, three points and the hollow triangle, are the only
+cores of three rows or fewer, since no row of a core lies in another and
+no column in another; each is its own transpose, so the cores of three
+columns or fewer are the same five, and settling on the column side gives
+the key the rows would. In a seed-1 ``corpus5`` benchmark pass 19,143 of
+the 20,586 cores (93%) are settled so: 17,514 after the first row step,
+5,637 of them with three rows, and 1,629 on a later step. Their reduced
+homology is fixed and the same over every field, so every memo starts out
+holding it (below), and only a core of four or more rows is enumerated and
+reduced. An atom that reaches no bit of T has the mask T and makes a cone.
+Where every nonzero field of y is one bit wide, T = y: at every element of
+lcm(J) and lcm(K), and at the squarefree elements of lcm(I). There the
+atoms are distinct and none divides another, so their masks, the bits of y
+outside each, are distinct and none lies inside another: the first row
+step only drops the zero mask of the atom y, if y is an atom, and sorts the
+rest by popcount, with no pairwise test, and no row is dropped until a
+column is. In that pass 8,428 of the 20,586 cores start so.
 
 The core bounds every degree. For the crosscut model its columns are bits
 of T, one for each variable of supp y; for the Koszul model (below) its
@@ -79,22 +87,28 @@ subsets F of supp m with m / x^F in I (Miller-Sturmfels, Thm 1.34), its
 vertices the variables of supp m in variable order. m / x^F lies in I
 exactly when some generator g divides m with g_v < m_v for every v in F,
 so the facets are {v in supp m : g_v < m_v}, one for each generator g
-dividing m: the mask of v has a bit for each g with g_v < m_v, which on
-codes is m & ~g having a bit in v's field. At a generator m = g every mask
-is 0 and the complex is {()}.
+dividing m: the mask of v has bit i when the i-th generator g divides m
+and has g_v < m_v, the bits numbering every generator, those that do not
+divide m left clear. Both tests read one table of ``MonomialCode``, kept
+per code: for each bit, the generators that hold it (``holders``). A
+generator divides m when it holds none of the bits just above m's fields
+(``MonomialCode.divisors``), and has g_v < m_v when it lacks the top bit
+of m's field of v, so each mask is the divisors minus the holders of one
+bit. At a generator m = g every mask is 0 and the complex is {()}.
 
 Neither complex is ever assembled. Let a be the first vertex of the side
-of the core enumerated, the first with a nonzero mask. Every face that holds a lies in the star of a, the
-faces F with F + a a face, which is a cone on a. So the faces outside the
-star are the faces of the deletion del(a) (faces without a) outside the
-link lk(a) (faces F without a with F + a a face), and the augmented chains
-of the complex relative to star(a) and of del(a) relative to lk(a) are one
-and the same chain complex. A cone is acyclic over every coefficient ring,
-so the reduced homology is H_i(del a, lk a) for every i, over the integers
-and every field. The basis of this relative complex is every subset F of
-the other vertices whose masks share a bit and share none of a's. The
-empty face is among them exactly when no vertex is left: then the complex
-is {()}, the star and the link are void, and H~_{-1} = 1.
+of the core enumerated, the first with a nonzero mask. Every face that
+holds a lies in the star of a, the faces F with F + a a face, which is a
+cone on a. So the faces outside the star are the faces of the deletion
+del(a) (faces without a) outside the link lk(a) (faces F without a with
+F + a a face), and the augmented chains of the complex relative to star(a)
+and of del(a) relative to lk(a) are one and the same chain complex. A cone
+is acyclic over every coefficient ring, so the reduced homology is
+H_i(del a, lk a) for every i, over the integers and every field. The basis
+of this relative complex is every subset F of the other vertices whose
+masks share a bit and share none of a's. The empty face is among them
+exactly when no vertex is left: then the complex is {()}, the star and the
+link are void, and H~_{-1} = 1.
 
 The whole lattice loop of ``betti_gpw`` and ``betti_koszul`` runs on
 integer-coded monomials (``MonomialCode``): each variable owns a unary bit
@@ -109,6 +123,14 @@ whole group. The atoms below an element and every vertex mask come from
 mask tests on codes. Variable names come back only to label a characteristic
 disagreement. The audit walks the elements of the lattice it is given and
 encodes each once.
+
+A walk of a lattice, the closure and the orbit search over it, depends
+only on the generator codes and the field moves of the symmetries, so
+``_ReductionMemo`` keeps the orbit representatives and sizes of the last
+walk under that key: at each sink ``verify.verify_graph`` runs koszul-I
+right after gpw-I, and the two read one walk of lcm(I). Only the last walk
+is kept, since an n = 7 graph with no symmetry has a representative for
+every element.
 
 Most complexes repeat, inside one lattice, across the lattices of one
 graph and across the two models, so every distinct core of four or more
@@ -126,20 +148,20 @@ when b_v < m_v, that is when b's crosscut mask holds v's top bit, so the
 nonzero Koszul masks are the crosscut masks transposed, and over every
 sink of the 401-graph acceptance corpus the two keys agree at 78,033 of
 78,184 elements. So ``betti_koszul`` checks the mask builders, not the
-reduction: a fault in either builder (the gaps m & ~g, the reaches of the
-atoms) shows as two vectors that differ, while a fault in the core, the
+reduction: a fault in either builder (the holder bitsets, the reaches of
+the atoms) shows as two vectors that differ, while a fault in the core, the
 enumeration or the ranks gives both models the same wrong dims wherever
 their keys agree, and is caught by ``betti_wilmes``, ``betti_mobius`` and
 the concentration audit.
 
 Each call of ``betti_gpw``, ``betti_koszul`` and
 ``interval_homology_audit`` builds its own ``_ReductionMemo`` and drops it
-on return; ``verify.verify_graph`` builds one for its whole graph, shared
-by every Betti check at every sink and by the audit, and drops it on
-return. Nothing is shared between calls, so every call does the same work
-whatever ran before it. A characteristic disagreement propagates and is
-never stored, so it is raised at the same element, with the same message,
-as if there were no memo.
+on return; ``verify.verify_graph`` builds one for its whole graph, shared,
+with its last walk, by every Betti check at every sink and by the audit,
+and drops it on return. Nothing is shared between calls, so every call does
+the same work whatever ran before it. A characteristic disagreement
+propagates and is never stored, so it is raised at the same element, with
+the same message, as if there were no memo.
 """
 
 from __future__ import annotations
@@ -289,21 +311,6 @@ def _orbit_representatives(codes, permutations) -> list[tuple[int, int]]:
     return out
 
 
-def _lattice_betti(code: MonomialCode, symmetries, dims_at) -> tuple[int, ...]:
-    """Shared loop of the lcm-lattice methods: beta_i sums, over the proper
-    elements m of lcm(I), the reduced homology dims ``dims_at(m)`` reports
-    in degree i-2, computed once per symmetry orbit and weighted by the
-    orbit size. Elements are the ``lcm_closure`` codes of ``code``."""
-    codes = lcm_closure(code)
-    permutations = _validated_symmetries(code, symmetries)
-    betti: dict[int, int] = defaultdict(int)
-    # codes[0] is the bottom, 0
-    for top, weight in _orbit_representatives(codes[1:], permutations):
-        for degree, dim in dims_at(top).items():
-            betti[degree + 2] += weight * dim
-    return _as_vector(betti)
-
-
 def _label(code: MonomialCode, top: int) -> str:
     """The element with code ``top``, by variable name: used only to label
     a characteristic disagreement."""
@@ -321,15 +328,22 @@ def _crosscut_masks(code: MonomialCode, top: int) -> list[int]:
 def _koszul_masks(code: MonomialCode, top: int) -> list[int]:
     """The facet masks of the upper Koszul complex K^m(I), I the ideal of
     ``code`` and m the element with code ``top``: one for each variable v
-    of supp m, in variable order, with bit i set when the i-th generator g
-    dividing m has g_v < m_v, that is when m & ~g has a bit in v's field
-    (see the module docstring)."""
-    gaps = [top & ~g for g in code.generators if not g & ~top]
-    return [
-        sum(1 << i for i, gap in enumerate(gaps) if gap & mask)
-        for mask in code.masks
-        if top & mask
-    ]
+    of supp m, in variable order, with bit i set when the generator
+    ``code.generators[i]`` divides m and has g_v < m_v (see the module
+    docstring). Both tests read the holder bitsets of ``code``: the
+    generators dividing m are ``code.divisors(top)``, and g_v < m_v
+    exactly when g lacks the top bit of m's field of v, so each mask is
+    the divisors minus the holders of that bit. The top bits are taken
+    from the highest down, which is variable order."""
+    divisors = code.divisors(top)
+    holders = code.holders
+    tops = code.tops(top)
+    masks = []
+    while tops:
+        bit = tops.bit_length() - 1
+        masks.append(divisors & ~holders[bit])
+        tops ^= 1 << bit
+    return masks
 
 
 def _maximal(masks: list[int]) -> list[int]:
@@ -382,48 +396,57 @@ _SETTLED = {
 }
 
 
-def _strong_core(masks: list[int]) -> tuple[int, tuple[int, ...]]:
+def _strong_core(masks: list[int], antichain: bool = False) -> tuple[int, tuple[int, ...]]:
     """The strong-collapse core of the complex whose vertices have the
     facet masks ``masks`` (see the module docstring): its row count and its
     column masks over the rows, numbered 0, 1, ..., sorted. Zero masks are
     dropped first. Rows inside another row and columns inside another
-    column are dropped in turn until neither step drops anything. Three
-    rows or fewer left by the first row step are settled at once, by which
-    of them share a column: no row is the complex {()}, whose one facet is
-    empty; one row, or rows that one column holds, is a point; two that
-    share none are two points; three go by ``_THREE_ROWS``."""
-    side = _maximal(masks)
+    column are dropped in turn until neither step drops anything. As soon
+    as either side has three or fewer entries the core is settled, by
+    which of them share a column: none is the complex {()}, whose one
+    facet is empty; one, or entries that one column holds, is a point;
+    two that share none are two points; three go by ``_THREE_ROWS``. The
+    five settled shapes are each their own transpose, so settling on the
+    column side gives the key the rows would. With ``antichain`` the
+    caller vouches that the nonzero masks are distinct and none lies
+    inside another, so the first row step only drops a zero and sorts by
+    popcount, as ``_maximal`` would, with no pairwise test."""
+    if antichain:
+        side = sorted(masks, key=int.bit_count, reverse=True)
+        if side and not side[-1]:
+            side.pop()
+    else:
+        side = _maximal(masks)
+    holds_rows = True
+    while len(side) > 3:
+        flipped = _transpose(side)
+        pruned = _maximal(flipped)
+        if len(pruned) == len(flipped):
+            if holds_rows:
+                return len(side), tuple(sorted(flipped))
+            return len(flipped), tuple(sorted(side))
+        side = pruned
+        holds_rows = not holds_rows
     if len(side) <= 2:
         if not side:
             return 0, (0,)
         if len(side) == 2 and not side[0] & side[1]:
             return 2, (1, 2)
         return 1, (1,)
-    if len(side) == 3:
-        a, b, c = side
-        if a & b & c:
-            return 1, (1,)
-        return _THREE_ROWS[(a & b != 0) + (a & c != 0) + (b & c != 0)]
-    flipped = _transpose(side)
-    holds_rows = True
-    while True:
-        pruned = _maximal(flipped)
-        if len(pruned) == len(flipped):
-            break
-        side, flipped = pruned, _transpose(pruned)
-        holds_rows = not holds_rows
-    if holds_rows:
-        return len(side), tuple(sorted(flipped))
-    return len(flipped), tuple(sorted(side))
+    a, b, c = side
+    if a & b & c:
+        return 1, (1,)
+    return _THREE_ROWS[(a & b != 0) + (a & c != 0) + (b & c != 0)]
 
 
 class _ReductionMemo:
     """The one object the lcm-lattice computations run on (see the module
-    docstring): the characteristics, checked once, and the memo of dims
-    computed over them, whose keys leave the characteristics out. The memo
-    starts out holding the five settled cores (``_SETTLED``), whose
-    homology no field changes; every other core has four or more rows and
-    is reduced on its first lookup."""
+    docstring): the characteristics, checked once; the memo of dims
+    computed over them, whose keys leave the characteristics out; and the
+    last lattice walk taken (``_walk``). The memo starts out holding the
+    five settled cores (``_SETTLED``), whose homology no field changes;
+    every other core has four or more rows and is reduced on its first
+    lookup."""
 
     def __init__(self, chars):
         self.chars = tuple(chars)
@@ -432,8 +455,42 @@ class _ReductionMemo:
         for c in self.chars:
             _check_char(c)
         self.memo: dict = {key: dict(dims) for key, dims in _SETTLED.items()}
+        self.walk_key: tuple | None = None
+        self.walk: list[tuple[int, int]] = []
 
-    def _reduced(self, masks: list[int], context: Callable[[], str]) -> dict[int, int]:
+    def _walk(self, code: MonomialCode, symmetries) -> list[tuple[int, int]]:
+        """The orbit representatives of the proper elements of lcm(I), I
+        the ideal of ``code``, under ``symmetries``, with their orbit sizes
+        (``_orbit_representatives`` over the ``lcm_closure`` codes). The
+        walk depends only on the generator codes and the field moves of the
+        symmetries, so the last one taken is kept under that key, and a
+        method run right after another on the same lattice reads it: gpw-I
+        and koszul-I at one sink of ``verify.verify_graph``. Only the last
+        is kept, and it is dropped before the next is taken, so a memo
+        holds at most one walk at a time."""
+        permutations = tuple(_validated_symmetries(code, symmetries))
+        key = (code.generators, permutations)
+        if key != self.walk_key:
+            self.walk_key, self.walk = None, []
+            # the first code is the bottom, 0
+            self.walk = _orbit_representatives(lcm_closure(code)[1:], permutations)
+            self.walk_key = key
+        return self.walk
+
+    def _lattice_betti(self, code: MonomialCode, symmetries, dims_at) -> tuple[int, ...]:
+        """Shared loop of the lcm-lattice methods: beta_i sums, over the
+        proper elements m of lcm(I), the reduced homology dims
+        ``dims_at(m)`` reports in degree i-2, computed once per symmetry
+        orbit (``_walk``) and weighted by the orbit size."""
+        betti: dict[int, int] = defaultdict(int)
+        for top, weight in self._walk(code, symmetries):
+            for degree, dim in dims_at(top).items():
+                betti[degree + 2] += weight * dim
+        return _as_vector(betti)
+
+    def _reduced(
+        self, masks: list[int], context: Callable[[], str], antichain: bool = False
+    ) -> dict[int, int]:
         """Reduced homology dims, nonzero degrees only, of the complex
         whose vertices have the facet masks ``masks``, over every
         characteristic, required to agree. The masks are cut to their
@@ -442,10 +499,10 @@ class _ReductionMemo:
         model built the masks. The memo starts out holding the five
         settled cores, so a miss is a core of four or more rows: only then
         is the side of the core with fewer vertices enumerated, as relative
-        faces, and reduced. ``context`` builds the label of a disagreement;
-        it is called only when one is raised, and a disagreement is never
-        stored."""
-        key = _strong_core(masks)
+        faces, and reduced. ``antichain`` is passed on to ``_strong_core``.
+        ``context`` builds the label of a disagreement; it is called only
+        when one is raised, and a disagreement is never stored."""
+        key = _strong_core(masks, antichain)
         dims = self.memo.get(key)
         if dims is None:
             rows, cols = key
@@ -461,8 +518,12 @@ class _ReductionMemo:
     def _interval_dims(self, code: MonomialCode, top: int) -> dict[int, int]:
         """Reduced homology of the open interval (1, y) of lcm(I), I the
         ideal of ``code``, at the code of y: the one interval path, shared
-        by ``betti_gpw`` and the audit."""
-        return self._reduced(_crosscut_masks(code, top), partial(_label, code, top))
+        by ``betti_gpw`` and the audit. Where every nonzero field of y is
+        one bit wide, the atoms are distinct and none divides another, so
+        their masks, the bits of y outside each, are an antichain."""
+        return self._reduced(
+            _crosscut_masks(code, top), partial(_label, code, top), code.tops(top) == top
+        )
 
     def _koszul_dims(self, code: MonomialCode, top: int) -> dict[int, int]:
         """Reduced homology of K^m(I), I the ideal of ``code``, at the code
@@ -471,11 +532,11 @@ class _ReductionMemo:
 
     def betti_gpw(self, ideal: MonomialIdeal, symmetries=()) -> tuple[int, ...]:
         code = ideal.code
-        return _lattice_betti(code, symmetries, partial(self._interval_dims, code))
+        return self._lattice_betti(code, symmetries, partial(self._interval_dims, code))
 
     def betti_koszul(self, ideal: MonomialIdeal, symmetries=()) -> tuple[int, ...]:
         code = ideal.code
-        return _lattice_betti(code, symmetries, partial(self._koszul_dims, code))
+        return self._lattice_betti(code, symmetries, partial(self._koszul_dims, code))
 
     def audit(self, ideal: MonomialIdeal, lattice: FiniteLattice) -> list[dict]:
         code = ideal.code

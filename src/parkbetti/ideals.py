@@ -8,7 +8,9 @@ variables ``y_<edgelabel>``, and oriented half-edge variables
 Inside the engine monomials are integers (``MonomialCode``). An ideal
 builds its code once, on first use of ``MonomialIdeal.code``, and every
 lattice computation on that ideal object reads it. Shift arithmetic on the
-bit fields stays in ``MonomialCode`` (``MonomialCode.tops``).
+bit fields stays in ``MonomialCode`` (``MonomialCode.tops``,
+``MonomialCode.divisors``), and so does the one table a code builds on
+first use, the generators holding each bit (``MonomialCode.holders``).
 """
 
 from __future__ import annotations
@@ -155,8 +157,13 @@ class MonomialCode:
         self.masks = tuple(field[-1] for field in self._fields.values())
         # every bit but the highest of each field
         self._inner = ~0
+        # the lowest bit of each nonempty field, and every bit of every field
+        self._lows = 0
+        self._full = 0
         for mask in self.masks:
             self._inner &= ~(mask & ~(mask >> 1))
+            self._lows |= mask & -mask
+            self._full |= mask
         self.generators = tuple(self.encode(g) for g in generators)
 
     def encode(self, m: Monomial) -> int:
@@ -174,6 +181,37 @@ class MonomialCode:
         bit one place down, and masking out the top bit of every field keeps
         a bit of one field from landing in the field below."""
         return code & ~((code >> 1) & self._inner)
+
+    @cached_property
+    def holders(self) -> tuple[int, ...]:
+        """For each bit of the codes, the generators that hold it, as a
+        bitset over generator indices (bit i for ``generators[i]``): built
+        on first use and kept."""
+        holders = [0] * self._full.bit_length()
+        for i, g in enumerate(self.generators):
+            while g:
+                low = g & -g
+                holders[low.bit_length() - 1] |= 1 << i
+                g ^= low
+        return tuple(holders)
+
+    def divisors(self, code: int) -> int:
+        """The generators dividing the monomial with code ``code``, a code
+        of a monomial dividing the lcm of the generators, as a bitset over
+        generator indices. A generator divides it exactly when it holds
+        none of the bits just above its fields: (code << 1) | lows moves
+        each field one bit up and sets the lowest bit of each empty one,
+        and the bits of ``code`` are cleared from it. A bit moved out of a
+        full field is the lowest bit of the field above, already set, and
+        the one moved out of the top field is masked off."""
+        holders = self.holders
+        above = ((code << 1) | self._lows) & ~code & self._full
+        held = 0
+        while above:
+            low = above & -above
+            held |= holders[low.bit_length() - 1]
+            above ^= low
+        return ((1 << len(self.generators)) - 1) & ~held
 
     def decode(self, code: int) -> Monomial:
         return Monomial(tuple(

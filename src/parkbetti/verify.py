@@ -17,14 +17,15 @@ it between its checks:
   the same counts;
 - the graph's component cache (``graphs.connected_components``), which
   its sink copies share, so the connected partitions and contraction
-  validation search each vertex set once. Cut enumeration does not use
-  it: each call decides every vertex mask in one subset pass of its own
-  (``graphs.enumerate_connected_cuts``).
+  validation search each vertex set once;
+- the graph's connectivity table, which its sink copies share too, so the
+  cut enumerations of every ideal at every sink
+  (``graphs.enumerate_connected_cuts``) read one subset pass.
 The memo and the counts are dropped on return. The component cache fills
 lazily, but the connected partitions ask for nearly every vertex mask, so
-after one call it holds almost all 2^n masks; it belongs to the graph
-object and lives as long as it does, and a ``dataclasses.replace`` copy
-starts with an empty one.
+after one call it holds almost all 2^n masks; it and the connectivity
+table belong to the graph object and live as long as it does, and a
+``dataclasses.replace`` copy starts with neither.
 What depends on the sink stays independent at each sink: its parking and
 oriented cut-set ideals and their Betti vectors, its parking-function
 enumeration and spanning-tree count, and its own mpf count, which
@@ -227,9 +228,10 @@ def verify_graph(G: Multigraph, chars=DEFAULT_CHARS) -> VerificationReport:
         for s, Gs in per_sink.items():
             sym_x = variable_symmetries(Gs, "x")
             sym_z = variable_symmetries(Gs, "z")
+            # koszul-I right after gpw-I, so that it reads the memo's last walk
             results[f"gpw-I/sink-v{s + 1}"] = reductions.betti_gpw(parking[s], sym_x)
-            results[f"gpw-K/sink-v{s + 1}"] = reductions.betti_gpw(oriented[s], sym_z)
             results[f"koszul-I/sink-v{s + 1}"] = reductions.betti_koszul(parking[s], sym_x)
+            results[f"gpw-K/sink-v{s + 1}"] = reductions.betti_gpw(oriented[s], sym_z)
         betti_doc.update({name: list(vec) for name, vec in results.items()})
         if len(set(results.values())) != 1:
             return "methods disagree: " + ", ".join(
@@ -276,7 +278,14 @@ def verify_corpus(graphs, chars=DEFAULT_CHARS, jobs: int = 1) -> list[Verificati
     always follows input order. No more workers than graphs are started,
     since the pool may start all of them at once. The pool gets the graphs
     by descending edge count, ties in input order, so the heaviest start
-    first instead of last in an edge-ordered corpus."""
+    first instead of last in an edge-ordered corpus.
+
+    A worker that dies (killed by the operating system, say) breaks the
+    pool, and the reports after it in pool order are lost with it. Each
+    graph left without a report is verified again, one at a time, in a
+    one-worker pool of its own, so a second death is that graph's own; such
+    a graph gets a failed report (``_lost_report``). Every other report is
+    kept."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     workers = min(jobs, len(graphs))
@@ -284,14 +293,43 @@ def verify_corpus(graphs, chars=DEFAULT_CHARS, jobs: int = 1) -> list[Verificati
         return [verify_graph(G, chars) for G in graphs]
     # imported only here, so that a run without a pool never pays for it
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     order = sorted(range(len(graphs)), key=lambda i: -len(graphs[i].edges))
     reports: list = [None] * len(graphs)
     ordered = [graphs[i] for i in order]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for i, report in zip(order, pool.map(verify_graph, ordered, itertools.repeat(chars))):
-            reports[i] = report
+        try:
+            for i, report in zip(order, pool.map(_verify_in_worker, ordered, itertools.repeat(chars))):
+                reports[i] = report
+        except BrokenProcessPool:
+            pass  # the graphs left without a report are verified again below
+    for i in order:
+        if reports[i] is None:
+            with ProcessPoolExecutor(max_workers=1) as alone:
+                try:
+                    reports[i] = alone.submit(_verify_in_worker, graphs[i], chars).result()
+                except BrokenProcessPool as exc:
+                    reports[i] = _lost_report(graphs[i], exc)
     return reports
+
+
+def _verify_in_worker(G: Multigraph, chars) -> VerificationReport:
+    """``verify_graph`` under a name a pool can always send to its
+    workers: the module attribute ``verify_graph`` is looked up when this
+    runs, in the worker."""
+    return verify_graph(G, chars)
+
+
+def _lost_report(G: Multigraph, exc: BaseException) -> VerificationReport:
+    """The report of a graph whose worker died twice: every check fails,
+    and each witness names the exit."""
+    witness = f"the worker verifying this graph died: {exc}"
+    return VerificationReport(
+        graph=graph_to_text(G),
+        checks=[CheckResult(name, False, witness) for name in CHECK_NAMES],
+        betti={},
+    )
 
 
 def canonical_form(G: Multigraph) -> tuple:

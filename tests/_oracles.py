@@ -17,7 +17,12 @@ permutation, kept to pin the backtracking search to the same list in the
 same order, on which the orbits of the lcm-lattice methods depend. The
 cut oracle is likewise the first cut enumerator, testing each sink-free
 mask on its own, kept to pin the one subset pass to the same cuts in the
-same order, on which generator order depends. The
+same order, on which generator order depends. The gap-based Koszul mask
+builder and the strong-core alternation that settles three rows or fewer
+only after its first row step are likewise the first versions of
+``homology._koszul_masks`` and ``homology._strong_core``, on plain ints,
+kept to pin the holder-bitset masks to the same facets and the early
+settling to the same memo keys. The
 refinement and common-refinement oracles read partitions as plain block
 masks; the latter is the dual connected-partition lattice's join written
 as the paper's procedure, kept to pin ``FiniteLattice.join`` to it.
@@ -359,6 +364,72 @@ def strong_core_oracle(masks: list[int]) -> tuple[list[int], list[int]]:
             facets.discard(inside[0])
             continue
         return sorted(len(star[v]) for v in vertices), sorted(len(f) for f in facets)
+
+
+def koszul_masks_oracle(generators: list[int], fields: list[int], top: int) -> list[int]:
+    """The facet masks of the upper Koszul complex at the monomial coded
+    ``top``, from generator codes and the full bit field of each variable
+    in variable order (a thermometer code: exponent e sets the low e bits
+    of its field): one mask for each variable v whose field meets top, bit
+    i set when the i-th generator g dividing top (``g & ~top == 0``) has
+    g_v < top_v, that is when the gap top & ~g has a bit in v's field."""
+    gaps = [top & ~g for g in generators if not g & ~top]
+    return [
+        sum(1 << i for i, gap in enumerate(gaps) if gap & field)
+        for field in fields
+        if top & field
+    ]
+
+
+def strong_core_alternation_oracle(masks: list[int]) -> tuple[int, tuple[int, ...]]:
+    """The memo key of the strong-collapse core of the complex on
+    ``masks``: the row count and the sorted column masks over the rows.
+    The rows are pruned to the distinct nonzero ones inside no other, in
+    (descending popcount, first appearance) order; three or fewer are
+    settled at once by which of them share a column. Otherwise the sides
+    are transposed (one mask per column, in order of first appearance)
+    and pruned in turn until a prune drops nothing, and only then read."""
+
+    def maximal(side):
+        ordered = sorted(dict.fromkeys(m for m in side if m), key=int.bit_count, reverse=True)
+        kept = []
+        for m in ordered:
+            if all(m & ~k for k in kept):
+                kept.append(m)
+        return kept
+
+    def transpose(side):
+        flipped = {}
+        for i, m in enumerate(side):
+            for t in range(m.bit_length()):
+                if m >> t & 1:
+                    flipped[t] = flipped.get(t, 0) | 1 << i
+        return list(flipped.values())
+
+    side = maximal(masks)
+    if len(side) <= 2:
+        if not side:
+            return 0, (0,)
+        if len(side) == 2 and not side[0] & side[1]:
+            return 2, (1, 2)
+        return 1, (1,)
+    if len(side) == 3:
+        a, b, c = side
+        if a & b & c:
+            return 1, (1,)
+        shared = (a & b != 0) + (a & c != 0) + (b & c != 0)
+        return ((3, (1, 2, 4)), (2, (1, 2)), (1, (1,)), (3, (3, 5, 6)))[shared]
+    flipped = transpose(side)
+    holds_rows = True
+    while True:
+        pruned = maximal(flipped)
+        if len(pruned) == len(flipped):
+            break
+        side, flipped = pruned, transpose(pruned)
+        holds_rows = not holds_rows
+    if holds_rows:
+        return len(side), tuple(sorted(flipped))
+    return len(flipped), tuple(sorted(side))
 
 
 def generated_group(generators, degree: int) -> set[tuple[int, ...]]:

@@ -60,8 +60,10 @@ from _oracles import (
     interval_chain_faces,
     koszul_facets_oracle,
     koszul_faces_oracle,
+    koszul_masks_oracle,
     rank_oracle,
     relative_to_star,
+    strong_core_alternation_oracle,
     strong_core_oracle,
 )
 from conftest import KITE_TEXT, multigraphs
@@ -622,6 +624,57 @@ class TestStrongCore:
         assert core_shape(masks) == strong_core_oracle(masks)
         assert nonzero(self.dims(masks)) == {1: 1}
 
+    @pytest.mark.parametrize("masks, key, dims", [
+        # a hollow triangle on rows 0, 1, 2 with a pendant row 3 = {0, 3}:
+        # column 3 = {row 3} lies inside column 0, so the columns prune to
+        # the triangle's three
+        ([0b0011, 0b0101, 0b0110, 0b1001], (3, (3, 5, 6)), {1: 1}),
+        # two pairs of rows, each pair sharing a column and each row alone
+        # in one more: the lone columns prune away, leaving two columns
+        # that share no row, two points
+        ([0b000101, 0b001001, 0b010010, 0b100010], (2, (1, 2)), {0: 1}),
+    ])
+    def test_four_rows_settle_on_the_column_side(self, monkeypatch, masks, key, dims):
+        # no row lies inside another, so the core is settled on the column
+        # side, after one transpose, with the key the full alternation
+        # gives after dropping rows
+        assert all(m & ~k for m in masks for k in masks if m != k)
+        transposed = []
+        transpose = homology_module._transpose
+
+        def counted(side):
+            transposed.append(list(side))
+            return transpose(side)
+
+        monkeypatch.setattr(homology_module, "_transpose", counted)
+        assert _strong_core(masks) == strong_core_alternation_oracle(masks) == key
+        assert len(transposed) == 1
+        assert core_shape(masks) == strong_core_oracle(masks)
+        assert nonzero(self.dims(masks)) == dims
+
+    @given(multigraphs())
+    def test_early_settling_keeps_the_alternation_key(self, G):
+        # at every proper element of lcm(I), lcm(J) and lcm(K), the key of
+        # each model's masks against the alternation that settles only
+        # after its first row step; the crosscut masks go in as
+        # ``_interval_dims`` passes them, an antichain wherever every field
+        # of the element is one bit wide
+        for build in (parking_ideal, cutset_ideal, oriented_cutset_ideal):
+            code = build(G).code
+            for top in lcm_closure(code)[1:]:
+                masks = _crosscut_masks(code, top)
+                antichain = code.tops(top) == top
+                if antichain:
+                    rows = [m for m in masks if m]
+                    assert len(set(rows)) == len(rows) >= len(masks) - 1
+                    assert all(m & ~k for m in rows for k in rows if m != k)
+                want = strong_core_alternation_oracle(masks)
+                assert _strong_core(masks, antichain) == want, (graph_to_text(G), _label(code, top))
+                masks = _koszul_masks(code, top)
+                assert _strong_core(masks) == strong_core_alternation_oracle(masks), (
+                    graph_to_text(G), _label(code, top)
+                )
+
     def test_transposed_side_is_enumerated_when_smaller(self, c4, enumerated):
         rows, cols = _strong_core(PAIRS_OF_FOUR)
         assert (rows, len(cols)) == (6, 4)
@@ -939,8 +992,8 @@ class TestReductionMemo:
         keys = []
         core = homology_module._strong_core
 
-        def recording(masks):
-            keys.append(core(masks))
+        def recording(masks, *args):
+            keys.append(core(masks, *args))
             return keys[-1]
 
         monkeypatch.setattr(homology_module, "_strong_core", recording)
@@ -1094,12 +1147,27 @@ def koszul_faces(ideal, m):
 def koszul_facets(ideal, m):
     """The generator facets that the masks of K^m(ideal) encode: facet i
     holds the support variables whose mask has bit i, one facet for each
-    generator dividing m."""
+    generator ``generators[i]`` dividing m."""
     code = ideal.code
     top = code.encode(m)
     masks = _koszul_masks(code, top)
-    count = sum(not g & ~top for g in code.generators)
-    return {tuple(k for k, mask in enumerate(masks) if mask >> i & 1) for i in range(count)}
+    dividing = [i for i, g in enumerate(code.generators) if not g & ~top]
+    return {tuple(k for k, mask in enumerate(masks) if mask >> i & 1) for i in dividing}
+
+
+def divisor_codes(code):
+    """The code of every monomial dividing the lcm of the generators: for
+    each field, every exponent from 0 to its width, the low bits set."""
+    codes = [0]
+    for field in code.masks:
+        steps = [0]
+        rest = field
+        while rest:
+            low = rest & -rest
+            steps.append(steps[-1] | low)
+            rest ^= low
+        codes = [c | step for c in codes for step in steps]
+    return codes
 
 
 def support_degree(ideal, m):
@@ -1166,6 +1234,25 @@ class TestKoszulComplex:
                     assert nonzero(got_dims[char]) == nonzero(want_dims[char]), (
                         graph_to_text(G), str(m)
                     )
+
+    @given(multigraphs())
+    def test_holder_masks_match_the_gap_oracle(self, G):
+        # at every monomial dividing the lcm of the generators, lattice
+        # element or not, for I, J and K: the holder-bitset masks number
+        # every generator and the gap oracle only those dividing m, so the
+        # two are compared facet by facet, in generator order
+        for build in (parking_ideal, cutset_ideal, oriented_cutset_ideal):
+            code = build(G).code
+            gens = code.generators
+            for top in divisor_codes(code):
+                dividing = [i for i, g in enumerate(gens) if not g & ~top]
+                assert code.divisors(top) == sum(1 << i for i in dividing)
+                masks = _koszul_masks(code, top)
+                want = koszul_masks_oracle(list(gens), list(code.masks), top)
+                assert len(masks) == len(want)
+                assert [[k for k, m in enumerate(masks) if m >> i & 1] for i in dividing] == [
+                    [k for k, m in enumerate(want) if m >> j & 1] for j in range(len(dividing))
+                ], (graph_to_text(G), _label(code, top))
 
     def test_first_variable_in_no_facet(self):
         # both generators hold x1 as often as m does, so x1 lies in no

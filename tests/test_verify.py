@@ -1,5 +1,7 @@
 import concurrent.futures
 import json
+import multiprocessing
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from parkbetti import (
     verify_graph,
 )
 from parkbetti import cli as cli_module
+from parkbetti import graphs as graphs_module
 from parkbetti import homology as homology_module
 from parkbetti import verify as verify_module
 from parkbetti.verify import CHECK_NAMES
@@ -129,6 +132,33 @@ class TestVerifyGraph:
         assert len(counted) == len(partitions) + kite.n
         assert list(betti_wilmes(kite)) == report.betti["wilmes"]
 
+    def test_one_lattice_walk_per_ideal(self, kite, monkeypatch):
+        # gpw-J, then at each sink one walk that gpw-I and koszul-I share
+        # and one for gpw-K
+        walked = []
+        closure = homology_module.lcm_closure
+
+        def counted(code):
+            walked.append(code)
+            return closure(code)
+
+        monkeypatch.setattr(homology_module, "lcm_closure", counted)
+        assert verify_graph(kite).passed
+        assert len(walked) == 1 + 2 * kite.n
+
+    def test_one_connectivity_table_per_graph(self, kite, monkeypatch):
+        # the cuts, J, and I and K at every sink read one table
+        built = []
+        table = graphs_module._connectivity_table
+
+        def counted(G):
+            built.append(G)
+            return table(G)
+
+        monkeypatch.setattr(graphs_module, "_connectivity_table", counted)
+        assert verify_graph(kite).passed
+        assert built == [kite]
+
     def test_memory_error_fails_one_check(self, kite, monkeypatch):
         # the check that ran out of memory fails and names the exception;
         # every other check still runs and passes
@@ -218,6 +248,33 @@ class TestVerifyGraph:
         assert pools == [3, 2]
         assert [r.passed for r in verify_corpus([k3], jobs=3)] == [True]
         assert pools == [3, 2]
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the replaced verify_graph reaches the workers only when they are forked",
+    )
+    def test_verify_corpus_keeps_reports_when_a_worker_dies(self, k3, p3, kite, banana, monkeypatch):
+        # the worker verifying the kite exits at once, in the pool of two
+        # and again in the pool of its own: the kite gets a failed report,
+        # and every other report is the one a serial run gives
+        verify = verify_module.verify_graph
+        graphs = [k3, kite, p3, banana(2)]
+
+        def dies_on_the_kite(G, chars):
+            if graph_to_text(G) == graph_to_text(kite):
+                os._exit(1)
+            return verify(G, chars)
+
+        monkeypatch.setattr(verify_module, "verify_graph", dies_on_the_kite)
+        reports = verify_corpus(graphs, jobs=2)
+        assert [r.graph for r in reports] == [graph_to_text(G) for G in graphs]
+        lost = reports[1]
+        assert not lost.passed and lost.betti == {}
+        assert [c.name for c in lost.checks] == list(CHECK_NAMES)
+        assert all(c.witness.startswith("the worker verifying this graph died") for c in lost.checks)
+        for G, report in zip(graphs, reports):
+            if G is not kite:
+                assert json.dumps(report.to_json_dict()) == json.dumps(verify(G).to_json_dict())
 
     @pytest.mark.parametrize("jobs", [0, -4])
     def test_verify_corpus_rejects_fewer_than_one_job(self, k3, jobs):
