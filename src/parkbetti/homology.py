@@ -6,19 +6,17 @@ Homology is computed over every characteristic in ``chars`` and must agree;
 a disagreement means the answer is field-dependent and is raised, never
 averaged.
 
-Every homology computation takes one route, ``_ReductionMemo._reduced``:
-the vertex masks of a complex are cut to its strong-collapse core, the
-core is looked up in the memo, and only on a miss is one side of it
-enumerated as a relative face family {dimension: [index tuples]}
-(``relative_faces``) and reduced. Two models feed it, each through one
-per-element method of ``_ReductionMemo``. ``_interval_dims`` uses the
-crosscut model of the lcm-lattice interval below an element; both
-``betti_gpw`` and the concentration audit (``interval_homology_audit``) go
-through it, so the audit reports the homology that gpw sums.
-``_koszul_dims`` uses the upper Koszul complex at an element;
-``betti_koszul`` goes through it. The order complex of an interval (every
-chain) and the Koszul complex by its subset definition are kept only as
-test oracles.
+Every homology computation takes one route: the vertex masks of a complex
+are cut to its strong-collapse core, the core is looked up in the memo,
+and only on a miss is one side of it enumerated as a relative face family
+{dimension: [index tuples]} (``relative_faces``) and reduced, by the one
+miss handler ``_ReductionMemo._reduce``. Two models feed it: the crosscut
+model of the lcm-lattice interval below an element, read by ``betti_gpw``
+and by the concentration audit (``interval_homology_audit``, through
+``_interval_dims``), so the audit reports the homology that gpw sums; and
+the upper Koszul complex at an element, read by ``betti_koszul``. The
+order complex of an interval (every chain) and the Koszul complex by its
+subset definition are kept only as test oracles.
 
 Both complexes have one shape: a set of vertices is a face exactly when
 some facet holds all of them. Each vertex is given by its mask, the
@@ -73,7 +71,8 @@ atoms are distinct and none divides another, so their masks, the bits of y
 outside each, are distinct and none lies inside another: the first row
 step only drops the zero mask of the atom y, if y is an atom, and sorts the
 rest by popcount, with no pairwise test, and no row is dropped until a
-column is. In that pass 8,428 of the 20,586 cores start so.
+column is. In that pass 8,428 of the 20,586 cores start so, and 9,609
+start from two masks or fewer, settled before any step.
 
 The core bounds every degree. For the crosscut model its columns are bits
 of T, one for each variable of supp y; for the Koszul model (below) its
@@ -110,7 +109,10 @@ masks share a bit and share none of a's. The empty face is among them
 exactly when no vertex is left: then the complex is {()}, the star and the
 link are void, and H~_{-1} = 1.
 
-The whole lattice loop of ``betti_gpw`` and ``betti_koszul`` runs on
+The lattice loop (``_lattice_betti``), one for ``betti_gpw`` and
+``betti_koszul``, builds the model's masks at each orbit representative,
+cuts them to their core, reduces a miss and adds the orbit size to a tally
+kept per key; beta is read once per distinct key. It runs on
 integer-coded monomials (``MonomialCode``): each variable owns a unary bit
 field, so the lcm of two monomials is the OR of their codes and "a divides
 b" is ``a & ~b == 0``. The lattice elements are the codes ``lcm_closure``
@@ -120,9 +122,9 @@ returns, in the order of ``lcm_lattice``; no ``FiniteLattice`` and no
 maps a caller passes: ``verify`` and the CLI pass a generating set of the
 sink-fixing group (``variable_symmetries``), which gives the orbits of the
 whole group. The atoms below an element and every vertex mask come from
-mask tests on codes. Variable names come back only to label a characteristic
-disagreement. The audit walks the elements of the lattice it is given and
-encodes each once.
+mask tests on codes. Variable names come back only to label a
+characteristic disagreement, on a miss. The audit walks the elements of
+the lattice it is given and encodes each once.
 
 A walk of a lattice, the closure and the orbit search over it, depends
 only on the generator codes and the field moves of the symmetries, so
@@ -132,16 +134,17 @@ right after gpw-I, and the two read one walk of lcm(I). Only the last walk
 is kept, since an n = 7 graph with no symmetry has a representative for
 every element.
 
-Most complexes repeat, inside one lattice, across the lattices of one
-graph and across the two models, so every distinct core of four or more
-rows is reduced once per ``_ReductionMemo``: the one object the lattice
-methods run on. It checks the characteristics when it is built (at least
-one, each 0 or a prime below 2^31) and holds them with a plain dict of the
-dims computed over them, only the nonzero degrees, which starts out
-holding the five settled cores. Its key is the core itself: (row
-count, sorted column masks), the columns as masks over the rows numbered
-0, 1, ..., which fix the complex on either side. So a hit returns the
-dims of exactly that complex, whichever model or ideal first reached it.
+Most complexes repeat, inside one lattice, across the lattices of one graph
+and across the two models, so every distinct core of four or more rows is
+reduced once per ``_ReductionMemo``, the one object the lattice methods run
+on, and one lattice pass reads the dims of each key once, from its tally.
+It checks the characteristics when it is built (at least one, each 0 or a
+prime below 2^31) and holds them with a plain dict of the dims computed
+over them, only the nonzero degrees, which starts out holding the five
+settled cores. Its key is the core itself: (row count, sorted column
+masks), the columns as masks over the rows numbered 0, 1, ..., which fix
+the complex on either side. So a hit returns the dims of exactly that
+complex, whichever model or ideal first reached it.
 
 At an element m of lcm(I) the Koszul mask of v holds the atom b exactly
 when b_v < m_v, that is when b's crosscut mask holds v's top bit, so the
@@ -167,7 +170,6 @@ the same message, as if there were no memo.
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import partial
 from typing import Callable
 
 from .chips import mpf_count
@@ -311,10 +313,11 @@ def _orbit_representatives(codes, permutations) -> list[tuple[int, int]]:
     return out
 
 
-def _label(code: MonomialCode, top: int) -> str:
-    """The element with code ``top``, by variable name: used only to label
-    a characteristic disagreement."""
-    return code.decode(top).to_str(code.variables)
+def _label(code: MonomialCode, top: int, koszul: bool = False) -> str:
+    """The element with code ``top``, by variable name, as a Koszul degree
+    with ``koszul``: used only to label a characteristic disagreement."""
+    label = code.decode(top).to_str(code.variables)
+    return f"degree {label}" if koszul else label
 
 
 def _crosscut_masks(code: MonomialCode, top: int) -> list[int]:
@@ -409,34 +412,36 @@ def _strong_core(masks: list[int], antichain: bool = False) -> tuple[int, tuple[
     five settled shapes are each their own transpose, so settling on the
     column side gives the key the rows would. With ``antichain`` the
     caller vouches that the nonzero masks are distinct and none lies
-    inside another, so the first row step only drops a zero and sorts by
-    popcount, as ``_maximal`` would, with no pairwise test."""
-    if antichain:
-        side = sorted(masks, key=int.bit_count, reverse=True)
-        if side and not side[-1]:
-            side.pop()
-    else:
-        side = _maximal(masks)
-    holds_rows = True
-    while len(side) > 3:
-        flipped = _transpose(side)
-        pruned = _maximal(flipped)
-        if len(pruned) == len(flipped):
-            if holds_rows:
-                return len(side), tuple(sorted(flipped))
-            return len(flipped), tuple(sorted(side))
-        side = pruned
-        holds_rows = not holds_rows
-    if len(side) <= 2:
-        if not side:
-            return 0, (0,)
-        if len(side) == 2 and not side[0] & side[1]:
-            return 2, (1, 2)
-        return 1, (1,)
-    a, b, c = side
-    if a & b & c:
-        return 1, (1,)
-    return _THREE_ROWS[(a & b != 0) + (a & c != 0) + (b & c != 0)]
+    inside another, so the first row step only drops zeros and sorts by
+    popcount, as ``_maximal`` would, with no pairwise test. A list of two
+    masks or fewer is settled before any step, with the zeros in it."""
+    side = masks
+    if len(side) > 2:
+        if antichain:
+            side = sorted(masks, key=int.bit_count, reverse=True)
+            while side and not side[-1]:
+                side.pop()
+        else:
+            side = _maximal(masks)
+        holds_rows = True
+        while len(side) > 3:
+            flipped = _transpose(side)
+            pruned = _maximal(flipped)
+            if len(pruned) == len(flipped):
+                if holds_rows:
+                    return len(side), tuple(sorted(flipped))
+                return len(flipped), tuple(sorted(side))
+            side = pruned
+            holds_rows = not holds_rows
+        if len(side) == 3:
+            a, b, c = side
+            if a & b & c:
+                return 1, (1,)
+            return _THREE_ROWS[(a & b != 0) + (a & c != 0) + (b & c != 0)]
+    a, b = (side[0], side[-1]) if side else (0, 0)
+    if a and b and not a & b:
+        return 2, (1, 2)
+    return (1, (1,)) if a | b else (0, (0,))
 
 
 class _ReductionMemo:
@@ -477,66 +482,73 @@ class _ReductionMemo:
             self.walk_key = key
         return self.walk
 
-    def _lattice_betti(self, code: MonomialCode, symmetries, dims_at) -> tuple[int, ...]:
-        """Shared loop of the lcm-lattice methods: beta_i sums, over the
-        proper elements m of lcm(I), the reduced homology dims
-        ``dims_at(m)`` reports in degree i-2, computed once per symmetry
-        orbit (``_walk``) and weighted by the orbit size."""
-        betti: dict[int, int] = defaultdict(int)
+    def _lattice_betti(self, code: MonomialCode, symmetries, koszul: bool) -> tuple[int, ...]:
+        """The one loop of the lcm-lattice methods: beta_i sums, over the
+        proper elements m of lcm(I), the reduced homology in degree i-2 of
+        the crosscut complex of (1, m), or with ``koszul`` of K^m(I). Each
+        orbit representative of the walk (``_walk``) is cut to its core,
+        a miss is reduced (``_reduce``), and the orbit size is tallied
+        under the core's key; beta is read once per distinct key."""
+        memo = self.memo
+        tally: dict = defaultdict(int)
         for top, weight in self._walk(code, symmetries):
-            for degree, dim in dims_at(top).items():
+            if koszul:
+                key = _strong_core(_koszul_masks(code, top))
+            else:
+                key = _strong_core(_crosscut_masks(code, top), code.tops(top) == top)
+            if key not in memo:
+                self._reduce(key, lambda: _label(code, top, koszul))
+            tally[key] += weight
+        betti: dict[int, int] = defaultdict(int)
+        for key, weight in tally.items():
+            for degree, dim in memo[key].items():
                 betti[degree + 2] += weight * dim
         return _as_vector(betti)
+
+    def _reduce(self, key: tuple, context: Callable[[], str]) -> dict[int, int]:
+        """The one miss handler: the reduced homology dims, nonzero degrees
+        only, of the core ``key``, from its side with fewer vertices, over
+        every characteristic, required to agree, and stored. ``context()``
+        labels a disagreement, which is raised and never stored."""
+        rows, cols = key
+        vertices = list(cols) if len(cols) < rows else _transpose(cols)
+        by_char = homology_from_faces_multi(relative_faces(vertices), self.chars)
+        by_char = {c: {d: v for d, v in got.items() if v} for c, got in by_char.items()}
+        dims = by_char[self.chars[0]]
+        if any(d != dims for d in by_char.values()):
+            raise CharacteristicDisagreement(by_char, context())
+        self.memo[key] = dims
+        return dims
 
     def _reduced(
         self, masks: list[int], context: Callable[[], str], antichain: bool = False
     ) -> dict[int, int]:
-        """Reduced homology dims, nonzero degrees only, of the complex
-        whose vertices have the facet masks ``masks``, over every
-        characteristic, required to agree. The masks are cut to their
-        strong-collapse core (``_strong_core``) before the memo lookup,
-        and the key is the core, (row count, column masks), whichever
-        model built the masks. The memo starts out holding the five
-        settled cores, so a miss is a core of four or more rows: only then
-        is the side of the core with fewer vertices enumerated, as relative
-        faces, and reduced. ``antichain`` is passed on to ``_strong_core``.
-        ``context`` builds the label of a disagreement; it is called only
-        when one is raised, and a disagreement is never stored."""
+        """Reduced homology dims of the complex on ``masks``, one at a time,
+        for the audit and the tests: its core (``_strong_core``) is looked
+        up, and a miss goes to ``_reduce``."""
         key = _strong_core(masks, antichain)
         dims = self.memo.get(key)
-        if dims is None:
-            rows, cols = key
-            vertices = list(cols) if len(cols) < rows else _transpose(cols)
-            by_char = homology_from_faces_multi(relative_faces(vertices), self.chars)
-            by_char = {c: {d: v for d, v in got.items() if v} for c, got in by_char.items()}
-            dims = by_char[self.chars[0]]
-            if any(d != dims for d in by_char.values()):
-                raise CharacteristicDisagreement(by_char, context())
-            self.memo[key] = dims
-        return dims
+        return self._reduce(key, context) if dims is None else dims
 
     def _interval_dims(self, code: MonomialCode, top: int) -> dict[int, int]:
         """Reduced homology of the open interval (1, y) of lcm(I), I the
-        ideal of ``code``, at the code of y: the one interval path, shared
-        by ``betti_gpw`` and the audit. Where every nonzero field of y is
-        one bit wide, the atoms are distinct and none divides another, so
-        their masks, the bits of y outside each, are an antichain."""
+        ideal of ``code``, at the code of y, from the masks ``betti_gpw``
+        reads: the audit's path. Where every nonzero field of y is one bit
+        wide the atoms' masks, the bits of y outside each, are an antichain."""
         return self._reduced(
-            _crosscut_masks(code, top), partial(_label, code, top), code.tops(top) == top
+            _crosscut_masks(code, top), lambda: _label(code, top), code.tops(top) == top
         )
 
     def _koszul_dims(self, code: MonomialCode, top: int) -> dict[int, int]:
         """Reduced homology of K^m(I), I the ideal of ``code``, at the code
-        of m: the one Koszul path, used by ``betti_koszul``."""
-        return self._reduced(_koszul_masks(code, top), lambda: f"degree {_label(code, top)}")
+        of m, from the masks ``betti_koszul`` reads."""
+        return self._reduced(_koszul_masks(code, top), lambda: _label(code, top, True))
 
     def betti_gpw(self, ideal: MonomialIdeal, symmetries=()) -> tuple[int, ...]:
-        code = ideal.code
-        return self._lattice_betti(code, symmetries, partial(self._interval_dims, code))
+        return self._lattice_betti(ideal.code, symmetries, False)
 
     def betti_koszul(self, ideal: MonomialIdeal, symmetries=()) -> tuple[int, ...]:
-        code = ideal.code
-        return self._lattice_betti(code, symmetries, partial(self._koszul_dims, code))
+        return self._lattice_betti(ideal.code, symmetries, True)
 
     def audit(self, ideal: MonomialIdeal, lattice: FiniteLattice) -> list[dict]:
         code = ideal.code

@@ -307,9 +307,9 @@ def lcm_closure(code: MonomialCode) -> list[int]:
     """Codes of the lcm-lattice elements of the ideal ``code`` was built
     for: all lcms of generator subsets, the constant monomial 0 included,
     sorted by (degree, exponent vector), which ``MonomialCode`` makes
-    (popcount, code). Atoms are the generators, so they must be minimal: a
-    ``ValueError`` is raised when one generator divides another, duplicates
-    included.
+    (popcount, code): a sort by code, then a stable one by popcount. Atoms
+    are the generators, so they must be minimal: a ``ValueError`` is
+    raised when one generator divides another, duplicates included.
 
     lcm is bitwise OR, and a subset of the first k generators either leaves
     out the k-th or takes it, so the lcms over the first k are those over
@@ -323,7 +323,9 @@ def lcm_closure(code: MonomialCode) -> list[int]:
     found = {0}
     for g in gens:
         found.update([f | g for f in found])
-    return sorted(found, key=lambda c: (c.bit_count(), c))
+    codes = sorted(found)
+    codes.sort(key=int.bit_count)
+    return codes
 
 
 def lcm_lattice(ideal: MonomialIdeal) -> FiniteLattice:

@@ -281,11 +281,11 @@ def verify_corpus(graphs, chars=DEFAULT_CHARS, jobs: int = 1) -> list[Verificati
     first instead of last in an edge-ordered corpus.
 
     A worker that dies (killed by the operating system, say) breaks the
-    pool, and the reports after it in pool order are lost with it. Each
-    graph left without a report is verified again, one at a time, in a
+    pool, and the graphs still unfinished then are lost with it. Each graph
+    gets a future of its own, so every report already sent is kept, and
+    only a graph whose future raised is verified again, one at a time, in a
     one-worker pool of its own, so a second death is that graph's own; such
-    a graph gets a failed report (``_lost_report``). Every other report is
-    kept."""
+    a graph gets a failed report (``_lost_report``)."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     workers = min(jobs, len(graphs))
@@ -297,13 +297,13 @@ def verify_corpus(graphs, chars=DEFAULT_CHARS, jobs: int = 1) -> list[Verificati
 
     order = sorted(range(len(graphs)), key=lambda i: -len(graphs[i].edges))
     reports: list = [None] * len(graphs)
-    ordered = [graphs[i] for i in order]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        try:
-            for i, report in zip(order, pool.map(_verify_in_worker, ordered, itertools.repeat(chars))):
-                reports[i] = report
-        except BrokenProcessPool:
-            pass  # the graphs left without a report are verified again below
+        futures = [(i, pool.submit(_verify_in_worker, graphs[i], chars)) for i in order]
+        for i, future in futures:
+            try:
+                reports[i] = future.result()
+            except BrokenProcessPool:
+                pass  # verified again below
     for i in order:
         if reports[i] is None:
             with ProcessPoolExecutor(max_workers=1) as alone:

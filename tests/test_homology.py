@@ -590,6 +590,30 @@ class TestStrongCore:
                 assert core_shape(list(masks)) == strong_core_oracle(list(masks)), masks
         assert core_shape(PAIRS_OF_FOUR) == strong_core_oracle(PAIRS_OF_FOUR)
 
+    def test_two_masks_or_fewer_settle_before_any_prune(self, monkeypatch):
+        # every list of 0-3 masks over 3 bits, zeros and duplicates
+        # included, against the alternation, and again as an antichain
+        # wherever the nonzero masks are distinct and none lies inside
+        # another; a list of two or fewer is settled without ``_maximal``
+        lists = [list(masks) for count in range(4) for masks in product(range(8), repeat=count)]
+        assert len(lists) == 585
+        pruned = []
+        maximal = homology_module._maximal
+
+        def counted(masks):
+            pruned.append(masks)
+            return maximal(masks)
+
+        monkeypatch.setattr(homology_module, "_maximal", counted)
+        for masks in lists:
+            want = strong_core_alternation_oracle(masks)
+            pruned.clear()
+            assert _strong_core(masks) == want, masks
+            assert not pruned or len(masks) == 3, masks
+            rows = [m for m in masks if m]
+            if len(set(rows)) == len(rows) and all(m & ~k for m in rows for k in rows if m != k):
+                assert _strong_core(masks, True) == want, masks
+
     def test_settled_cores_carry_their_homology(self):
         # the cores of three rows or fewer are the five settled ones, and a
         # fresh memo holds each with the homology its rows reduce to over

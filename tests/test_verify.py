@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import multiprocessing
 import os
+import uuid
 
 import pytest
 from hypothesis import given, settings
@@ -223,6 +224,7 @@ class TestVerifyGraph:
             # runs the jobs in-process, so no worker is ever started
             def __init__(self, max_workers):
                 pools.append(max_workers)
+                submitted.append([])
 
             def __enter__(self):
                 return self
@@ -230,10 +232,11 @@ class TestVerifyGraph:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, graphs, *rest):
-                graphs = list(graphs)
-                submitted.append([graph_to_text(G) for G in graphs])
-                return map(fn, graphs, *rest)
+            def submit(self, fn, G, *rest):
+                submitted[-1].append(graph_to_text(G))
+                future = concurrent.futures.Future()
+                future.set_result(fn(G, *rest))
+                return future
 
         # verify_corpus imports the pool class from its module when it starts one
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
@@ -275,6 +278,43 @@ class TestVerifyGraph:
         for G, report in zip(graphs, reports):
             if G is not kite:
                 assert json.dumps(report.to_json_dict()) == json.dumps(verify(G).to_json_dict())
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the replaced verify_graph reaches the workers only when they are forked",
+    )
+    def test_verify_corpus_verifies_again_only_the_graphs_lost(
+        self, k3, p3, kite, banana, monkeypatch, tmp_path
+    ):
+        # pool order: the kite, k3, p3, then banana(2). One worker holds the
+        # kite until banana has started on the other, by then past k3 and
+        # p3, whose reports are sent; then the kite's worker exits, and
+        # banana's, held, is lost with it. Each verification leaves a marker
+        # file; a graph verified again runs as usual
+        verify = verify_module.verify_graph
+        graphs = [k3, kite, p3, banana(2)]
+        names = dict(zip(map(graph_to_text, graphs), ("k3", "kite", "p3", "banana")))
+        banana_started = multiprocessing.Semaphore(0)
+        never = multiprocessing.Semaphore(0)
+
+        def counted(G, chars):
+            name = names[graph_to_text(G)]
+            again = any(tmp_path.glob(f"{name}-*"))
+            (tmp_path / f"{name}-{uuid.uuid4().hex}").touch()
+            if not again and name == "kite":
+                assert banana_started.acquire(timeout=120)
+                os._exit(1)
+            if not again and name == "banana":
+                banana_started.release()
+                never.acquire(timeout=120)  # ended by the broken pool
+            return verify(G, chars)
+
+        monkeypatch.setattr(verify_module, "verify_graph", counted)
+        reports = verify_corpus(graphs, jobs=2)
+        runs = {name: len(list(tmp_path.glob(f"{name}-*"))) for name in names.values()}
+        assert runs == {"k3": 1, "kite": 2, "p3": 1, "banana": 2}
+        for G, report in zip(graphs, reports):
+            assert json.dumps(report.to_json_dict()) == json.dumps(verify(G).to_json_dict())
 
     @pytest.mark.parametrize("jobs", [0, -4])
     def test_verify_corpus_rejects_fewer_than_one_job(self, k3, jobs):
