@@ -135,35 +135,21 @@ class Multigraph:
         return automorphism_generators(sink_fixing_automorphisms(self))
 
     @cached_property
-    def _components(self) -> dict[int, tuple[int, ...]]:
-        """Component masks of each vertex mask asked for so far, filled
-        lazily by ``connected_components``: at most one search per mask and
-        instance. Nothing is allocated up front, so a few queries on a
-        32-vertex graph store a few masks; cut enumeration neither reads
-        nor fills it, but ``connected_partitions`` asks for every mask it
-        grows a block from, so after ``verify.verify_graph`` the dict holds
-        almost all 2^n masks. It lives as long as the graph object;
-        ``dataclasses.replace`` starts a new one."""
-        return {}
-
-    @cached_property
     def _connectivity(self) -> list[bytearray]:
-        """Empty until ``enumerate_connected_cuts`` first runs on this
-        graph or a ``with_sink`` copy of it; then it holds the one table
-        of ``_connectivity_table``, which every later call reads. Like the
-        component cache, it lives as long as the graph object, and
-        ``dataclasses.replace`` starts a new one."""
+        """Empty until an enumeration over every vertex mask
+        (``enumerate_connected_cuts``, ``connected_partitions``) first runs
+        on this graph or a ``with_sink`` copy of it; then it holds the one
+        table of ``_connectivity_table``, which every later enumeration
+        reads. A single query never builds it. It lives as long as the
+        graph object, and ``dataclasses.replace`` starts a new one."""
         return []
 
     def with_sink(self, sink: int) -> "Multigraph":
         """Same graph, same orientation, different sink (0-based index).
-        Components and connected vertex masks do not depend on the sink, so
-        the copy shares this graph's component cache and its connectivity
-        table: a mask searched at one sink is not searched again at
-        another, and the table is built once for the graph and its sink
-        copies."""
+        Connected vertex masks do not depend on the sink, so the copy
+        shares this graph's connectivity table, built once for the graph
+        and its sink copies."""
         G = replace(self, sink=sink)
-        object.__setattr__(G, "_components", self._components)
         object.__setattr__(G, "_connectivity", self._connectivity)
         return G
 
@@ -184,30 +170,27 @@ def _reach_within(adjacency_masks, start: int, within: int) -> int:
 
 def is_connected_induced(G: Multigraph, subset: int) -> bool:
     """True iff the subgraph induced on the non-empty bitmask ``subset`` is
-    connected; read from the graph's component cache
-    (``connected_components``)."""
+    connected: one search from its lowest vertex, kept nowhere."""
     if subset == 0:
         raise ValueError("subset must be non-empty")
-    return len(connected_components(G, subset)) == 1
+    if subset & ~G.full_mask:
+        raise ValueError("subset contains vertices outside the graph")
+    return _reach_within(G.adjacency_masks, subset & -subset, subset) == subset
 
 
 def connected_components(G: Multigraph, mask: int) -> tuple[int, ...]:
     """Vertex masks of the connected components of the subgraph induced on
-    ``mask``, ascending by lowest vertex; () for the empty mask. Each mask
-    is searched once per graph and kept in its component cache, which its
-    ``with_sink`` copies share."""
+    ``mask``, ascending by lowest vertex; () for the empty mask. One search
+    per component, kept nowhere."""
     if mask & ~G.full_mask:
         raise ValueError("subset contains vertices outside the graph")
-    components = G._components.get(mask)
-    if components is None:
-        found = []
-        remaining = mask
-        while remaining:
-            component = _reach_within(G.adjacency_masks, remaining & -remaining, mask)
-            found.append(component)
-            remaining &= ~component
-        components = G._components[mask] = tuple(found)
-    return components
+    found = []
+    remaining = mask
+    while remaining:
+        component = _reach_within(G.adjacency_masks, remaining & -remaining, mask)
+        found.append(component)
+        remaining &= ~component
+    return tuple(found)
 
 
 @dataclass(frozen=True)
@@ -243,19 +226,22 @@ def _connectivity_table(G: Multigraph) -> bytearray:
     return connected
 
 
-def enumerate_connected_cuts(G: Multigraph) -> list[Cut]:
-    """All cuts {U, W} with the sink in W and both sides inducing connected
-    subgraphs, ordered by the U bitmask as an integer.
-
-    Both sides of every sink-free mask are read from the graph's
-    connectivity table (``_connectivity_table``), built on the first call
-    for the graph or any of its ``with_sink`` copies and kept on the graph
-    (``Multigraph._connectivity``); the component cache is neither read
-    nor filled."""
+def _connected_masks(G: Multigraph) -> bytearray:
+    """The connectivity table of ``G`` (``_connectivity_table``), built
+    into ``Multigraph._connectivity`` on first use for the graph or any of
+    its ``with_sink`` copies, and read from there after."""
     slot = G._connectivity
     if not slot:
         slot.append(_connectivity_table(G))
-    connected = slot[0]
+    return slot[0]
+
+
+def enumerate_connected_cuts(G: Multigraph) -> list[Cut]:
+    """All cuts {U, W} with the sink in W and both sides inducing connected
+    subgraphs, ordered by the U bitmask as an integer. Both sides of every
+    sink-free mask are read from the graph's connectivity table
+    (``_connected_masks``)."""
+    connected = _connected_masks(G)
     full = G.full_mask
     sink = 1 << G.sink
     return [
@@ -334,7 +320,8 @@ class ConnectedPartition:
 
 
 def is_connected_partition(G: Multigraph, partition: ConnectedPartition) -> bool:
-    """Blocks cover all vertices and each induces a connected subgraph."""
+    """Blocks cover all vertices and each induces a connected subgraph:
+    one search per block (``is_connected_induced``)."""
     union = 0
     for b in partition.blocks:
         union |= b
@@ -347,8 +334,10 @@ def connected_partitions(G: Multigraph) -> list[ConnectedPartition]:
     """Every partition of the vertices into connected blocks.
 
     The block containing the smallest unassigned vertex is grown directly
-    from connected supersets, so disconnected partitions are never generated.
+    from connected supersets, read from the graph's connectivity table
+    (``_connected_masks``), so disconnected partitions are never generated.
     Sorted by part count, then block masks."""
+    connected = _connected_masks(G)
     results = []
 
     def grow(unassigned: int, acc: list[int]):
@@ -361,7 +350,7 @@ def connected_partitions(G: Multigraph) -> list[ConnectedPartition]:
         sub = rest
         while sub:
             block = sub | v_bit
-            if is_connected_induced(G, block):
+            if connected[block]:
                 choices.append(block)
             sub = (sub - 1) & rest
         for block in choices:

@@ -69,10 +69,9 @@ Where every nonzero field of y is one bit wide, T = y: at every element of
 lcm(J) and lcm(K), and at the squarefree elements of lcm(I). There the
 atoms are distinct and none divides another, so their masks, the bits of y
 outside each, are distinct and none lies inside another: the first row
-step only drops the zero mask of the atom y, if y is an atom, and sorts the
-rest by popcount, with no pairwise test, and no row is dropped until a
-column is. In that pass 8,428 of the 20,586 cores start so, and 9,609
-start from two masks or fewer, settled before any step.
+step drops only the zero mask of the atom y, if y is an atom, and no row is
+dropped until a column is. In that pass 8,428 of the 20,586 cores start
+so, and 9,609 start from two masks or fewer, settled before any step.
 
 The core bounds every degree. For the crosscut model its columns are bits
 of T, one for each variable of supp y; for the Koszul model (below) its
@@ -399,7 +398,7 @@ _SETTLED = {
 }
 
 
-def _strong_core(masks: list[int], antichain: bool = False) -> tuple[int, tuple[int, ...]]:
+def _strong_core(masks: list[int]) -> tuple[int, tuple[int, ...]]:
     """The strong-collapse core of the complex whose vertices have the
     facet masks ``masks`` (see the module docstring): its row count and its
     column masks over the rows, numbered 0, 1, ..., sorted. Zero masks are
@@ -410,19 +409,11 @@ def _strong_core(masks: list[int], antichain: bool = False) -> tuple[int, tuple[
     facet is empty; one, or entries that one column holds, is a point;
     two that share none are two points; three go by ``_THREE_ROWS``. The
     five settled shapes are each their own transpose, so settling on the
-    column side gives the key the rows would. With ``antichain`` the
-    caller vouches that the nonzero masks are distinct and none lies
-    inside another, so the first row step only drops zeros and sorts by
-    popcount, as ``_maximal`` would, with no pairwise test. A list of two
-    masks or fewer is settled before any step, with the zeros in it."""
+    column side gives the key the rows would. A list of two masks or fewer
+    is settled before any step, with the zeros in it."""
     side = masks
     if len(side) > 2:
-        if antichain:
-            side = sorted(masks, key=int.bit_count, reverse=True)
-            while side and not side[-1]:
-                side.pop()
-        else:
-            side = _maximal(masks)
+        side = _maximal(masks)
         holds_rows = True
         while len(side) > 3:
             flipped = _transpose(side)
@@ -491,11 +482,9 @@ class _ReductionMemo:
         under the core's key; beta is read once per distinct key."""
         memo = self.memo
         tally: dict = defaultdict(int)
+        build_masks = _koszul_masks if koszul else _crosscut_masks
         for top, weight in self._walk(code, symmetries):
-            if koszul:
-                key = _strong_core(_koszul_masks(code, top))
-            else:
-                key = _strong_core(_crosscut_masks(code, top), code.tops(top) == top)
+            key = _strong_core(build_masks(code, top))
             if key not in memo:
                 self._reduce(key, lambda: _label(code, top, koszul))
             tally[key] += weight
@@ -520,24 +509,19 @@ class _ReductionMemo:
         self.memo[key] = dims
         return dims
 
-    def _reduced(
-        self, masks: list[int], context: Callable[[], str], antichain: bool = False
-    ) -> dict[int, int]:
+    def _reduced(self, masks: list[int], context: Callable[[], str]) -> dict[int, int]:
         """Reduced homology dims of the complex on ``masks``, one at a time,
         for the audit and the tests: its core (``_strong_core``) is looked
         up, and a miss goes to ``_reduce``."""
-        key = _strong_core(masks, antichain)
+        key = _strong_core(masks)
         dims = self.memo.get(key)
         return self._reduce(key, context) if dims is None else dims
 
     def _interval_dims(self, code: MonomialCode, top: int) -> dict[int, int]:
         """Reduced homology of the open interval (1, y) of lcm(I), I the
         ideal of ``code``, at the code of y, from the masks ``betti_gpw``
-        reads: the audit's path. Where every nonzero field of y is one bit
-        wide the atoms' masks, the bits of y outside each, are an antichain."""
-        return self._reduced(
-            _crosscut_masks(code, top), lambda: _label(code, top), code.tops(top) == top
-        )
+        reads: the audit's path."""
+        return self._reduced(_crosscut_masks(code, top), lambda: _label(code, top))
 
     def _koszul_dims(self, code: MonomialCode, top: int) -> dict[int, int]:
         """Reduced homology of K^m(I), I the ideal of ``code``, at the code

@@ -15,17 +15,13 @@ it between its checks:
 - the mpf count of the contraction to each connected partition, taken on
   first use; mobius-vs-mpf and the Wilmes sum of betti-methods-agree read
   the same counts;
-- the graph's component cache (``graphs.connected_components``), which
-  its sink copies share, so the connected partitions and contraction
-  validation search each vertex set once;
-- the graph's connectivity table, which its sink copies share too, so the
+- the graph's connectivity table, which its sink copies share, so the
   cut enumerations of every ideal at every sink
-  (``graphs.enumerate_connected_cuts``) read one subset pass.
-The memo and the counts are dropped on return. The component cache fills
-lazily, but the connected partitions ask for nearly every vertex mask, so
-after one call it holds almost all 2^n masks; it and the connectivity
-table belong to the graph object and live as long as it does, and a
-``dataclasses.replace`` copy starts with neither.
+  (``graphs.enumerate_connected_cuts``) and the connected partitions read
+  one subset pass, while contraction validation searches each block once.
+The memo and the counts are dropped on return. The connectivity table
+belongs to the graph object and lives as long as it does, and a
+``dataclasses.replace`` copy starts without it.
 What depends on the sink stays independent at each sink: its parking and
 oriented cut-set ideals and their Betti vectors, its parking-function
 enumeration and spanning-tree count, and its own mpf count, which

@@ -29,10 +29,12 @@ from parkbetti import (
     spanning_tree_count,
     verification_corpus,
 )
+from parkbetti import graphs as graphs_module
 
 from _oracles import (
     components_oracle,
     connected_cuts_oracle,
+    connected_partitions_oracle,
     generated_group,
     sink_fixing_automorphisms_oracle,
     tree_count_oracle,
@@ -190,49 +192,51 @@ def path_graph(n: int) -> Multigraph:
 class TestComponentCache:
     @given(multigraphs())
     def test_every_mask_matches_the_oracle(self, G):
+        # every query searches afresh, at the graph and at each sink copy,
+        # and none of them builds the connectivity table
         cold = dataclasses.replace(G)
         masks = range(1, 1 << G.n)
         want = {m: components_oracle(G, m) for m in masks}
-        for _ in range(2):  # cold, then read back from the cache
+        for Gs in [cold] + [cold.with_sink(sink) for sink in range(G.n)]:
             for m in masks:
-                assert connected_components(cold, m) == want[m], (graph_to_text(G), m)
-                assert is_connected_induced(cold, m) == (len(want[m]) == 1)
-        assert set(cold._components) == set(masks)
-        # sink copies share the cache, and answer the same from it
-        for sink in range(G.n):
-            Gs = cold.with_sink(sink)
-            assert Gs.sink == sink and Gs._components is cold._components
-            for m in masks:
-                assert connected_components(Gs, m) == want[m]
+                assert connected_components(Gs, m) == want[m], (graph_to_text(Gs), m)
                 assert is_connected_induced(Gs, m) == (len(want[m]) == 1)
-        # a sink copy of a cold graph fills the cache its source reads
-        fresh = dataclasses.replace(G)
-        for m in masks:
-            assert connected_components(fresh.with_sink(G.sink), m) == want[m]
-        assert set(fresh._components) == set(masks)
-        assert all(connected_components(fresh, m) == want[m] for m in masks)
+        assert cold._connectivity == []
+        # the table, once built, answers the same for every mask
+        enumerate_connected_cuts(cold)
+        connected = cold._connectivity[0]
+        assert all(connected[m] == (len(want[m]) == 1) for m in masks)
 
-    def test_stores_only_the_masks_asked_for(self):
+    def test_single_queries_never_build_the_table(self, monkeypatch):
+        # a table for 32 vertices would hold 2^32 entries
+        def refused(G):
+            raise AssertionError("a single query built the connectivity table")
+
+        monkeypatch.setattr(graphs_module, "_connectivity_table", refused)
         G = path_graph(32)
-        asked = [G.full_mask, 0b1011, (1 << 31) | 1, 0b111 << 20]
-        assert is_connected_induced(G, asked[0])
-        assert connected_components(G, asked[1]) == (0b11, 0b1000)
-        assert connected_components(G, asked[2]) == (1, 1 << 31)
-        assert is_connected_induced(G, asked[3])
-        assert is_connected_induced(G, asked[3])
-        assert set(G._components) == set(asked)
+        assert is_connected_induced(G, G.full_mask)
+        assert not is_connected_induced(G, (1 << 31) | 1)
+        assert connected_components(G, 0b1011) == (0b11, 0b1000)
+        halves = ConnectedPartition(((1 << 16) - 1, G.full_mask ^ ((1 << 16) - 1)))
+        H = contract(G, halves)
+        assert (H.n, len(H.edges), H.sink) == (2, 1, 1)
+        with pytest.raises(GraphValidationError):
+            contract(G, ConnectedPartition((0b101, G.full_mask ^ 0b101)))
+        assert G._connectivity == []
 
     def test_replace_starts_an_empty_cache(self, kite):
-        connected_components(kite, kite.full_mask)
-        assert kite._components
+        enumerate_connected_cuts(kite)
+        assert kite._connectivity
+        assert kite.with_sink(0)._connectivity is kite._connectivity
         copy = dataclasses.replace(kite)
         assert copy == kite
-        assert copy._components == {} and copy._components is not kite._components
+        assert copy._connectivity == [] and copy._connectivity is not kite._connectivity
 
     def test_bad_masks_raise_before_the_lookup(self, kite):
         outside = 1 << kite.n | 1
-        # a poisoned entry would answer if the lookup came first
-        kite._components.update({0: (1,), outside: (outside,)})
+        # a table that holds the bad masks would answer if it were read
+        enumerate_connected_cuts(kite)
+        kite._connectivity[0] = bytearray([1]) * (1 << kite.n + 1)
         with pytest.raises(ValueError):
             is_connected_induced(kite, 0)
         with pytest.raises(ValueError):
@@ -243,7 +247,9 @@ class TestComponentCache:
         for mask in (0, outside):
             with pytest.raises(ValueError):
                 is_connected_induced(fresh, mask)
-        assert fresh._components == {}
+        with pytest.raises(ValueError):
+            connected_components(fresh, outside)
+        assert fresh._connectivity == []
 
 
 class TestCuts:
@@ -268,11 +274,11 @@ class TestCuts:
 
     @given(multigraphs())
     def test_cuts_match_oracle_on_multigraphs_at_every_sink(self, G):
-        # same list, same order; and the subset pass leaves the cache alone
+        # same list, same order; each fresh copy builds its own table once
         for s in range(G.n):
             Gs = dataclasses.replace(G, sink=s)
             assert enumerate_connected_cuts(Gs) == connected_cuts_oracle(Gs), graph_to_text(Gs)
-            assert Gs._components == {}
+            assert len(Gs._connectivity) == 1
 
     def test_boundary_degree(self, kite):
         assert boundary_degree(kite, mask_of([0]), 0) == 3
@@ -299,6 +305,18 @@ class TestPartitionsAndContraction:
         for p in parts:
             by_count[p.part_count] = by_count.get(p.part_count, 0) + 1
         assert by_count == {1: 1, 2: 6, 3: 5, 4: 1}
+
+    @given(multigraphs())
+    def test_partitions_match_the_oracle_at_every_sink(self, G):
+        # same list, same order: by part count, then block masks
+        want = sorted(
+            (ConnectedPartition(tuple(mask_of(b) for b in blocks))
+             for blocks in connected_partitions_oracle(G)),
+            key=lambda p: (p.part_count, p.blocks),
+        )
+        cold = dataclasses.replace(G)
+        for s in range(G.n):
+            assert connected_partitions(cold.with_sink(s)) == want, graph_to_text(G)
 
     def test_contract_example(self, kite):
         p = ConnectedPartition((mask_of([0, 2]), mask_of([1]), mask_of([3])))

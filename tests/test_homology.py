@@ -592,9 +592,8 @@ class TestStrongCore:
 
     def test_two_masks_or_fewer_settle_before_any_prune(self, monkeypatch):
         # every list of 0-3 masks over 3 bits, zeros and duplicates
-        # included, against the alternation, and again as an antichain
-        # wherever the nonzero masks are distinct and none lies inside
-        # another; a list of two or fewer is settled without ``_maximal``
+        # included, against the alternation; a list of two or fewer is
+        # settled without ``_maximal``
         lists = [list(masks) for count in range(4) for masks in product(range(8), repeat=count)]
         assert len(lists) == 585
         pruned = []
@@ -610,9 +609,6 @@ class TestStrongCore:
             pruned.clear()
             assert _strong_core(masks) == want, masks
             assert not pruned or len(masks) == 3, masks
-            rows = [m for m in masks if m]
-            if len(set(rows)) == len(rows) and all(m & ~k for m in rows for k in rows if m != k):
-                assert _strong_core(masks, True) == want, masks
 
     def test_settled_cores_carry_their_homology(self):
         # the cores of three rows or fewer are the five settled ones, and a
@@ -680,20 +676,13 @@ class TestStrongCore:
     def test_early_settling_keeps_the_alternation_key(self, G):
         # at every proper element of lcm(I), lcm(J) and lcm(K), the key of
         # each model's masks against the alternation that settles only
-        # after its first row step; the crosscut masks go in as
-        # ``_interval_dims`` passes them, an antichain wherever every field
-        # of the element is one bit wide
+        # after its first row step
         for build in (parking_ideal, cutset_ideal, oriented_cutset_ideal):
             code = build(G).code
             for top in lcm_closure(code)[1:]:
                 masks = _crosscut_masks(code, top)
-                antichain = code.tops(top) == top
-                if antichain:
-                    rows = [m for m in masks if m]
-                    assert len(set(rows)) == len(rows) >= len(masks) - 1
-                    assert all(m & ~k for m in rows for k in rows if m != k)
                 want = strong_core_alternation_oracle(masks)
-                assert _strong_core(masks, antichain) == want, (graph_to_text(G), _label(code, top))
+                assert _strong_core(masks) == want, (graph_to_text(G), _label(code, top))
                 masks = _koszul_masks(code, top)
                 assert _strong_core(masks) == strong_core_alternation_oracle(masks), (
                     graph_to_text(G), _label(code, top)
